@@ -142,7 +142,7 @@ def cmd_census(args) -> int:
         a = jordan_matrix(field, jordan)
     elif args.A:
         a = _read_matrix(args.A)
-        if a.field != field:
+        if a.field is not field:
             raise PreconditionError("matrix field does not match --field")
     else:
         raise PreconditionError("census needs --jordan or --A")

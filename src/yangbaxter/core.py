@@ -53,7 +53,7 @@ def residual(a: Matrix, x: Matrix) -> ResidualReport:
         raise DimensionError("coefficient and candidate must be square")
     if a.nrows != x.nrows:
         raise DimensionError(f"dimension mismatch {a.nrows} vs {x.nrows}")
-    if a.field != x.field:
+    if a.field is not x.field:
         raise FieldMismatchError("coefficient and candidate over different fields")
     return ResidualReport(a, x, a * x * a - x * a * x)
 
@@ -216,21 +216,17 @@ def check_commuting_sylvester(a: Matrix, x: Matrix) -> PropertyVerdict:
     )
 
 
-def _kernel_block_label(x: Matrix, split: tuple[int, int]) -> str:
-    """Classify Ker(X) against the two coordinate blocks of a block split."""
-    n1, n2 = split
+def kernel_block_label(x: Matrix, ranges) -> str:
+    """Classify Ker(X) against half-open coordinate block ranges: "trivial",
+    the "+"-joined names P1, P2, ... of the blocks whose span it equals, or
+    "other"."""
     basis = x.kernel_basis()
-    dim = len(basis)
-    in_first = all(all(v[j].is_zero for j in range(n1, n1 + n2)) for v in basis)
-    in_second = all(all(v[j].is_zero for j in range(n1)) for v in basis)
-    if dim == n1 + n2:
-        return "P1+P2"
-    if dim == n1 and in_first:
-        return "P1"
-    if dim == n2 and in_second:
-        return "P2"
-    if dim == 0:
+    if not basis:
         return "trivial"
+    support = {j for v in basis for j, c in enumerate(v) if not c.is_zero}
+    covering = [k for k, (lo, hi) in enumerate(ranges) if support & set(range(lo, hi))]
+    if len(basis) == sum(ranges[k][1] - ranges[k][0] for k in covering):
+        return "+".join(f"P{k + 1}" for k in covering)
     return "other"
 
 
@@ -248,7 +244,7 @@ def check_kernel_classification_two_blocks(a: Matrix, x: Matrix,
         raise PreconditionError("two-block-kernel: candidate is the zero matrix")
     if x.is_invertible():
         raise PreconditionError("two-block-kernel: candidate must be singular")
-    label = _kernel_block_label(x, block_split)
+    label = kernel_block_label(x, [(0, n1), (n1, n1 + n2)])
     holds = label in ("P1", "P2", "P1+P2")
     return PropertyVerdict(
         "two-block-kernel-classification",

@@ -1,19 +1,24 @@
 """Exact coefficient fields and their elements.
 
-Three fields are supported, each with fully exact arithmetic:
+Each field kind is a :class:`Field` subclass that owns the arithmetic on
+its raw values: ``Fraction`` for the rationals, int residues in ``[0, p)``
+for GF(p), and Fraction pairs ``(c0, c1)`` meaning ``c0 + c1*s`` for Q(s),
+``s**2 = a`` with ``a`` a rational non-square. Matrices and polynomials
+compute on raw values; a :class:`Scalar` boxes one at public interfaces.
 
-* the rationals, backed by arbitrary-precision ``fractions.Fraction``;
-* prime fields GF(p), elements stored as canonical residues in ``[0, p)``;
-* quadratic extensions Q(s) with ``s**2 = a`` for a rational non-square
-  ``a``, elements stored as ``c0 + c1*s`` with rational ``c0``, ``c1``.
-
-Scalars are immutable, hashable and compare by canonical representation,
-so equality is always decidable and deterministic.
+Fields are interned: ``Field.rationals``, ``gf``, ``quadratic`` and
+``from_spec`` return one object per field, even to racing threads, so
+fields compare by identity. Scalars are immutable and hashable; two are
+equal when they share a field and a raw value. An int or Fraction equals
+a scalar only when it is the scalar's canonical value, which is also its
+hash: the Fraction for ``rat``, the residue in ``[0, p)`` for ``gf:p``,
+and ``c0`` for ``quad:a`` when ``c1 == 0``. In GF(5), 2 equals 2, not 7.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -25,24 +30,35 @@ QUAD = "quad"
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
-# c0 +/- c1*s, with either part optional but not both absent
+# c0 +/- c1*s, with either part optional but not both absent; c0 is only
+# taken when a sign or the end follows it, so "12*s" is a pure multiple of s
 _QUAD_RE = re.compile(
-    r"^(?P<c0>[+-]?\d+(?:/[1-9]\d*)?)?"
+    r"^(?:(?P<c0>[+-]?\d+(?:/[1-9]\d*)?)(?=[+-]|$))?"
     r"(?:(?P<sign>[+-])?(?P<c1>\d+(?:/[1-9]\d*)?)\*s)?$"
 )
 
+_INTERNED: dict[str, "Field"] = {}
+
+
+def _intern(spec: str, make) -> "Field":
+    """The one field object for ``spec``; ``setdefault`` keeps it unique
+    when two threads build the same field at once."""
+    return _INTERNED.get(spec) or _INTERNED.setdefault(spec, make())
+
+
+def power(base, k: int, one, mul=operator.mul):
+    """base**k for an int k >= 0 by repeated squaring under ``mul``."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        k >>= 1
+    return out
+
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _rational_sqrt(a: Fraction) -> Fraction | None:
@@ -57,64 +73,30 @@ def _rational_sqrt(a: Fraction) -> Fraction | None:
 
 
 class Field:
-    """A coefficient field: rationals, GF(p) or a quadratic extension of Q."""
+    """A coefficient field: rationals, GF(p) or a quadratic extension of Q,
+    built by :meth:`rationals`, :meth:`gf`, :meth:`quadratic` or :meth:`from_spec`.
+    Its methods on raw values (``add``, ``mul``, ...) check nothing."""
 
-    __slots__ = ("kind", "p", "radicand")
+    __slots__ = ("p", "radicand", "_spec")
 
-    def __init__(self, kind: str, p: int | None = None, radicand: Fraction | None = None):
-        self.kind = kind
+    def __init__(self, spec: str, p: int | None = None, radicand: Fraction | None = None):
+        self._spec = spec
         self.p = p
         self.radicand = radicand
-        if kind == GF:
-            if p is None or not _is_prime(p):
-                raise FieldError(f"modulus must be prime, got {p!r}")
-        elif kind == QUAD:
-            if radicand is None:
-                raise FieldError("quadratic extension needs a radicand")
-            if _rational_sqrt(radicand) is not None:
-                raise DegenerateExtensionError(
-                    f"radicand {radicand} is a square in Q; the extension is degenerate"
-                )
-        elif kind != RAT:
-            raise FieldError(f"unknown field kind {kind!r}")
 
     @classmethod
     def rationals(cls) -> "Field":
-        return cls(RAT)
+        return _intern(RAT, lambda: _Rationals(RAT))
 
     @classmethod
     def gf(cls, p: int) -> "Field":
-        return cls(GF, p=p)
+        p = operator.index(p)
+        return _intern(f"gf:{p}", lambda: _PrimeField(p))
 
     @classmethod
     def quadratic(cls, a) -> "Field":
-        return cls(QUAD, radicand=Fraction(a))
-
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.kind == GF else 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.kind == other.kind
-            and self.p == other.p
-            and self.radicand == other.radicand
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p, self.radicand))
-
-    def __repr__(self) -> str:
-        return f"Field({self.spec()!r})"
-
-    def spec(self) -> str:
-        """The textual field tag used by the matrix file format."""
-        if self.kind == RAT:
-            return "rat"
-        if self.kind == GF:
-            return f"gf:{self.p}"
-        return f"quad:{self.radicand}"
+        a = Fraction(a)
+        return _intern(f"quad:{a}", lambda: _QuadraticField(a))
 
     @classmethod
     def from_spec(cls, text: str) -> "Field":
@@ -133,129 +115,269 @@ class Field:
             return cls.quadratic(Fraction(body))
         raise ParseError(f"unknown field spec {text!r}")
 
+    def __reduce__(self):
+        return (Field.from_spec, (self._spec,))
+
+    @property
+    def characteristic(self) -> int:
+        return self.p or 0
+
+    def __repr__(self) -> str:
+        return f"Field({self._spec!r})"
+
+    def spec(self) -> str:
+        """The textual field tag used by the matrix file format."""
+        return self._spec
+
     # -- element construction -------------------------------------------------
+
+    def coerce(self, value):
+        """The raw value of a scalar of this field, an int, a Fraction or,
+        in a quadratic field, a (c0, c1) pair."""
+        if isinstance(value, Scalar):
+            if value.field is not self:
+                raise FieldMismatchError(f"scalar from {value.field.spec()} used in {self._spec}")
+            return value.v
+        return self._coerce(value)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, Scalar or (c0, c1) pair into this field."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatchError(f"scalar from {value.field.spec()} used in {self.spec()}")
-            return value
-        if self.kind == GF:
-            if isinstance(value, Fraction):
-                if value.denominator == 1:
-                    value = value.numerator
-                else:
-                    num = value.numerator % self.p
-                    den = value.denominator % self.p
-                    if den == 0:
-                        raise FieldError(f"denominator of {value} vanishes mod {self.p}")
-                    return Scalar(self, num * pow(den, -1, self.p) % self.p)
-            if not isinstance(value, int):
-                raise FieldError(f"cannot coerce {value!r} into {self.spec()}")
-            return Scalar(self, value % self.p)
-        if self.kind == RAT:
-            if isinstance(value, (int, Fraction)):
-                return Scalar(self, Fraction(value))
-            raise FieldError(f"cannot coerce {value!r} into {self.spec()}")
-        # quadratic
-        if isinstance(value, (int, Fraction)):
-            return Scalar(self, (Fraction(value), Fraction(0)))
-        if isinstance(value, tuple) and len(value) == 2:
-            return Scalar(self, (Fraction(value[0]), Fraction(value[1])))
-        raise FieldError(f"cannot coerce {value!r} into {self.spec()}")
+        return Scalar(self, self.coerce(value))
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return Scalar(self, self.ZERO)
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return Scalar(self, self.ONE)
 
     def symbol(self) -> "Scalar":
         """The adjoined square root s of a quadratic extension."""
-        if self.kind != QUAD:
-            raise FieldError(f"{self.spec()} has no adjoined symbol")
-        return Scalar(self, (Fraction(0), Fraction(1)))
+        raise FieldError(f"{self._spec} has no adjoined symbol")
 
     def elements(self):
         """All field elements; only available for prime fields."""
-        if self.kind != GF:
-            raise FieldError(f"cannot enumerate {self.spec()}")
-        for v in range(self.p):
-            yield Scalar(self, v)
+        raise FieldError(f"cannot enumerate {self._spec}")
 
-    def sqrt(self, s: "Scalar") -> "Scalar | None":
-        """An exact square root of ``s`` in this field, or None.
+    def sqrt(self, s) -> "Scalar | None":
+        """An exact square root of ``s`` in this field, or None."""
+        r = self._sqrt(self.coerce(s))
+        return None if r is None else Scalar(self, r)
 
-        Prime fields are searched exhaustively; they stay tiny here.
-        In a quadratic extension a rational element has a root exactly
-        when it or its quotient by the radicand is a rational square.
-        """
-        s = self.scalar(s)
-        if self.kind == RAT:
-            r = _rational_sqrt(s.v)
-            return None if r is None else Scalar(self, r)
-        if self.kind == GF:
-            for cand in self.elements():
-                if (cand * cand).v == s.v:
-                    return cand
+    def parse(self, text: str) -> "Scalar":
+        """Parse one scalar in the strict textual grammar of this field."""
+        v = self._parse(text.strip().replace("−", "-"))
+        if v is None:
+            raise ParseError(f"bad {self._noun} {text!r}")
+        return Scalar(self, v)
+
+    # -- arithmetic on raw values ------------------------------------------------
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def dot(self, xs, ys):
+        """sum(x * y) over two equal-length raw sequences."""
+        acc = self.ZERO
+        for x, y in zip(xs, ys):
+            acc = self.add(acc, self.mul(x, y))
+        return acc
+
+    def scale(self, c, xs) -> list:
+        return [self.mul(c, x) for x in xs]
+
+    def sub_scaled(self, xs, c, ys) -> list:
+        """[x - c*y] over two equal-length raw sequences."""
+        return [self.sub(x, self.mul(c, y)) for x, y in zip(xs, ys)]
+
+    def canonical(self, a):
+        """The number a scalar with raw value ``a`` equals and hashes as."""
+        return a
+
+    def format(self, a) -> str:
+        return str(a)
+
+
+class _Rationals(Field):
+    __slots__ = ()
+    kind = RAT
+    ZERO, ONE = Fraction(0), Fraction(1)
+    _noun = "rational"
+    add, sub, mul, div = operator.add, operator.sub, operator.mul, operator.truediv
+    neg = operator.neg
+
+    def inv(self, a):
+        return 1 / a
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys), Fraction(0))
+
+    def _coerce(self, value):
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        raise FieldError(f"cannot coerce {value!r} into {self._spec}")
+
+    def _parse(self, text):
+        return Fraction(text) if _RAT_RE.match(text) else None
+
+    _sqrt = staticmethod(_rational_sqrt)
+
+
+class _PrimeField(Field):
+    __slots__ = ()
+    kind = GF
+    ZERO, ONE = 0, 1
+    _noun = "residue"
+
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise FieldError(f"modulus must be prime, got {p!r}")
+        super().__init__(f"gf:{p}", p=p)
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("scalar is zero")
+        return pow(a, -1, self.p)
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
+
+    def sub_scaled(self, xs, c, ys) -> list:
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(xs, ys)]
+
+    def elements(self):
+        return (Scalar(self, v) for v in range(self.p))
+
+    def _coerce(self, value):
+        if isinstance(value, Fraction):
+            den = value.denominator % self.p
+            if not den:
+                raise FieldError(f"denominator of {value} vanishes mod {self.p}")
+            return value.numerator * pow(den, -1, self.p) % self.p
+        if isinstance(value, int):
+            return value % self.p
+        raise FieldError(f"cannot coerce {value!r} into {self._spec}")
+
+    def _parse(self, text):
+        return int(text) % self.p if _INT_RE.match(text) else None
+
+    def _sqrt(self, a):
+        """Euler's criterion, then Tonelli-Shanks; the smaller of the two
+        roots r and p - r, as an exhaustive scan would find first."""
+        p = self.p
+        if not a or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
             return None
-        c0, c1 = s.v
-        if c1 == 0:
+        s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s with q odd
+        q = (p - 1) >> s
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return min(r, p - r)
+
+
+class _QuadraticField(Field):
+    __slots__ = ()
+    kind = QUAD
+    ZERO, ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    _noun = "quadratic scalar"
+
+    def __init__(self, radicand: Fraction):
+        if _rational_sqrt(radicand) is not None:
+            raise DegenerateExtensionError(
+                f"radicand {radicand} is a square in Q; the extension is degenerate"
+            )
+        super().__init__(f"quad:{radicand}", radicand=radicand)
+
+    def add(self, a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+    def sub(self, a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def neg(self, a):
+        return (-a[0], -a[1])
+
+    def mul(self, a, b):
+        return (a[0] * b[0] + a[1] * b[1] * self.radicand, a[0] * b[1] + a[1] * b[0])
+
+    def inv(self, a):
+        c0, c1 = a
+        norm = c0 * c0 - c1 * c1 * self.radicand
+        return (c0 / norm, -c1 / norm)
+
+    def symbol(self) -> "Scalar":
+        return Scalar(self, (Fraction(0), Fraction(1)))
+
+    def canonical(self, a):
+        return a if a[1] else a[0]
+
+    def format(self, a) -> str:
+        c0, c1 = a
+        if not c1:
+            return str(c0)
+        if not c0:
+            return f"{c1}*s"
+        return f"{c0}-{-c1}*s" if c1 < 0 else f"{c0}+{c1}*s"
+
+    def _coerce(self, value):
+        if isinstance(value, (int, Fraction)):
+            value = (value, 0)
+        if isinstance(value, tuple) and len(value) == 2:
+            return (Fraction(value[0]), Fraction(value[1]))
+        raise FieldError(f"cannot coerce {value!r} into {self._spec}")
+
+    def _parse(self, text):
+        m = _QUAD_RE.match(text)
+        if not m or (m["c0"] is None and m["c1"] is None):
+            return None
+        c1 = Fraction(m["c1"] or 0)
+        return (Fraction(m["c0"] or 0), -c1 if m["sign"] == "-" else c1)
+
+    def _sqrt(self, a):
+        """A rational element has a root exactly when it or its quotient by
+        the radicand is a rational square; otherwise solve the biquadratic
+        that (x + y*s)^2 = a gives for x^2."""
+        c0, c1 = a
+        if not c1:
             r = _rational_sqrt(c0)
             if r is not None:
-                return Scalar(self, (r, Fraction(0)))
+                return (r, Fraction(0))
             r = _rational_sqrt(c0 / self.radicand)
-            if r is not None:
-                return Scalar(self, (Fraction(0), r))
-            return None
-        # (x + y*s)^2 = s.v needs x*y = c1/2 and x^2 + y^2*a = c0; solve the
-        # resulting biquadratic in x^2 exactly.
+            return None if r is None else (Fraction(0), r)
+        # (x + y*s)^2 = a needs x*y = c1/2 and x^2 + y^2*radicand = c0
         half = Fraction(1, 2)
-        disc = (c0 * half) ** 2 - self.radicand * (c1 * half) ** 2
-        rd = _rational_sqrt(disc)
+        rd = _rational_sqrt((c0 * half) ** 2 - self.radicand * (c1 * half) ** 2)
         if rd is None:
             return None
         for x2 in (c0 * half + rd, c0 * half - rd):
             rx = _rational_sqrt(x2)
-            if rx is not None and rx != 0:
-                y = c1 * half / rx
-                cand = Scalar(self, (rx, y))
-                if (cand * cand) == s:
+            if rx:
+                cand = (rx, c1 * half / rx)
+                if self.mul(cand, cand) == a:
                     return cand
         return None
 
-    # -- element parsing -------------------------------------------------------
-
-    def parse(self, text: str) -> "Scalar":
-        """Parse one scalar in the strict textual grammar of this field."""
-        raw = text
-        text = text.strip().replace("−", "-")
-        if self.kind == RAT:
-            if not _RAT_RE.match(text):
-                raise ParseError(f"bad rational {raw!r}")
-            return Scalar(self, Fraction(text))
-        if self.kind == GF:
-            if not _INT_RE.match(text):
-                raise ParseError(f"bad residue {raw!r}")
-            return Scalar(self, int(text) % self.p)
-        m = _QUAD_RE.match(text)
-        if not m or (m.group("c0") is None and m.group("c1") is None):
-            raise ParseError(f"bad quadratic scalar {raw!r}")
-        c0 = Fraction(m.group("c0")) if m.group("c0") is not None else Fraction(0)
-        c1 = Fraction(0)
-        if m.group("c1") is not None:
-            c1 = Fraction(m.group("c1"))
-            sign = m.group("sign")
-            if m.group("c0") is not None and sign is None:
-                raise ParseError(f"bad quadratic scalar {raw!r}")
-            if sign == "-":
-                c1 = -c1
-        return Scalar(self, (c0, c1))
-
 
 class Scalar:
-    """An immutable element of a :class:`Field`."""
+    """An immutable element of a :class:`Field`: one raw value and its field."""
 
     __slots__ = ("field", "v")
 
@@ -263,136 +385,74 @@ class Scalar:
         self.field = field
         self.v = v
 
-    def _coerce(self, other) -> "Scalar":
+    def _apply(self, op, other, reflected: bool = False):
+        """Box ``op`` applied to this raw value and ``other``'s, or
+        NotImplemented when ``other`` is neither a scalar nor a number."""
         if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine {self.field.spec()} with {other.field.spec()}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
-        return NotImplemented
+            if other.field is not self.field:
+                raise FieldMismatchError(f"cannot combine {self.field.spec()} "
+                                         f"with {other.field.spec()}")
+            o = other.v
+        elif isinstance(other, (int, Fraction)):
+            o = self.field.coerce(other)
+        else:
+            return NotImplemented
+        return Scalar(self.field, op(o, self.v) if reflected else op(self.v, o))
 
     @property
     def is_zero(self) -> bool:
-        if self.field.kind == QUAD:
-            return self.v == (0, 0)
-        return self.v == 0
+        return self.v == self.field.ZERO
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.field
-        if f.kind == GF:
-            return Scalar(f, (self.v + other.v) % f.p)
-        if f.kind == RAT:
-            return Scalar(f, self.v + other.v)
-        return Scalar(f, (self.v[0] + other.v[0], self.v[1] + other.v[1]))
+        return self._apply(self.field.add, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        if f.kind == GF:
-            return Scalar(f, -self.v % f.p)
-        if f.kind == RAT:
-            return Scalar(f, -self.v)
-        return Scalar(f, (-self.v[0], -self.v[1]))
+        return Scalar(self.field, self.field.neg(self.v))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._apply(self.field.sub, other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return self._apply(self.field.sub, other, reflected=True)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.field
-        if f.kind == GF:
-            return Scalar(f, (self.v * other.v) % f.p)
-        if f.kind == RAT:
-            return Scalar(f, self.v * other.v)
-        a0, a1 = self.v
-        b0, b1 = other.v
-        return Scalar(f, (a0 * b0 + a1 * b1 * f.radicand, a0 * b1 + a1 * b0))
+        return self._apply(self.field.mul, other)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise ZeroDivisionError("scalar is zero")
-        f = self.field
-        if f.kind == GF:
-            return Scalar(f, pow(self.v, -1, f.p))
-        if f.kind == RAT:
-            return Scalar(f, 1 / self.v)
-        c0, c1 = self.v
-        norm = c0 * c0 - c1 * c1 * f.radicand
-        return Scalar(f, (c0 / norm, -c1 / norm))
+        return Scalar(self.field, self.field.inv(self.v))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return self._apply(self.field.div, other)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return self._apply(self.field.div, other, reflected=True)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Scalar(self.field, power(self.v, k, self.field.ONE, self.field.mul))
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self.field is other.field and self.v == other.v
         if isinstance(other, (int, Fraction)):
-            try:
-                other = self.field.scalar(other)
-            except FieldError:
-                return NotImplemented
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.v == other.v
+            return self.field.canonical(self.v) == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if self.field.kind == QUAD and self.v[1] == 0:
-            return hash(self.v[0])
-        return hash(self.v)
+        return hash(self.field.canonical(self.v))
 
     def __str__(self) -> str:
-        if self.field.kind != QUAD:
-            return str(self.v)
-        c0, c1 = self.v
-        if c1 == 0:
-            return str(c0)
-        if c0 == 0:
-            return f"{c1}*s"
-        if c1 < 0:
-            return f"{c0}-{-c1}*s"
-        return f"{c0}+{c1}*s"
+        return self.field.format(self.v)
 
     def __repr__(self) -> str:
         return f"Scalar({self.field.spec()}, {self})"

@@ -1,9 +1,12 @@
 """Dense exact matrices over a :class:`~yangbaxter.fields.Field`.
 
-Matrices are immutable row-major tuples of scalars. Every reduction used
-here (rref, rank, kernel, inverse, nullspace of operator equations) is
-plain Gauss-Jordan elimination with exact field arithmetic, so results
-are deterministic down to the byte.
+Matrices are immutable and store their entries row-major as raw values of
+their field (``Matrix.raw``), computing on them with the field's own
+arithmetic. Entries are boxed as scalars only where they leave a matrix;
+the public constructors coerce their input and reject another field's
+scalars, while results computed here skip that re-check. Every reduction
+(rref, rank, kernel, inverse, nullspace of operator equations) is plain
+Gauss-Jordan elimination, so results are deterministic down to the byte.
 
 Whenever a basis of a matrix space is returned (kernels, centralizers,
 annihilators) it is the reduced-echelon basis of the row-major
@@ -15,27 +18,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, FieldMismatchError
-from .fields import Field, Scalar
+from .fields import Field, Scalar, power
 
 
 class Matrix:
     """An immutable n-by-m matrix with exact entries in one field."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "raw")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries):
-        entries = tuple(entries)
-        if nrows * ncols != len(entries):
+        raw = tuple(map(field.coerce, entries))
+        if nrows * ncols != len(raw):
             raise DimensionError(
-                f"{nrows}x{ncols} matrix needs {nrows * ncols} entries, got {len(entries)}"
+                f"{nrows}x{ncols} matrix needs {nrows * ncols} entries, got {len(raw)}"
             )
-        for e in entries:
-            if not isinstance(e, Scalar) or e.field != field:
-                raise FieldMismatchError("all entries must be scalars of the matrix field")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = entries
+        self.raw = raw
+
+    @classmethod
+    def _make(cls, field: Field, nrows: int, ncols: int, raw) -> "Matrix":
+        """A matrix over raw values this module computed, without coercion."""
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols, m.raw = field, nrows, ncols, tuple(raw)
+        return m
 
     # -- construction ----------------------------------------------------------
 
@@ -47,27 +54,24 @@ class Matrix:
         ncols = len(rows[0])
         if ncols == 0 or any(len(r) != ncols for r in rows):
             raise DimensionError("rows must be non-empty and of equal length")
-        ents = [field.scalar(v) for row in rows for v in row]
-        return cls(field, len(rows), ncols, ents)
+        return cls(field, len(rows), ncols, [v for row in rows for v in row])
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int | None = None) -> "Matrix":
         if ncols is None:
             ncols = nrows
-        z = field.zero()
-        return cls(field, nrows, ncols, [z] * (nrows * ncols))
+        return cls._make(field, nrows, ncols, [field.ZERO] * (nrows * ncols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls._make(field, n, n, [field.ONE if i == j else field.ZERO
+                                       for i in range(n) for j in range(n)])
 
     @classmethod
     def unit(cls, field: Field, nrows: int, ncols: int, i: int, j: int) -> "Matrix":
         """The matrix with a single 1 at position (i, j)."""
-        z, o = field.zero(), field.one()
-        return cls(field, nrows, ncols, [o if (r, c) == (i, j) else z
-                                         for r in range(nrows) for c in range(ncols)])
+        return cls._make(field, nrows, ncols, [field.ONE if (r, c) == (i, j) else field.ZERO
+                                               for r in range(nrows) for c in range(ncols)])
 
     @classmethod
     def block(cls, grid) -> "Matrix":
@@ -76,34 +80,42 @@ class Matrix:
         field = grid[0][0].field
         row_heights = [row[0].nrows for row in grid]
         col_widths = [b.ncols for b in grid[0]]
+        raw = []
         for row, h in zip(grid, row_heights):
             if len(row) != len(col_widths):
                 raise DimensionError("ragged block grid")
             for b, w in zip(row, col_widths):
                 if b.nrows != h or b.ncols != w:
                     raise DimensionError("block sizes do not conform")
-                if b.field != field:
+                if b.field is not field:
                     raise FieldMismatchError("blocks over different fields")
-        rows = []
-        for row, h in zip(grid, row_heights):
             for i in range(h):
-                rows.append([b[i, j] for b in row for j in range(b.ncols)])
-        return cls.from_rows(field, rows)
+                for b in row:
+                    raw.extend(b.raw[i * b.ncols:(i + 1) * b.ncols])
+        return cls._make(field, sum(row_heights), sum(col_widths), raw)
 
     # -- access ----------------------------------------------------------------
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self.entries[i * self.ncols + j]
+        return Scalar(self.field, self.raw[i * self.ncols + j])
+
+    def _raw_rows(self) -> list[list]:
+        n = self.ncols
+        return [list(self.raw[i * n:(i + 1) * n]) for i in range(self.nrows)]
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        return tuple(Scalar(self.field, v) for v in self.raw)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
+        return tuple(Scalar(self.field, v) for v in self.raw[i * self.ncols:(i + 1) * self.ncols])
 
     def rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.nrows)]
 
     def col(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(self.entries[i * self.ncols + j] for i in range(self.nrows))
+        return tuple(Scalar(self.field, v) for v in self.raw[j::self.ncols])
 
     @property
     def is_square(self) -> bool:
@@ -111,73 +123,64 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return self.raw.count(self.field.ZERO) == len(self.raw)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and self.field is other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self.raw == other.raw
         )
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.entries))
+        return hash((self.nrows, self.ncols, self.raw))
 
     def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(e) for e in self.row(i))
-                               for i in range(self.nrows)) + "]"
+        fmt = self.field.format
+        return "[" + "; ".join(" ".join(map(fmt, row)) for row in self._raw_rows()) + "]"
 
     def __repr__(self) -> str:
         return f"Matrix({self.field.spec()}, {self})"
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _check_same_shape(self, other: "Matrix"):
-        if self.field != other.field:
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
+        if self.field is not other.field:
             raise FieldMismatchError("matrices over different fields")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionError(
                 f"shape mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
+        return Matrix._make(self.field, self.nrows, self.ncols, map(op, self.raw, other.raw))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.field, self.nrows, self.ncols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, [-a for a in self.entries])
+        return Matrix._make(self.field, self.nrows, self.ncols, map(self.field.neg, self.raw))
 
     def scale(self, c) -> "Matrix":
-        c = self.field.scalar(c)
-        return Matrix(self.field, self.nrows, self.ncols, [c * a for a in self.entries])
+        return Matrix._make(self.field, self.nrows, self.ncols,
+                            self.field.scale(self.field.coerce(c), self.raw))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            if self.field != other.field:
+            if self.field is not other.field:
                 raise FieldMismatchError("matrices over different fields")
             if self.ncols != other.nrows:
                 raise DimensionError(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
                 )
-            n, k, m = self.nrows, self.ncols, other.ncols
-            a, b = self.entries, other.entries
-            out = []
-            for i in range(n):
-                arow = a[i * k:(i + 1) * k]
-                for j in range(m):
-                    acc = self.field.zero()
-                    for t in range(k):
-                        acc = acc + arow[t] * b[t * m + j]
-                    out.append(acc)
-            return Matrix(self.field, n, m, out)
+            k, m, dot = self.ncols, other.ncols, self.field.dot
+            cols = [other.raw[j::m] for j in range(m)]
+            return Matrix._make(self.field, self.nrows, m,
+                                [dot(self.raw[i:i + k], col)
+                                 for i in range(0, len(self.raw), k) for col in cols])
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -191,85 +194,73 @@ class Matrix:
             if inv is None:
                 raise ZeroDivisionError("matrix is singular")
             return inv ** (-k)
-        out = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Matrix.identity(self.field, self.nrows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      [self[i, j] for j in range(self.ncols) for i in range(self.nrows)])
+        return Matrix._make(self.field, self.ncols, self.nrows,
+                            [v for j in range(self.ncols) for v in self.raw[j::self.ncols]])
 
     def trace(self) -> Scalar:
         if not self.is_square:
             raise DimensionError("trace needs a square matrix")
-        acc = self.field.zero()
-        for i in range(self.nrows):
-            acc = acc + self[i, i]
-        return acc
+        f = self.field
+        acc = f.ZERO
+        for v in self.raw[::self.ncols + 1]:
+            acc = f.add(acc, v)
+        return Scalar(f, acc)
 
     def apply(self, vec) -> tuple[Scalar, ...]:
         """Multiply this matrix by a column vector given as a scalar sequence."""
-        vec = [self.field.scalar(v) for v in vec]
+        f = self.field
+        vec = [f.coerce(v) for v in vec]
         if len(vec) != self.ncols:
             raise DimensionError("vector length does not match column count")
-        out = []
-        for i in range(self.nrows):
-            acc = self.field.zero()
-            for j, v in enumerate(vec):
-                acc = acc + self[i, j] * v
-            out.append(acc)
-        return tuple(out)
+        k = self.ncols
+        return tuple(Scalar(f, f.dot(self.raw[i:i + k], vec)) for i in range(0, len(self.raw), k))
 
     # -- elimination -----------------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the tuple of pivot columns."""
-        rows = self.rows()
-        nr, nc = self.nrows, self.ncols
+    def _rref(self) -> tuple[list[list], tuple[int, ...]]:
+        """Raw rows of the reduced row-echelon form and the pivot columns."""
+        f, z, nr = self.field, self.field.ZERO, self.nrows
+        rows = self._raw_rows()
         pivots = []
         r = 0
-        for c in range(nc):
-            pr = None
-            for i in range(r, nr):
-                if not rows[i][c].is_zero:
-                    pr = i
-                    break
+        for c in range(self.ncols):
+            pr = next((i for i in range(r, nr) if rows[i][c] != z), None)
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [inv * e for e in rows[r]]
+            rows[r] = f.scale(f.inv(rows[r][c]), rows[r])
             for i in range(nr):
-                if i != r and not rows[i][c].is_zero:
-                    f = rows[i][c]
-                    rows[i] = [e - f * g for e, g in zip(rows[i], rows[r])]
+                if i != r and rows[i][c] != z:
+                    rows[i] = f.sub_scaled(rows[i], rows[i][c], rows[r])
             pivots.append(c)
             r += 1
             if r == nr:
                 break
-        return Matrix.from_rows(self.field, rows), tuple(pivots)
+        return rows, tuple(pivots)
+
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        """Reduced row-echelon form and the tuple of pivot columns."""
+        rows, pivots = self._rref()
+        return Matrix._make(self.field, self.nrows, self.ncols,
+                            [v for row in rows for v in row]), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._rref()[1])
 
     def kernel_basis(self) -> list[tuple[Scalar, ...]]:
         """Canonical basis of the right kernel, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        z, o = self.field.zero(), self.field.one()
+        f = self.field
+        rows, pivots = self._rref()
         basis = []
-        for fc in free:
-            v = [z] * self.ncols
-            v[fc] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = -red[r, fc]
-            basis.append(tuple(v))
+        for fc in sorted(set(range(self.ncols)) - set(pivots)):
+            v = [f.ZERO] * self.ncols
+            v[fc] = f.ONE
+            for row, pc in zip(rows, pivots):
+                v[pc] = f.neg(row[fc])
+            basis.append(tuple(Scalar(f, e) for e in v))
         return basis
 
     def inverse(self) -> "Matrix | None":
@@ -277,38 +268,31 @@ class Matrix:
         if not self.is_square:
             raise DimensionError("inverse needs a square matrix")
         n = self.nrows
-        aug = Matrix.block([[self, Matrix.identity(self.field, n)]])
-        red, pivots = aug.rref()
+        rows, pivots = Matrix.block([[self, Matrix.identity(self.field, n)]])._rref()
         if pivots != tuple(range(n)):
             return None
-        return Matrix(self.field, n, n,
-                      [red[i, n + j] for i in range(n) for j in range(n)])
+        return Matrix._make(self.field, n, n, [v for row in rows for v in row[n:]])
 
     def det(self) -> Scalar:
         """Determinant by exact elimination with row pivoting."""
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
-        rows = self.rows()
-        n = self.nrows
-        det = self.field.one()
+        f, z, n = self.field, self.field.ZERO, self.nrows
+        rows = self._raw_rows()
+        det = f.ONE
         for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not rows[i][c].is_zero:
-                    pr = i
-                    break
+            pr = next((i for i in range(c, n) if rows[i][c] != z), None)
             if pr is None:
-                return self.field.zero()
+                return Scalar(f, z)
             if pr != c:
                 rows[c], rows[pr] = rows[pr], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
+                det = f.neg(det)
+            det = f.mul(det, rows[c][c])
+            inv = f.inv(rows[c][c])
             for i in range(c + 1, n):
-                if not rows[i][c].is_zero:
-                    f = rows[i][c] * inv
-                    rows[i] = [e - f * g for e, g in zip(rows[i], rows[c])]
-        return det
+                if rows[i][c] != z:
+                    rows[i] = f.sub_scaled(rows[i], f.mul(rows[i][c], inv), rows[c])
+        return Scalar(f, det)
 
     def is_invertible(self) -> bool:
         return self.is_square and not self.det().is_zero
@@ -350,18 +334,11 @@ class JordanSpec:
 
 
 def jordan_block(field: Field, eigenvalue, size: int) -> Matrix:
-    lam = field.scalar(eigenvalue)
-    z, o = field.zero(), field.one()
-    ents = []
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                ents.append(lam)
-            elif j == i + 1:
-                ents.append(o)
-            else:
-                ents.append(z)
-    return Matrix(field, size, size, ents)
+    lam = field.coerce(eigenvalue)
+    return Matrix._make(field, size, size, [
+        lam if i == j else field.ONE if j == i + 1 else field.ZERO
+        for i in range(size) for j in range(size)
+    ])
 
 
 def nilpotent_block(field: Field, size: int) -> Matrix:
@@ -371,83 +348,49 @@ def nilpotent_block(field: Field, size: int) -> Matrix:
 
 def jordan_matrix(field: Field, spec) -> Matrix:
     """Block-diagonal matrix of Jordan blocks, in the given order."""
-    if isinstance(spec, JordanSpec):
-        pairs = spec.blocks
-    else:
-        pairs = tuple((field.scalar(lam), size) for lam, size in spec)
-    blocks = [jordan_block(field, lam, size) for lam, size in pairs]
-    return block_diag(field, blocks)
+    pairs = spec.blocks if isinstance(spec, JordanSpec) else spec
+    return block_diag(field, [jordan_block(field, lam, size) for lam, size in pairs])
 
 
 def block_diag(field: Field, blocks) -> Matrix:
     blocks = list(blocks)
     if not blocks:
         raise DimensionError("need at least one block")
-    n = sum(b.nrows for b in blocks)
-    grid = []
-    for i, b in enumerate(blocks):
-        row = []
-        for j, c in enumerate(blocks):
-            row.append(b if i == j else Matrix.zero(field, b.nrows, c.ncols))
-        grid.append(row)
-    return Matrix.block(grid)
+    return Matrix.block([[b if i == j else Matrix.zero(field, b.nrows, c.ncols)
+                          for j, c in enumerate(blocks)] for i, b in enumerate(blocks)])
 
 
 # -- operator equation bases -------------------------------------------------------
 
-def _vec_row_major(m: Matrix) -> tuple[Scalar, ...]:
-    return m.entries
+
+def _matrix_space_basis(a: Matrix, system: Matrix) -> list[Matrix]:
+    """Canonical basis of {M : system * vec(M) = 0}, via one big kernel."""
+    return [Matrix(a.field, a.nrows, a.nrows, v) for v in system.kernel_basis()]
 
 
-def _unvec_row_major(field: Field, n: int, vec) -> Matrix:
-    return Matrix(field, n, n, vec)
-
-
-def _matrix_space_basis(a: Matrix, system_rows) -> list[Matrix]:
-    """Canonical basis of {M : linear conditions hold}, via one big kernel."""
-    n = a.nrows
-    sys_matrix = Matrix.from_rows(a.field, system_rows)
-    return [_unvec_row_major(a.field, n, v) for v in sys_matrix.kernel_basis()]
+def _left_right(a: Matrix, what: str) -> tuple[Matrix, Matrix]:
+    """The matrices of M -> AM and M -> MA on row-major vectorized M:
+    row (i, j) holds the coefficients of the entries M[k, l]."""
+    if not a.is_square:
+        raise DimensionError(f"{what} needs a square matrix")
+    f, n = a.field, a.nrows
+    idx = [(i, j, k, l) for i in range(n) for j in range(n)
+           for k in range(n) for l in range(n)]
+    left = [a.raw[i * n + k] if l == j else f.ZERO for i, j, k, l in idx]
+    right = [a.raw[l * n + j] if k == i else f.ZERO for i, j, k, l in idx]
+    return Matrix._make(f, n * n, n * n, left), Matrix._make(f, n * n, n * n, right)
 
 
 def centralizer_basis(a: Matrix) -> list[Matrix]:
     """Canonical basis of {M : AM = MA}."""
-    if not a.is_square:
-        raise DimensionError("centralizer needs a square matrix")
-    n = a.nrows
-    z = a.field.zero()
-    rows = []
-    # equation (i, j): sum_k a[i,k] m[k,j] - m[i,k] a[k,j] = 0
-    for i in range(n):
-        for j in range(n):
-            coeff = [z] * (n * n)
-            for k in range(n):
-                coeff[k * n + j] = coeff[k * n + j] + a[i, k]
-                coeff[i * n + k] = coeff[i * n + k] - a[k, j]
-            rows.append(coeff)
-    return _matrix_space_basis(a, rows)
+    left, right = _left_right(a, "centralizer")
+    return _matrix_space_basis(a, left - right)
 
 
 def annihilator_basis(a: Matrix) -> list[Matrix]:
     """Canonical basis of {M : AM = 0 and MA = 0}."""
-    if not a.is_square:
-        raise DimensionError("annihilator needs a square matrix")
-    n = a.nrows
-    z = a.field.zero()
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            coeff = [z] * (n * n)
-            for k in range(n):
-                coeff[k * n + j] = coeff[k * n + j] + a[i, k]
-            rows.append(coeff)
-    for i in range(n):
-        for j in range(n):
-            coeff = [z] * (n * n)
-            for k in range(n):
-                coeff[i * n + k] = coeff[i * n + k] + a[k, j]
-            rows.append(coeff)
-    return _matrix_space_basis(a, rows)
+    left, right = _left_right(a, "annihilator")
+    return _matrix_space_basis(a, Matrix.block([[left], [right]]))
 
 
 def jordan_chain_conjugator(x: Matrix, lam) -> Matrix | None:
@@ -456,21 +399,19 @@ def jordan_chain_conjugator(x: Matrix, lam) -> Matrix | None:
     if not x.is_square:
         raise DimensionError("conjugator needs a square matrix")
     field, k = x.field, x.nrows
-    lam = field.scalar(lam)
-    nil = x - Matrix.identity(field, k).scale(lam)
+    ident = Matrix.identity(field, k)
+    nil = x - ident.scale(lam)
     if not (nil ** k).is_zero:
         return None
     top = nil ** (k - 1)
-    z, o = field.zero(), field.one()
     for idx in range(k):
-        v = tuple(o if t == idx else z for t in range(k))
+        v = ident.row(idx)
         if any(not c.is_zero for c in top.apply(v)):
             chain = [v]
             for _ in range(k - 1):
                 chain.append(nil.apply(chain[-1]))
             chain.reverse()
-            s = Matrix.from_rows(field, [[chain[j][i] for j in range(k)]
-                                         for i in range(k)])
+            s = Matrix.from_rows(field, zip(*chain))
             if s.is_invertible():
                 return s
     return None
@@ -481,7 +422,7 @@ def span_contains(basis: list[Matrix], m: Matrix) -> bool:
     if not basis:
         return m.is_zero
     field = basis[0].field
-    rows = [list(_vec_row_major(b)) for b in basis]
+    rows = [b.raw for b in basis]
     stacked = Matrix.from_rows(field, rows)
-    with_m = Matrix.from_rows(field, rows + [list(_vec_row_major(m))])
+    with_m = Matrix.from_rows(field, rows + [m.raw])
     return stacked.rank() == with_m.rank()

@@ -52,8 +52,7 @@ class CensusReport:
 
 
 def _as_int_array(m: Matrix) -> np.ndarray:
-    return np.array([[m[i, j].v for j in range(m.ncols)] for i in range(m.nrows)],
-                    dtype=np.int64)
+    return np.array(m.raw, dtype=np.int64).reshape(m.nrows, m.ncols)
 
 
 def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
@@ -65,28 +64,10 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
     return (axa == xax).all(axis=(1, 2))
 
 
-def _kernel_label(x: Matrix, jordan: JordanSpec | None) -> str:
-    if jordan is None:
-        return f"dim={len(x.kernel_basis())}"
-    ranges = jordan.block_ranges()
-    basis = x.kernel_basis()
-    dim = len(basis)
-    if dim == 0:
-        return "trivial"
-    support = {
-        j for v in basis for j, c in enumerate(v) if not c.is_zero
-    }
-    covering = [k for k, (lo, hi) in enumerate(ranges)
-                if support & set(range(lo, hi))]
-    if dim == sum(ranges[k][1] - ranges[k][0] for k in covering):
-        return "+".join(f"P{k + 1}" for k in covering)
-    return "other"
-
-
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                           commuting: bool, jordan: JordanSpec | None) -> CensusReport:
     solutions = []
-    for x in sorted(mats, key=lambda m: tuple(s.v for s in m.entries)):
+    for x in sorted(mats, key=lambda m: m.raw):
         rep = core.residual(a, x)
         if not rep.is_solution:
             raise AssertionError("screened candidate fails the exact residual")
@@ -95,10 +76,12 @@ def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
         solutions.append(x)
     by_rank: dict[int, int] = {}
     by_kernel: dict[str, int] = {}
+    ranges = jordan.block_ranges() if jordan is not None else None
     for x in solutions:
         r = x.rank()
         by_rank[r] = by_rank.get(r, 0) + 1
-        label = _kernel_label(x, jordan)
+        label = (core.kernel_block_label(x, ranges) if ranges is not None
+                 else f"dim={len(x.kernel_basis())}")
         by_kernel[label] = by_kernel.get(label, 0) + 1
     return CensusReport(field, a, commuting, tuple(solutions),
                         by_rank, by_kernel, jordan=jordan)

@@ -32,7 +32,7 @@ class SylvesterProblem:
             raise DimensionError("A and B must be square")
         if self.c.nrows != self.a.nrows or self.c.ncols != self.b.nrows:
             raise DimensionError("C must be n-by-m for A n-by-n and B m-by-m")
-        if not (self.a.field == self.b.field == self.c.field):
+        if not (self.a.field is self.b.field is self.c.field):
             raise FieldMismatchError("A, B, C must share one field")
 
 
@@ -60,34 +60,23 @@ def sylvester_unique(a: Matrix, b: Matrix) -> bool:
     detected as coprimality of char(A) and char(-B)."""
     if not a.is_square or not b.is_square:
         raise DimensionError("A and B must be square")
-    if a.field != b.field:
+    if a.field is not b.field:
         raise FieldMismatchError("A and B over different fields")
     return char_poly(a).gcd(char_poly(-b)).degree == 0
-
-
-def _vec_col_major(m: Matrix) -> list:
-    return [m[i, j] for j in range(m.ncols) for i in range(m.nrows)]
-
-
-def _unvec_col_major(field, n: int, m: int, vec) -> Matrix:
-    return Matrix.from_rows(
-        field, [[vec[j * n + i] for j in range(m)] for i in range(n)]
-    )
 
 
 def kronecker_lift(a: Matrix, b: Matrix) -> Matrix:
     """The (n*m) x (n*m) matrix of X -> AX + XB in column-major coordinates."""
     field = a.field
     n, m = a.nrows, b.nrows
-    z = field.zero()
     rows = []
     for j in range(m):
         for i in range(n):
-            coeff = [z] * (n * m)
+            coeff = [field.ZERO] * (n * m)
             for k in range(n):
-                coeff[j * n + k] = coeff[j * n + k] + a[i, k]
+                coeff[j * n + k] = field.add(coeff[j * n + k], a.raw[i * n + k])
             for l in range(m):
-                coeff[l * n + i] = coeff[l * n + i] + b[l, j]
+                coeff[l * n + i] = field.add(coeff[l * n + i], b.raw[l * m + j])
             rows.append(coeff)
     return Matrix.from_rows(field, rows)
 
@@ -98,13 +87,12 @@ def sylvester_solve(problem: SylvesterProblem) -> SylvesterSolution:
     field = a.field
     n, m = a.nrows, b.nrows
     system = kronecker_lift(a, b)
-    particular_vec = solve_linear(system, _vec_col_major(c))
-    kernel = tuple(
-        _unvec_col_major(field, n, m, v) for v in system.kernel_basis()
-    )
+    # a column-major vector of an n-by-m matrix is the row-major vector of its transpose
+    particular_vec = solve_linear(system, c.transpose().raw)
+    kernel = tuple(Matrix(field, m, n, v).transpose() for v in system.kernel_basis())
     if particular_vec is None:
         return SylvesterSolution(None, kernel)
-    return SylvesterSolution(_unvec_col_major(field, n, m, particular_vec), kernel)
+    return SylvesterSolution(Matrix(field, m, n, particular_vec).transpose(), kernel)
 
 
 def offdiag_solution_space(a1: Matrix, a2: Matrix, x2: Matrix) -> list[Matrix]:

@@ -9,137 +9,145 @@ over the polynomial ring instead. Both paths are exact.
 
 from __future__ import annotations
 
+from itertools import starmap, zip_longest
+
 from .errors import DimensionError, FieldMismatchError, InconclusiveError
-from .fields import Field, Scalar
+from .fields import Field, Scalar, power
 from .matrices import Matrix
 
 
 class UniPoly:
-    """A univariate polynomial, coefficients lowest degree first."""
+    """A univariate polynomial, coefficients lowest degree first.
 
-    __slots__ = ("field", "coeffs")
+    Coefficients are stored as the field's raw values in ``raw``, without
+    trailing zeros; ``coeffs`` boxes them as scalars.
+    """
+
+    __slots__ = ("field", "raw")
 
     def __init__(self, field: Field, coeffs):
-        coeffs = [field.scalar(c) for c in coeffs]
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
+        raw = list(map(field.coerce, coeffs))
+        while raw and raw[-1] == field.ZERO:
+            raw.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.raw = tuple(raw)
+
+    @classmethod
+    def _make(cls, field: Field, raw) -> "UniPoly":
+        """A polynomial over raw coefficients this module computed."""
+        raw = list(raw)
+        while raw and raw[-1] == field.ZERO:
+            raw.pop()
+        p = object.__new__(cls)
+        p.field, p.raw = field, tuple(raw)
+        return p
 
     @classmethod
     def zero(cls, field: Field) -> "UniPoly":
-        return cls(field, [])
+        return cls._make(field, [])
 
     @classmethod
     def one(cls, field: Field) -> "UniPoly":
-        return cls(field, [1])
+        return cls._make(field, [field.ONE])
 
     @classmethod
     def x(cls, field: Field) -> "UniPoly":
-        return cls(field, [0, 1])
+        return cls._make(field, [field.ZERO, field.ONE])
 
     @classmethod
     def linear(cls, field: Field, root) -> "UniPoly":
         """The monic linear factor x - root."""
-        return cls(field, [-field.scalar(root), field.one()])
+        return cls._make(field, [field.neg(field.coerce(root)), field.ONE])
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        return tuple(Scalar(self.field, c) for c in self.raw)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.raw) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.raw
 
     def leading(self) -> Scalar:
-        if self.is_zero:
-            return self.field.zero()
-        return self.coeffs[-1]
+        return Scalar(self.field, self.raw[-1] if self.raw else self.field.ZERO)
 
     @property
     def is_monic(self) -> bool:
-        return not self.is_zero and self.leading() == self.field.one()
+        return not self.is_zero and self.raw[-1] == self.field.ONE
 
     def _check(self, other: "UniPoly"):
-        if self.field != other.field:
+        if self.field is not other.field:
             raise FieldMismatchError("polynomials over different fields")
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, UniPoly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, UniPoly) and self.field is other.field
+                and self.raw == other.raw)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self.raw)
+
+    def _termwise(self, op, other: "UniPoly") -> "UniPoly":
+        self._check(other)
+        pairs = zip_longest(self.raw, other.raw, fillvalue=self.field.ZERO)
+        return UniPoly._make(self.field, starmap(op, pairs))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return UniPoly(self.field, [x + y for x, y in zip(a, b)])
+        return self._termwise(self.field.add, other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.field, [-c for c in self.coeffs])
+        return UniPoly._make(self.field, map(self.field.neg, self.raw))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        return self._termwise(self.field.sub, other)
 
     def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            self._check(other)
-            if self.is_zero or other.is_zero:
-                return UniPoly.zero(self.field)
-            z = self.field.zero()
-            out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return UniPoly(self.field, out)
-        c = self.field.scalar(other)
-        return UniPoly(self.field, [c * a for a in self.coeffs])
+        f = self.field
+        if not isinstance(other, UniPoly):
+            return UniPoly._make(f, f.scale(f.coerce(other), self.raw))
+        self._check(other)
+        a, b = self.raw, other.raw
+        if not a or not b:
+            return UniPoly.zero(f)
+        out = [f.ZERO] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c != f.ZERO:
+                out[i:i + len(b)] = map(f.add, out[i:i + len(b)], f.scale(c, b))
+        return UniPoly._make(f, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = UniPoly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, UniPoly.one(self.field))
 
     def monic(self) -> "UniPoly":
         if self.is_zero or self.is_monic:
             return self
-        inv = self.leading().inverse()
-        return self * inv
+        f = self.field
+        return UniPoly._make(f, f.scale(f.inv(self.raw[-1]), self.raw))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        z = self.field.zero()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        f = self.field
+        rem = list(self.raw)
+        d = other.degree
+        dq = len(rem) - 1 - d
         if dq < 0:
-            return UniPoly.zero(self.field), self
-        quo = [z] * (dq + 1)
-        inv = other.leading().inverse()
+            return UniPoly.zero(f), self
+        quo = [f.ZERO] * (dq + 1)
+        inv = f.inv(other.raw[-1])
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv
-            quo[k] = c
-            if not c.is_zero:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return UniPoly(self.field, quo), UniPoly(self.field, rem)
+            c = quo[k] = f.mul(rem[k + d], inv)
+            if c != f.ZERO:
+                rem[k:k + d + 1] = f.sub_scaled(rem[k:k + d + 1], c, other.raw)
+        return UniPoly._make(f, quo), UniPoly._make(f, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
@@ -164,46 +172,38 @@ class UniPoly:
         return a.monic()
 
     def __call__(self, point) -> Scalar:
-        point = self.field.scalar(point)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        f = self.field
+        point = f.coerce(point)
+        acc = f.ZERO
+        for c in reversed(self.raw):
+            acc = f.add(f.mul(acc, point), c)
+        return Scalar(f, acc)
 
     def at_matrix(self, m: Matrix) -> Matrix:
         """Horner evaluation of this polynomial at a square matrix."""
         if not m.is_square:
             raise DimensionError("polynomial evaluation needs a square matrix")
-        if m.field != self.field:
+        if m.field is not self.field:
             raise FieldMismatchError("matrix field differs from coefficient field")
         acc = Matrix.zero(self.field, m.nrows)
         ident = Matrix.identity(self.field, m.nrows)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.raw):
             acc = acc * m + ident.scale(c)
         return acc
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        f = self.field
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
+            c = self.raw[k]
+            if c == f.ZERO:
                 continue
-            if k == 0:
-                term = str(c)
-            elif k == 1:
-                term = f"{c}*x" if c != self.field.one() else "x"
-            else:
-                term = f"{c}*x^{k}" if c != self.field.one() else f"x^{k}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+            coeff = "" if c == f.ONE and k else f.format(c) + ("*" if k else "")
+            parts.append(coeff + ("" if k == 0 else "x" if k == 1 else f"x^{k}"))
+        return parts[0] + "".join(" - " + t[1:] if t.startswith("-") else " + " + t
+                                  for t in parts[1:])
 
     def __repr__(self) -> str:
         return f"UniPoly({self.field.spec()}, {self})"
@@ -217,13 +217,12 @@ def _char_poly_leverrier(m: Matrix) -> UniPoly:
     """Faddeev-LeVerrier recurrence; requires characteristic zero."""
     field, n = m.field, m.nrows
     ident = Matrix.identity(field, n)
-    coeffs = [field.zero()] * (n + 1)
-    coeffs[n] = field.one()
+    coeffs = [field.ZERO] * n + [field.ONE]
     mk = Matrix.zero(field, n)
     for k in range(1, n + 1):
         mk = m * mk + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = -(m * mk).trace() / field.scalar(k)
-    return UniPoly(field, coeffs)
+        coeffs[n - k] = (-(m * mk).trace() / k).v
+    return UniPoly._make(field, coeffs)
 
 
 def _char_poly_bareiss(m: Matrix) -> UniPoly:
@@ -234,7 +233,7 @@ def _char_poly_bareiss(m: Matrix) -> UniPoly:
     """
     field, n = m.field, m.nrows
     x = UniPoly.x(field)
-    work = [[(x if i == j else UniPoly.zero(field)) - UniPoly(field, [m[i, j]])
+    work = [[(x if i == j else UniPoly.zero(field)) - UniPoly._make(field, [m.raw[i * n + j]])
              for j in range(n)] for i in range(n)]
     prev = UniPoly.one(field)
     sign = 1
@@ -273,14 +272,11 @@ def min_poly(m: Matrix) -> UniPoly:
     power = Matrix.identity(field, n)
     rows = []
     for d in range(1, n + 1):
-        rows.append(list(power.entries))
+        rows.append(power.raw)
         power = power * m
-        stacked = Matrix.from_rows(field, rows + [list(power.entries)])
-        if stacked.rank() == d:
+        if Matrix.from_rows(field, rows + [power.raw]).rank() == d:
             # M^d is a combination of lower powers; solve for the coefficients.
-            coeff_matrix = Matrix.from_rows(field, rows).transpose()
-            target = list(power.entries)
-            sol = solve_linear(coeff_matrix, target)
+            sol = solve_linear(Matrix.from_rows(field, rows).transpose(), power.raw)
             assert sol is not None
             return UniPoly(field, [-c for c in sol] + [field.one()])
     raise AssertionError("Cayley-Hamilton guarantees degree <= n")
@@ -291,18 +287,19 @@ def solve_linear(a: Matrix, rhs) -> list[Scalar] | None:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    rhs = [a.field.scalar(v) for v in rhs]
+    f, k = a.field, a.ncols
+    rhs = [f.coerce(v) for v in rhs]
     if len(rhs) != a.nrows:
         raise DimensionError("right-hand side length does not match row count")
-    aug = Matrix.from_rows(a.field, [list(a.row(i)) + [rhs[i]] for i in range(a.nrows)])
-    red, pivots = aug.rref()
-    if a.ncols in pivots:
+    aug = Matrix._make(f, a.nrows, k + 1,
+                       [v for i, r in enumerate(rhs) for v in a.raw[i * k:(i + 1) * k] + (r,)])
+    rows, pivots = aug._rref()
+    if k in pivots:
         return None
-    z = a.field.zero()
-    sol = [z] * a.ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = red[r, a.ncols]
-    return sol
+    sol = [f.ZERO] * k
+    for row, pc in zip(rows, pivots):
+        sol[pc] = row[k]
+    return [Scalar(f, v) for v in sol]
 
 
 def is_similar(x: Matrix, y: Matrix, candidate_eigenvalues) -> bool:
@@ -315,7 +312,7 @@ def is_similar(x: Matrix, y: Matrix, candidate_eigenvalues) -> bool:
     """
     if not x.is_square or not y.is_square:
         raise DimensionError("similarity needs square matrices")
-    if x.field != y.field:
+    if x.field is not y.field:
         raise FieldMismatchError("matrices over different fields")
     if x.nrows != y.nrows:
         return False

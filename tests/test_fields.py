@@ -1,3 +1,8 @@
+import copy
+import pickle
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -63,7 +68,8 @@ def test_scalar_parse_round_trip(rat, gf5, quad2):
     for field, texts in (
         (rat, ["0", "2", "-3/4", "10/7"]),
         (gf5, ["0", "2", "4"]),
-        (quad2, ["0", "2", "-3/4", "1/2+3*s", "1/2-3*s", "2*s", "-1/2*s"]),
+        (quad2, ["0", "2", "-3/4", "1/2+3*s", "1/2-3*s", "2*s", "-1/2*s",
+                 "12*s", "1/32*s", "-12*s"]),
     ):
         for text in texts:
             assert str(field.parse(text)) == text
@@ -113,6 +119,34 @@ def test_sqrt_prime_field(gf5):
             assert root is None
 
 
+def _smallest_root(p, a):
+    return next((r for r in range(p) if r * r % p == a % p), None)
+
+
+def test_sqrt_prime_field_matches_brute_force():
+    for p in (2, 3, 5, 7, 11, 13, 17, 41, 97, 113):
+        field = Field.gf(p)
+        for a in range(p):
+            root = field.sqrt(a)
+            expected = _smallest_root(p, a)
+            assert (root is None) == (expected is None)
+            if root is not None:
+                assert root.v == expected
+
+
+def test_sqrt_large_prime_field():
+    p = 1_000_000_009  # p - 1 = 8 * 125000001, so Tonelli-Shanks takes several rounds
+    field = Field.gf(p)
+    rng = random.Random(5)
+    for _ in range(50):
+        r = rng.randrange(1, p)
+        assert field.sqrt(r * r).v == min(r, p - r)
+    non_residue = next(z for z in range(2, 100) if pow(z, (p - 1) // 2, p) == p - 1)
+    for _ in range(20):
+        r = rng.randrange(1, p)
+        assert field.sqrt(non_residue * r * r) is None
+
+
 def test_sqrt_quadratic(quad2):
     # rational squares, multiples of the radicand, and mixed elements
     assert quad2.sqrt(quad2.scalar(4)) == quad2.scalar(2)
@@ -136,6 +170,62 @@ def test_scalar_equality_is_representation_equality(rat, quad2):
     assert rat.parse("2/4") == rat.parse("1/2")
     assert quad2.scalar(3) == quad2.scalar((3, 0))
     assert hash(rat.scalar(2)) == hash(2)
+
+
+def test_numbers_equal_only_the_canonical_value(gf5, quad2):
+    two = gf5.scalar(2)
+    assert two == 2 and two == Fraction(2)
+    assert two != 7 and two != Fraction(1, 3)  # 7 and 1/3 reduce to 2 mod 5
+    assert len({two, 7}) == 2 and two in {2: "x"}
+    assert quad2.scalar((3, 0)) == 3 and quad2.scalar((3, 1)) != 3
+
+
+def test_equal_scalars_hash_equally(rat, gf5, quad2):
+    numbers = [0, 1, 2, 3, 5, 7, -1, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 2)]
+    for field in (rat, gf5, quad2):
+        scalars = [field.scalar(v) for v in numbers] + [field.scalar(v) for v in numbers[:5]]
+        if field is quad2:
+            scalars += [quad2.scalar((v, 1)) for v in numbers]
+        for a in scalars:
+            for b in scalars + numbers:
+                if a == b:
+                    assert hash(a) == hash(b), (field, a, b)
+
+
+def test_fields_are_interned():
+    assert Field.gf(5) is Field.from_spec("gf:5")
+    assert Field.rationals() is Field.from_spec(" rat ")
+    assert Field.quadratic(Fraction(1, 2)) is Field.from_spec("quad:1/2")
+    assert Field.quadratic(2) is Field.from_spec("quad:4/2")
+    for field in (Field.gf(7), Field.rationals(), Field.quadratic(-1)):
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field)) is field
+
+
+def test_racing_threads_get_one_field():
+    primes = [p for p in range(10_007, 10_200) if all(p % d for d in range(2, 101))][:6]
+    workers = 8
+    barrier = threading.Barrier(workers)
+    seen = []
+
+    def build():
+        barrier.wait(timeout=10)
+        seen.extend(Field.gf(p) for p in primes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == workers * len(primes)
+    for p in primes:
+        assert len({id(f) for f in seen if f.p == p}) == 1
 
 
 def test_gf_elements_enumeration(gf3):

@@ -1,0 +1,190 @@
+"""Property-based tests of the field kernel and the matrices built on it.
+
+Scalars are checked against the field axioms, their own printed form and
+the equality/hash contract. Matrix products, determinants and ranks are
+checked against a small reference written here: ints mod p, Fractions and
+(c0, c1) pairs with their textbook operations, cofactor expansion for the
+determinant and naive elimination for the rank.
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from yangbaxter.fields import Field
+from yangbaxter.matrices import Matrix
+
+SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
+         "quad:2", "quad:-1", "quad:1/2"]
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+
+
+def values(spec: str):
+    """Strategy for the raw inputs ``Field.scalar`` accepts in this field."""
+    if spec == "rat":
+        return small_fractions
+    if spec.startswith("gf:"):
+        p = int(spec[3:])
+        return st.integers(min_value=-3 * p, max_value=3 * p) | st.integers(0, p - 1)
+    return st.tuples(small_fractions, small_fractions)
+
+
+class Ref:
+    """Textbook arithmetic on plain Python values of one field."""
+
+    def __init__(self, spec: str):
+        self.p = int(spec[3:]) if spec.startswith("gf:") else None
+        self.a = Fraction(spec[5:]) if spec.startswith("quad:") else None
+
+    def lift(self, v):
+        if self.p is not None:
+            return v % self.p
+        if self.a is not None:
+            return (Fraction(v[0]), Fraction(v[1]))
+        return Fraction(v)
+
+    def zero(self):
+        return self.lift((0, 0) if self.a is not None else 0)
+
+    def one(self):
+        return self.lift((1, 0) if self.a is not None else 1)
+
+    def add(self, x, y):
+        if self.p is not None:
+            return (x + y) % self.p
+        if self.a is not None:
+            return (x[0] + y[0], x[1] + y[1])
+        return x + y
+
+    def neg(self, x):
+        if self.p is not None:
+            return (self.p - x) % self.p
+        if self.a is not None:
+            return (-x[0], -x[1])
+        return -x
+
+    def mul(self, x, y):
+        if self.p is not None:
+            return x * y % self.p
+        if self.a is not None:
+            return (x[0] * y[0] + self.a * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+        return x * y
+
+    def inv(self, x):
+        if self.p is not None:
+            return pow(x, self.p - 2, self.p)  # Fermat
+        if self.a is not None:
+            norm = x[0] * x[0] - self.a * x[1] * x[1]
+            return (x[0] / norm, -x[1] / norm)
+        return 1 / x
+
+    def det(self, rows):
+        """Leibniz expansion over all permutations."""
+        n = len(rows)
+        total = self.zero()
+        for perm in permutations(range(n)):
+            term = self.one()
+            for i, j in enumerate(perm):
+                term = self.mul(term, rows[i][j])
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            total = self.add(total, self.neg(term) if inversions % 2 else term)
+        return total
+
+    def rank(self, rows):
+        rows = [list(r) for r in rows]
+        rank = 0
+        for c in range(len(rows[0])):
+            pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != self.zero()), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            inv = self.inv(rows[rank][c])
+            for r in range(rank + 1, len(rows)):
+                factor = self.neg(self.mul(rows[r][c], inv))
+                rows[r] = [self.add(x, self.mul(factor, y)) for x, y in zip(rows[r], rows[rank])]
+            rank += 1
+        return rank
+
+
+def matrices(spec: str, nrows, ncols):
+    return st.lists(st.lists(values(spec), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+fields = pytest.mark.parametrize("spec", SPECS)
+quick = settings(max_examples=40, deadline=None)
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_field_axioms(spec, data):
+    field = Field.from_spec(spec)
+    a, b, c = (field.scalar(data.draw(values(spec))) for _ in range(3))
+    zero, one = field.zero(), field.one()
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and a - b == a + (-b)
+    if not b.is_zero:
+        assert b * b.inverse() == one
+        assert (a / b) * b == a
+        assert b ** -2 == (b * b).inverse()
+    assert a ** 3 == a * a * a
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_parse_round_trip(spec, data):
+    field = Field.from_spec(spec)
+    x = field.scalar(data.draw(values(spec)))
+    assert field.parse(str(x)) == x
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_equal_scalars_hash_equally(spec, data):
+    field = Field.from_spec(spec)
+    x = field.scalar(data.draw(values(spec)))
+    y = field.scalar(data.draw(values(spec)))
+    rational_part = x.v[0] if spec.startswith("quad:") else x.v
+    numbers = [data.draw(st.integers(-10, 10)), data.draw(small_fractions), rational_part]
+    for other in [y, x + field.zero(), *numbers]:
+        if x == other:
+            assert hash(x) == hash(other)
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_matmul_det_rank_against_reference(spec, data):
+    field, ref = Field.from_spec(spec), Ref(spec)
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a_rows = data.draw(matrices(spec, n, k))
+    b_rows = data.draw(matrices(spec, k, m))
+    a, b = Matrix.from_rows(field, a_rows), Matrix.from_rows(field, b_rows)
+    ra = [[ref.lift(v) for v in row] for row in a_rows]
+    rb = [[ref.lift(v) for v in row] for row in b_rows]
+
+    product = a * b
+    for i in range(n):
+        for j in range(m):
+            expected = ref.zero()
+            for t in range(k):
+                expected = ref.add(expected, ref.mul(ra[i][t], rb[t][j]))
+            assert product[i, j] == field.scalar(expected)
+
+    assert a.rank() == ref.rank(ra)
+    s = data.draw(st.integers(1, 4))
+    sq_rows = data.draw(matrices(spec, s, s))
+    sq = Matrix.from_rows(field, sq_rows)
+    det = ref.det([[ref.lift(v) for v in row] for row in sq_rows])
+    assert sq.det() == field.scalar(det)
+    assert sq.is_invertible() == (det != ref.zero())

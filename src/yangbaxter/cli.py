@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="monomial order override, e.g. lex:a..i")
     p.add_argument("--probe", action="append", default=[],
                    help="polynomial whose normal form is reported")
-    p.add_argument("--pair-cap", type=int, default=100_000)
+    p.add_argument("--pair-cap", type=int, default=100_000,
+                   help="most S-pairs taken off the queue for reduction (exit 2 "
+                        "beyond it); pairs the Gebauer-Moeller update drops never count")
     common(p, field=False)
     p.set_defaults(func=cmd_groebner)
 

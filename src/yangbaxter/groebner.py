@@ -4,15 +4,19 @@ Monomials are exponent tuples over a fixed, ordered variable list; the
 order is lexicographic with the first variable strongest, which is what
 tuple comparison gives directly. Coefficients are exact rationals.
 
-``buchberger`` prunes S-pairs with Buchberger's product and chain
-criteria, selects pairs by lowest lcm degree first (the normal strategy),
-and interreduces the result into the reduced, hence canonical, basis.
-A hard cap on processed S-pairs turns runaway inputs into an error
-rather than a silently truncated basis.
+``buchberger`` keeps its S-pairs in a heap keyed once, on insertion, by
+lcm degree and lcm (the normal strategy), prunes them with the
+Gebauer-Moeller update each time a polynomial joins the basis, and
+interreduces the result into the reduced, hence canonical, basis.
+``normal_form`` reduces into a dict of terms with a heap of pending
+monomials. A hard cap on the S-pairs taken off the queue turns runaway
+inputs into an error rather than a silently truncated basis.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 import re
 from fractions import Fraction
 
@@ -112,19 +116,19 @@ class PolyRing:
 
 
 def _monomial_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(operator.add, m1, m2))
 
 
 def _monomial_divides(m1, m2) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(operator.le, m1, m2))
 
 
 def _monomial_div(m1, m2):
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(operator.sub, m1, m2))
 
 
 def _monomial_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def _degree(m) -> int:
@@ -138,7 +142,8 @@ class MultiPoly:
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        cleaned = {m: Fraction(c) for m, c in terms.items() if c != 0}
+        cleaned = {m: c if type(c) is Fraction else Fraction(c)
+                   for m, c in terms.items() if c != 0}
         self.terms = tuple(sorted(cleaned.items(), key=lambda t: t[0], reverse=True))
 
     @property
@@ -247,28 +252,50 @@ class MultiPoly:
 
 
 def normal_form(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
-    """Remainder of multivariate division of p by the basis, in basis order."""
-    divisors = [g for g in basis if not g.is_zero]
-    rem = p.ring.zero()
-    work = p
-    while not work.is_zero:
-        lm, lc = work.lm(), work.lc()
-        for g in divisors:
-            if _monomial_divides(g.lm(), lm):
-                work = work - g.term_mul(lc / g.lc(), _monomial_div(lm, g.lm()))
+    """Remainder of multivariate division of p by the basis, in basis order.
+
+    The running polynomial is a dict of terms; a heap of negated monomials
+    yields its leading monomial next. Every key of the dict has exactly one
+    heap entry, and a monomial once taken never reappears, because each
+    reduction step only adds terms below the one it removes.
+    """
+    divisors = [(g.terms[0][0], g.terms[0][1], g.terms[1:]) for g in basis if g.terms]
+    work = dict(p.terms)
+    pending = [tuple(map(operator.neg, m)) for m in work]
+    heapq.heapify(pending)
+    rem = {}
+    while pending:
+        m = tuple(map(operator.neg, heapq.heappop(pending)))
+        c = work.pop(m)
+        if not c:
+            continue
+        for lm, lc, tail in divisors:
+            if all(map(operator.le, lm, m)):  # _monomial_divides, inlined
+                q = c / lc
+                shift = _monomial_div(m, lm)
+                for tm, tc in tail:
+                    t = _monomial_mul(tm, shift)
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -q * tc
+                        heapq.heappush(pending, tuple(map(operator.neg, t)))
+                    else:
+                        work[t] = old - q * tc
                 break
         else:
-            head = MultiPoly(p.ring, {lm: lc})
-            rem = rem + head
-            work = work - head
-    return rem
+            rem[m] = c
+    return MultiPoly(p.ring, rem)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     lcm = _monomial_lcm(f.lm(), g.lm())
-    left = f.term_mul(1 / f.lc(), _monomial_div(lcm, f.lm()))
-    right = g.term_mul(1 / g.lc(), _monomial_div(lcm, g.lm()))
-    return left - right
+    out: dict = {}
+    for poly, scale in ((f, 1 / f.lc()), (g, -1 / g.lc())):
+        shift = _monomial_div(lcm, poly.lm())
+        for m, c in poly.terms:
+            t = _monomial_mul(m, shift)
+            out[t] = out.get(t, 0) + scale * c
+    return MultiPoly(f.ring, out)
 
 
 def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
@@ -292,61 +319,76 @@ def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
                   key=lambda q: q.lm(), reverse=True)
 
 
+_PAIR_KEYS = {
+    "normal": lambda lcm: (sum(lcm), lcm),
+    "first": lambda lcm: (),
+}
+
+
 def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000,
                strategy: str = "normal") -> list[MultiPoly]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    ``strategy`` selects the next S-pair: "normal" takes the pair with the
-    smallest lcm (by total degree, then by the order), "first" runs the
-    queue in insertion order. Both reach the same reduced basis.
+    ``strategy`` selects the next S-pair (i, j), i < j indexing the basis
+    in order of arrival: "normal" takes the pair with the smallest lcm (by
+    total degree, then by the order, then the smallest (i, j)), "first"
+    the lexicographically smallest (i, j). Both reach the same reduced
+    basis.
+
+    Generators and nonzero S-polynomial remainders join the basis through
+    the Gebauer-Moeller update: it drops the new pairs that the product or
+    chain criterion makes redundant and the queued pairs that the new
+    leading monomial makes redundant. Every element stays in the basis,
+    for pairing and for reduction: retiring the elements whose leading
+    monomial a later one divides, and reducing by the rest, lets
+    coefficients swell on the ``1^3`` Jordan-block ideal.
+
+    ``pair_cap`` bounds the pairs taken off the queue for reduction; pairs
+    the update drops never count.
     """
-    if strategy not in ("normal", "first"):
+    if strategy not in _PAIR_KEYS:
         raise SideConditionError(f"unknown pair strategy {strategy!r}")
-    basis = [g.monic() for g in gens if not g.is_zero]
-    if not basis:
-        return []
-    pairs: set[tuple[int, int]] = {(i, j) for j in range(len(basis)) for i in range(j)}
-    done: set[tuple[int, int]] = set()
+    pair_key = _PAIR_KEYS[strategy]
+    basis: list[MultiPoly] = []
+    leads: list[tuple[int, ...]] = []
+    queue: list = []  # heap of (key, i, j, lcm)
+
+    def update(h: MultiPoly) -> None:
+        new = len(basis)
+        lh = h.lm()
+        # new pairs: keep one per minimal lcm; a product-criterion pair is
+        # dropped but still prunes the pairs whose lcm its own divides
+        cand = [(_monomial_lcm(lk, lh), k) for k, lk in enumerate(leads)]
+        kept = []
+        for pos, (lcm, k) in enumerate(cand):
+            if lcm == _monomial_mul(leads[k], lh):
+                kept.append((lcm, None))
+            elif not any(_monomial_divides(other, lcm)
+                         for other, _ in cand[pos + 1:] + kept):
+                kept.append((lcm, k))
+        # a queued pair (i, j) with lcm L is redundant when lh divides L and
+        # neither lcm(lm_i, lh) nor lcm(lm_j, lh) equals L
+        queue[:] = [e for e in queue
+                    if not (_monomial_divides(lh, e[3])
+                            and _monomial_lcm(leads[e[1]], lh) != e[3]
+                            and _monomial_lcm(leads[e[2]], lh) != e[3])]
+        queue.extend((pair_key(lcm), k, new, lcm) for lcm, k in kept if k is not None)
+        heapq.heapify(queue)
+        basis.append(h)
+        leads.append(lh)
+
+    for g in gens:
+        if not g.is_zero:
+            update(g.monic())
     processed = 0
-
-    def lcm_of(pair):
-        i, j = pair
-        return _monomial_lcm(basis[i].lm(), basis[j].lm())
-
-    while pairs:
-        if strategy == "normal":
-            pair = min(pairs, key=lambda p: (_degree(lcm_of(p)), lcm_of(p), p))
-        else:
-            pair = min(pairs)
-        pairs.discard(pair)
-        done.add(pair)
+    while queue:
+        _, i, j, _ = heapq.heappop(queue)
         processed += 1
         if processed > pair_cap:
             raise PairCapError(f"S-pair cap of {pair_cap} exceeded")
-        i, j = pair
-        fi, fj = basis[i], basis[j]
-        lcm = _monomial_lcm(fi.lm(), fj.lm())
-        if lcm == _monomial_mul(fi.lm(), fj.lm()):
-            continue  # product criterion
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _monomial_divides(basis[k].lm(), lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    chain = True
-                    break
-        if chain:
-            continue
-        r = normal_form(s_polynomial(fi, fj), basis)
-        if r.is_zero:
-            continue
-        basis.append(r.monic())
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((k, new))
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if not r.is_zero:
+            update(r.monic())
     return interreduce(basis)
 
 

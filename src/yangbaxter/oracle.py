@@ -24,6 +24,7 @@ from .unipoly import char_poly
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 15
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,17 @@ class CensusReport:
         if self.family_tallies is None:
             raise PreconditionError("census has not been classified")
         return self.family_tallies.get("unmatched", 0)
+
+
+def _check_int64(p: int, terms: int, total: int) -> None:
+    """Refuse a screen whose int64 arithmetic could wrap.
+
+    Entries and digits are residues below p, every product sum in the
+    screen adds at most ``terms`` products of two of them, and candidate
+    indices and digit weights stay below ``total``.
+    """
+    if terms * (p - 1) ** 2 > _INT64_MAX or total > _INT64_MAX:
+        raise BudgetError(f"GF({p}) screen of {total} candidates would overflow int64")
 
 
 def _as_int_array(m: Matrix) -> np.ndarray:
@@ -100,6 +112,7 @@ def enumerate_solutions(a: Matrix, jordan: JordanSpec | None = None,
     total = p ** (n * n)
     if total > budget:
         raise BudgetError(f"{total} candidates exceed the budget of {budget}")
+    _check_int64(p, n, total)
     a_int = _as_int_array(a)
     weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     found: list[Matrix] = []
@@ -129,6 +142,7 @@ def enumerate_commuting_solutions(a: Matrix, jordan: JordanSpec | None = None,
     total = p ** dim
     if total > budget:
         raise BudgetError(f"{total} centralizer candidates exceed the budget of {budget}")
+    _check_int64(p, max(n, dim), total)
     a_int = _as_int_array(a)
     basis_int = np.stack([_as_int_array(b) for b in basis])
     weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)

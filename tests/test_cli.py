@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from yangbaxter.cli import main
 from yangbaxter.fields import Field
@@ -112,6 +115,12 @@ def test_census_budget_exits_two(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_census_int64_guard_exits_two(capsys):
+    code, out, err = run(capsys, "census", "--jordan", "1^1", "--field", "gf:4294967311",
+                         "--budget", str(10 ** 10))
+    assert code == 2 and out == "" and "int64" in err
+
+
 def test_census_json_round_trips(capsys):
     from yangbaxter.matio import census_from_json
 
@@ -186,6 +195,19 @@ def test_groebner_pair_cap_exits_two(capsys):
     code, _, err = run(capsys, "groebner", "--ideal", "ybe", "--jordan", "0^3",
                        "--pair-cap", "2")
     assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize("jordan, golden", [
+    ("1^3", "groebner_ybe_1_3.txt"),
+    ("0^2,1^1", "groebner_ybe_0_2_1_1.txt"),
+])
+def test_groebner_cli_golden(capsys, jordan, golden):
+    """Stdout matches, byte for byte, files recorded with the pair-scan
+    Buchberger that predates the pair heap (about 2 minutes for 1^3)."""
+    code, out, err = run(capsys, "groebner", "--ideal", "ybe", "--jordan", jordan,
+                         "--probe", "d^2", "--probe", "af+bi")
+    expected = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_pencil_cli(rat, write_matrix, capsys):

@@ -1,9 +1,13 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangbaxter.errors import PairCapError, ParseError, SideConditionError
 from yangbaxter.groebner import (
+    MultiPoly,
     PolyRing,
     buchberger,
     normal_form,
@@ -192,3 +196,102 @@ def test_variety_matches_census(rat, gf2, gf3):
             if all(g.evaluate(field, values).is_zero for g in basis):
                 variety.add(point)
         assert variety == enumerated
+
+
+# -- differential test against a naive Buchberger ------------------------------------
+
+
+def _ref_lead(p):
+    return max(p)
+
+
+def _ref_divides(m1, m2):
+    return all(a <= b for a, b in zip(m1, m2))
+
+
+def _ref_monic(p):
+    lc = p[_ref_lead(p)]
+    return {m: c / lc for m, c in p.items()}
+
+
+def _ref_reduce(p, divisors):
+    """Remainder of p (a dict of monomials to Fractions) by the divisors."""
+    p, rem = dict(p), {}
+    while p:
+        m = _ref_lead(p)
+        c = p.pop(m)
+        for g in divisors:
+            lg = _ref_lead(g)
+            if _ref_divides(lg, m):
+                q = c / g[lg]
+                for gm, gc in g.items():
+                    if gm != lg:
+                        t = tuple(a + b - e for a, b, e in zip(gm, m, lg))
+                        v = p.get(t, 0) - q * gc
+                        if v:
+                            p[t] = v
+                        else:
+                            p.pop(t, None)
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _ref_spoly(f, g):
+    lf, lg = _ref_lead(f), _ref_lead(g)
+    lcm = tuple(map(max, lf, lg))
+    out = {}
+    for poly, lead, sign in ((f, lf, 1), (g, lg, -1)):
+        q = sign / poly[lead]
+        for m, c in poly.items():
+            t = tuple(a + b - e for a, b, e in zip(m, lcm, lead))
+            out[t] = out.get(t, 0) + q * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_reduced_basis(gens):
+    """Every pair, oldest first, no criteria; then minimalise and reduce tails.
+    Taking the newest pair first instead lets some inputs run for minutes."""
+    basis = [g for g in gens if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        r = _ref_reduce(_ref_spoly(basis[i], basis[j]), basis)
+        if r:
+            basis.append(r)
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    minimal = []
+    for g in sorted(map(_ref_monic, basis), key=_ref_lead):
+        if not any(_ref_divides(_ref_lead(h), _ref_lead(g)) for h in minimal):
+            minimal.append(g)
+    reduced = [_ref_monic(_ref_reduce(g, [h for h in minimal if h is not g]))
+               for g in minimal]
+    return [tuple(sorted(g.items(), reverse=True))
+            for g in sorted(reduced, key=_ref_lead, reverse=True)]
+
+
+@st.composite
+def small_ideals(draw):
+    nvars = draw(st.integers(2, 3))
+    monomials = [m for m in itertools.product(range(3), repeat=nvars) if sum(m) <= 2]
+    coeffs = st.integers(-3, 3).filter(bool)
+    gens = draw(st.lists(st.dictionaries(st.sampled_from(monomials), coeffs,
+                                         min_size=1, max_size=4),
+                         min_size=2, max_size=3))
+    return PolyRing("xyz"[:nvars]), gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals())
+def test_buchberger_matches_naive_reference(ideal):
+    ring, gens = ideal
+    polys = [MultiPoly(ring, g) for g in gens]
+    basis = buchberger(polys)
+    expected = _ref_reduced_basis([{m: Fraction(c) for m, c in g.items()} for g in gens])
+    assert [g.terms for g in basis] == expected
+    assert buchberger(polys, strategy="first") == basis
+    for f, g in itertools.combinations(basis, 2):
+        assert normal_form(s_polynomial(f, g), basis).is_zero
+    for g in polys:
+        assert normal_form(g, basis).is_zero

@@ -5,6 +5,7 @@ import pytest
 from yangbaxter import oracle
 from yangbaxter.core import is_solution, residual
 from yangbaxter.errors import BudgetError, PreconditionError
+from yangbaxter.fields import Field
 from yangbaxter.matio import parse_jordan
 from yangbaxter.matrices import Matrix, jordan_matrix, nilpotent_block
 from yangbaxter.unipoly import char_poly
@@ -97,6 +98,15 @@ def test_budget_guard(gf3):
         census(gf3, "0^4", budget=1000)
     with pytest.raises(BudgetError):
         census(gf3, "0^4", commuting=True, budget=10)
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_int64_guard_fires_within_budget(commuting):
+    """(p-1)^2 exceeds int64 for p = 2^32 + 15; the budget alone would let
+    the p candidates of a 1x1 coefficient through."""
+    field = Field.gf(4294967311)
+    with pytest.raises(BudgetError, match="int64"):
+        census(field, "1^1", commuting=commuting, budget=10 ** 10)
 
 
 def test_enumeration_needs_prime_field(rat):

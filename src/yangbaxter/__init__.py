@@ -75,7 +75,7 @@ from .sylvester import (
     sylvester_solve,
     sylvester_unique,
 )
-from .unipoly import UniPoly, char_poly, eval_poly_at_matrix, is_similar, min_poly
+from .unipoly import UniPoly, char_poly, is_similar, min_poly
 
 __version__ = "0.1.0"
 
@@ -116,7 +116,6 @@ __all__ = [
     "dumps_matrix",
     "enumerate_commuting_solutions",
     "enumerate_solutions",
-    "eval_poly_at_matrix",
     "family_2x2_invertible",
     "family_2x2_nilpotent",
     "family_3x3_nilpotent",

@@ -118,10 +118,6 @@ class Field:
     def __reduce__(self):
         return (Field.from_spec, (self._spec,))
 
-    @property
-    def characteristic(self) -> int:
-        return self.p or 0
-
     def __repr__(self) -> str:
         return f"Field({self._spec!r})"
 

@@ -5,9 +5,9 @@ order is lexicographic with the first variable strongest, which is what
 tuple comparison gives directly. Coefficients are exact rationals.
 
 ``buchberger`` keeps its S-pairs in a heap keyed once, on insertion, by
-lcm degree and lcm (the normal strategy), prunes them with the
-Gebauer-Moeller update each time a polynomial joins the basis, and
-interreduces the result into the reduced, hence canonical, basis.
+lcm degree and then lcm, prunes them with the Gebauer-Moeller update each
+time a polynomial joins the basis, and interreduces the result into the
+reduced, hence canonical, basis.
 ``normal_form`` reduces into a dict of terms with a heap of pending
 monomials. A hard cap on the S-pairs taken off the queue turns runaway
 inputs into an error rather than a silently truncated basis.
@@ -131,10 +131,6 @@ def _monomial_lcm(m1, m2):
     return tuple(map(max, m1, m2))
 
 
-def _degree(m) -> int:
-    return sum(m)
-
-
 class MultiPoly:
     """A multivariate polynomial with rational coefficients."""
 
@@ -157,12 +153,6 @@ class MultiPoly:
 
     def lc(self) -> Fraction:
         return self.terms[0][1]
-
-    @property
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(_degree(m) for m, _ in self.terms)
 
     def _as_dict(self) -> dict:
         return dict(self.terms)
@@ -190,10 +180,6 @@ class MultiPoly:
         return MultiPoly(self.ring, {m: c * Fraction(other) for m, c in self.terms})
 
     __rmul__ = __mul__
-
-    def term_mul(self, coeff: Fraction, mono) -> "MultiPoly":
-        return MultiPoly(self.ring,
-                         {_monomial_mul(m, mono): c * coeff for m, c in self.terms})
 
     def monic(self) -> "MultiPoly":
         if self.is_zero or self.lc() == 1:
@@ -299,41 +285,29 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Autoreduce into the reduced basis: monic, minimal, tails reduced."""
+    """Autoreduce into the reduced basis: monic, minimal, tails reduced.
+
+    One pass suffices: in a minimal set no leading monomial divides
+    another, so reduction never touches a leading term, and a tail reduced
+    once stays irreducible by leading monomials that no longer change.
+    """
     work = [g.monic() for g in basis if not g.is_zero]
     # minimality: drop any element whose leading monomial another one divides
     minimal: list[MultiPoly] = []
     for g in sorted(work, key=lambda q: q.lm()):
         if not any(_monomial_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for idx, g in enumerate(minimal):
-            others = minimal[:idx] + minimal[idx + 1:]
-            r = normal_form(g, others).monic()
-            if r != g:
-                minimal[idx] = r
-                changed = True
-    return sorted((g for g in minimal if not g.is_zero),
-                  key=lambda q: q.lm(), reverse=True)
+    for idx, g in enumerate(minimal):
+        minimal[idx] = normal_form(g, minimal[:idx] + minimal[idx + 1:])
+    return sorted(minimal, key=lambda q: q.lm(), reverse=True)
 
 
-_PAIR_KEYS = {
-    "normal": lambda lcm: (sum(lcm), lcm),
-    "first": lambda lcm: (),
-}
-
-
-def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000,
-               strategy: str = "normal") -> list[MultiPoly]:
+def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    ``strategy`` selects the next S-pair (i, j), i < j indexing the basis
-    in order of arrival: "normal" takes the pair with the smallest lcm (by
-    total degree, then by the order, then the smallest (i, j)), "first"
-    the lexicographically smallest (i, j). Both reach the same reduced
-    basis.
+    The next S-pair (i, j), i < j indexing the basis in order of arrival,
+    is the one with the smallest lcm: by total degree, then by the order,
+    then the smallest (i, j).
 
     Generators and nonzero S-polynomial remainders join the basis through
     the Gebauer-Moeller update: it drops the new pairs that the product or
@@ -346,12 +320,9 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000,
     ``pair_cap`` bounds the pairs taken off the queue for reduction; pairs
     the update drops never count.
     """
-    if strategy not in _PAIR_KEYS:
-        raise SideConditionError(f"unknown pair strategy {strategy!r}")
-    pair_key = _PAIR_KEYS[strategy]
     basis: list[MultiPoly] = []
     leads: list[tuple[int, ...]] = []
-    queue: list = []  # heap of (key, i, j, lcm)
+    queue: list = []  # heap of (lcm degree, lcm, i, j)
 
     def update(h: MultiPoly) -> None:
         new = len(basis)
@@ -369,10 +340,10 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000,
         # a queued pair (i, j) with lcm L is redundant when lh divides L and
         # neither lcm(lm_i, lh) nor lcm(lm_j, lh) equals L
         queue[:] = [e for e in queue
-                    if not (_monomial_divides(lh, e[3])
-                            and _monomial_lcm(leads[e[1]], lh) != e[3]
-                            and _monomial_lcm(leads[e[2]], lh) != e[3])]
-        queue.extend((pair_key(lcm), k, new, lcm) for lcm, k in kept if k is not None)
+                    if not (_monomial_divides(lh, e[1])
+                            and _monomial_lcm(leads[e[2]], lh) != e[1]
+                            and _monomial_lcm(leads[e[3]], lh) != e[1])]
+        queue.extend((sum(lcm), lcm, k, new) for lcm, k in kept if k is not None)
         heapq.heapify(queue)
         basis.append(h)
         leads.append(lh)
@@ -382,7 +353,7 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000,
             update(g.monic())
     processed = 0
     while queue:
-        _, i, j, _ = heapq.heappop(queue)
+        _, _, i, j = heapq.heappop(queue)
         processed += 1
         if processed > pair_cap:
             raise PairCapError(f"S-pair cap of {pair_cap} exceeded")

@@ -111,12 +111,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return tuple(Scalar(self.field, v) for v in self.raw[i * self.ncols:(i + 1) * self.ncols])
 
-    def rows(self) -> list[list[Scalar]]:
-        return [list(self.row(i)) for i in range(self.nrows)]
-
-    def col(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.field, v) for v in self.raw[j::self.ncols])
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols

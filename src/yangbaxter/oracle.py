@@ -20,7 +20,7 @@ from . import core
 from .errors import BudgetError, PreconditionError
 from .fields import Field
 from .matrices import JordanSpec, Matrix, centralizer_basis
-from .unipoly import char_poly
+from .unipoly import char_poly, is_similar
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 15
@@ -99,31 +99,45 @@ def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                         by_rank, by_kernel, jordan=jordan)
 
 
-def enumerate_solutions(a: Matrix, jordan: JordanSpec | None = None,
-                        budget: int = DEFAULT_BUDGET) -> CensusReport:
-    """All solutions for a coefficient matrix over GF(p), in row-major
-    lexicographic order of their canonical residues."""
+def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
+               commuting: bool) -> CensusReport:
+    """Screen the candidates, every matrix or only the centralizer of A,
+    in lexicographic order of their canonical digits."""
     field = a.field
     if field.kind != "gf":
         raise PreconditionError("census enumeration needs a prime field")
-    if not a.is_square:
-        raise PreconditionError("coefficient must be square")
     p, n = field.p, a.nrows
-    total = p ** (n * n)
+    if commuting:
+        basis = centralizer_basis(a)
+        dim, terms, noun = len(basis), max(n, len(basis)), "centralizer candidates"
+    else:
+        if not a.is_square:
+            raise PreconditionError("coefficient must be square")
+        dim, terms, noun = n * n, n, "candidates"
+    total = p ** dim
     if total > budget:
-        raise BudgetError(f"{total} candidates exceed the budget of {budget}")
-    _check_int64(p, n, total)
+        raise BudgetError(f"{total} {noun} exceed the budget of {budget}")
+    _check_int64(p, terms, total)
     a_int = _as_int_array(a)
-    weights = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    basis_int = np.stack([_as_int_array(b) for b in basis]) if commuting else None
+    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     found: list[Matrix] = []
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % p
-        xs = digits.reshape(-1, n, n)
+        xs = (np.einsum("bd,dij->bij", digits, basis_int) % p if commuting
+              else digits.reshape(-1, n, n))
         mask = _screen_batch(a_int, xs, p)
-        for flat in digits[mask]:
-            found.append(Matrix.from_rows(field, flat.reshape(n, n).tolist()))
-    return _census_from_matrices(field, a, found, False, jordan)
+        for x_int in xs[mask]:
+            found.append(Matrix.from_rows(field, x_int.tolist()))
+    return _census_from_matrices(field, a, found, commuting, jordan)
+
+
+def enumerate_solutions(a: Matrix, jordan: JordanSpec | None = None,
+                        budget: int = DEFAULT_BUDGET) -> CensusReport:
+    """All solutions for a coefficient matrix over GF(p), in row-major
+    lexicographic order of their canonical residues."""
+    return _enumerate(a, jordan, budget, commuting=False)
 
 
 def enumerate_commuting_solutions(a: Matrix, jordan: JordanSpec | None = None,
@@ -133,28 +147,7 @@ def enumerate_commuting_solutions(a: Matrix, jordan: JordanSpec | None = None,
     Commuting candidates live in the centralizer of A, so only that
     subspace is enumerated; the budget applies to its p^dim candidates.
     """
-    field = a.field
-    if field.kind != "gf":
-        raise PreconditionError("census enumeration needs a prime field")
-    p, n = field.p, a.nrows
-    basis = centralizer_basis(a)
-    dim = len(basis)
-    total = p ** dim
-    if total > budget:
-        raise BudgetError(f"{total} centralizer candidates exceed the budget of {budget}")
-    _check_int64(p, max(n, dim), total)
-    a_int = _as_int_array(a)
-    basis_int = np.stack([_as_int_array(b) for b in basis])
-    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    found: list[Matrix] = []
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        coeffs = (idx[:, None] // weights[None, :]) % p
-        xs = np.einsum("bd,dij->bij", coeffs, basis_int) % p
-        mask = _screen_batch(a_int, xs, p)
-        for x_int in xs[mask]:
-            found.append(Matrix.from_rows(field, x_int.tolist()))
-    return _census_from_matrices(field, a, found, True, jordan)
+    return _enumerate(a, jordan, budget, commuting=True)
 
 
 # -- family classification ---------------------------------------------------------
@@ -302,7 +295,16 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     two_block = (jordan is not None and len(jordan.blocks) == 2
                  and not jordan.blocks[0][0].is_zero
                  and not jordan.blocks[1][0].is_zero)
-    field = a.field
+    if two_block:
+        split = (jordan.blocks[0][1], jordan.blocks[1][1])
+    if jordan is not None:
+        z, o = a.field.zero(), a.field.one()
+        eigenpairs = [(lam, tuple(o if t == lo else z for t in range(n)))
+                      for (lam, _), (lo, _) in zip(jordan.blocks, jordan.block_ranges())]
+        lams = [lam for lam, _ in jordan.blocks]
+        # blocks whose eigenvalue has geometric multiplicity one
+        simple_blocks = [(lam, lo, hi) for lam, (lo, hi) in zip(lams, jordan.block_ranges())
+                         if lams.count(lam) == 1]
 
     for x in report.solutions:
         verdicts.append(core.check_power_identities(a, x, 2 * n))
@@ -316,17 +318,11 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
         if single_block:
             verdicts.append(_single_block_classification(a, jordan.blocks[0][0], x))
         if two_block and not x.is_zero and not x.is_invertible():
-            split = (jordan.blocks[0][1], jordan.blocks[1][1])
             verdicts.append(core.check_kernel_classification_two_blocks(a, x, split))
         if jordan is not None:
-            pairs = []
-            z, o = field.zero(), field.one()
-            for (lam, _), (lo, _) in zip(jordan.blocks, jordan.block_ranges()):
-                v = tuple(o if t == lo else z for t in range(n))
-                pairs.append((lam, v))
-            verdicts.append(core.check_eigenvalue_transfer(a, x, pairs))
-        if jordan is not None and a_invertible:
-            verdicts.extend(_kernel_eigenspace_filters(report, x))
+            verdicts.append(core.check_eigenvalue_transfer(a, x, eigenpairs))
+        if jordan is not None and a_invertible and simple_blocks:
+            verdicts.extend(_kernel_eigenspace_filters(x, simple_blocks))
     return verdicts
 
 
@@ -334,8 +330,6 @@ def _single_block_classification(a: Matrix, lam, x: Matrix) -> core.PropertyVerd
     """For a single Jordan block: with a nonzero eigenvalue every solution is
     zero or similar to the block; with eigenvalue zero no solution is
     invertible."""
-    from .unipoly import is_similar
-
     if lam.is_zero:
         holds = not x.is_invertible()
         note = "nilpotent block admits no invertible solution"
@@ -350,26 +344,22 @@ def _single_block_classification(a: Matrix, lam, x: Matrix) -> core.PropertyVerd
     )
 
 
-def _kernel_eigenspace_filters(report: CensusReport, x: Matrix):
+def _kernel_eigenspace_filters(x: Matrix, simple_blocks):
     """Census filters for the one-dimensional-eigenspace lemmas: a kernel
     equal to such an eigenspace excludes its eigenvalue from the spectrum
     of the solution, and an excluded eigenvalue forces the solution to
-    kill the whole generalized eigenspace."""
-    a = report.coefficient
-    jordan = report.jordan
-    field = a.field
-    n = a.nrows
+    kill the whole generalized eigenspace.
+
+    ``simple_blocks`` lists (eigenvalue, lo, hi) for the Jordan blocks of
+    the coefficient whose eigenvalue labels no other block.
+    """
+    field, n = x.field, x.nrows
+    z, o = field.zero(), field.one()
     chi_x = char_poly(x)
+    kernel = x.kernel_basis()
     out = []
-    eigen_counts: dict = {}
-    for lam, _ in jordan.blocks:
-        eigen_counts[lam] = eigen_counts.get(lam, 0) + 1
-    for (lam, size), (lo, hi) in zip(jordan.blocks, jordan.block_ranges()):
-        if eigen_counts[lam] != 1:
-            continue  # geometric multiplicity exceeds one
-        z, o = field.zero(), field.one()
-        eigvec = tuple(o if t == lo else z for t in range(n))
-        kernel = x.kernel_basis()
+    for lam, lo, hi in simple_blocks:
+        absent = not chi_x(lam).is_zero
         kernel_is_eigenspace = (
             len(kernel) == 1
             and all(kernel[0][t].is_zero for t in range(n) if t != lo)
@@ -378,11 +368,11 @@ def _kernel_eigenspace_filters(report: CensusReport, x: Matrix):
         if kernel_is_eigenspace:
             out.append(core.PropertyVerdict(
                 "kernel-eigenvalue-exclusion",
-                not chi_x(lam).is_zero,
-                witness=None if not chi_x(lam).is_zero else x,
+                absent,
+                witness=None if absent else x,
                 note=f"kernel equals the eigenspace of {lam}",
             ))
-        if not chi_x(lam).is_zero:
+        if absent:
             killed = all(
                 all(c.is_zero for c in x.apply(
                     tuple(o if t == col else z for t in range(n))))

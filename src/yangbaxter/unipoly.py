@@ -1,10 +1,8 @@
 """Exact univariate polynomials, characteristic and minimal polynomials.
 
-The characteristic polynomial is computed by the Faddeev-LeVerrier
-recurrence over fields of characteristic zero. Over GF(p) the recurrence
-divides by integers up to n, which can vanish mod p, so there the
-determinant of (xI - M) is expanded by fraction-free Bareiss elimination
-over the polynomial ring instead. Both paths are exact.
+The characteristic polynomial det(xI - M) is expanded by fraction-free
+Bareiss elimination over the polynomial ring F[x], for every field. F[x]
+is an integral domain, so every division is exact.
 """
 
 from __future__ import annotations
@@ -71,9 +69,6 @@ class UniPoly:
     @property
     def is_zero(self) -> bool:
         return not self.raw
-
-    def leading(self) -> Scalar:
-        return Scalar(self.field, self.raw[-1] if self.raw else self.field.ZERO)
 
     @property
     def is_monic(self) -> bool:
@@ -209,58 +204,28 @@ class UniPoly:
         return f"UniPoly({self.field.spec()}, {self})"
 
 
-def eval_poly_at_matrix(p: UniPoly, m: Matrix) -> Matrix:
-    return p.at_matrix(m)
-
-
-def _char_poly_leverrier(m: Matrix) -> UniPoly:
-    """Faddeev-LeVerrier recurrence; requires characteristic zero."""
-    field, n = m.field, m.nrows
-    ident = Matrix.identity(field, n)
-    coeffs = [field.ZERO] * n + [field.ONE]
-    mk = Matrix.zero(field, n)
-    for k in range(1, n + 1):
-        mk = m * mk + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = (-(m * mk).trace() / k).v
-    return UniPoly._make(field, coeffs)
-
-
-def _char_poly_bareiss(m: Matrix) -> UniPoly:
-    """det(xI - m) by fraction-free Bareiss elimination over the field[x] ring.
+def char_poly(m: Matrix) -> UniPoly:
+    """Monic characteristic polynomial det(xI - m), by Bareiss elimination
+    over the field[x] ring.
 
     Every division is exact because the intermediate entries are minors of
-    the original polynomial matrix, which lives over an integral domain.
+    xI - m. Each pivot is a leading principal minor of xI - m, hence monic
+    and never zero, so no row swap is needed.
     """
+    if not m.is_square:
+        raise DimensionError("characteristic polynomial needs a square matrix")
     field, n = m.field, m.nrows
     x = UniPoly.x(field)
     work = [[(x if i == j else UniPoly.zero(field)) - UniPoly._make(field, [m.raw[i * n + j]])
              for j in range(n)] for i in range(n)]
     prev = UniPoly.one(field)
-    sign = 1
-    for k in range(n - 1):
-        if work[k][k].is_zero:
-            swap = next((r for r in range(k + 1, n) if not work[r][k].is_zero), None)
-            if swap is None:
-                return UniPoly.zero(field)
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
+    for k in range(n):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
                 work[i][j] = num.divexact(prev)
-            work[i][k] = UniPoly.zero(field)
         prev = work[k][k]
-    det = work[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def char_poly(m: Matrix) -> UniPoly:
-    """Monic characteristic polynomial det(xI - m)."""
-    if not m.is_square:
-        raise DimensionError("characteristic polynomial needs a square matrix")
-    if m.field.characteristic == 0:
-        return _char_poly_leverrier(m)
-    return _char_poly_bareiss(m)
+    return prev
 
 
 def min_poly(m: Matrix) -> UniPoly:

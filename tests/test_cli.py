@@ -210,6 +210,19 @@ def test_groebner_cli_golden(capsys, jordan, golden):
     assert (code, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("field, extra, golden", [
+    ("gf:2", (), "census_gf2_1_2_1_2.txt"),
+    ("gf:3", ("--commuting",), "census_gf3_1_2_1_2_commuting.txt"),
+])
+def test_census_cli_golden(capsys, field, extra, golden):
+    """The full-space and the centralizer census reproduce recorded stdout
+    byte for byte; the theorem sweep finds failures, so the exit code is 1."""
+    code, out, err = run(capsys, "census", "--field", field, "--jordan", "1^2,1^2",
+                         *extra, "--solutions")
+    expected = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert (code, out, err) == (1, expected, "")
+
+
 def test_pencil_cli(rat, write_matrix, capsys):
     a = write_matrix(nilpotent_block(rat, 3))
     x0 = write_matrix(Matrix.unit(rat, 3, 3, 0, 0))

@@ -1,14 +1,15 @@
 """Property-based tests of the field kernel and the matrices built on it.
 
 Scalars are checked against the field axioms, their own printed form and
-the equality/hash contract. Matrix products, determinants and ranks are
-checked against a small reference written here: ints mod p, Fractions and
-(c0, c1) pairs with their textbook operations, cofactor expansion for the
-determinant and naive elimination for the rank.
+the equality/hash contract. Matrix products, determinants, ranks and
+characteristic polynomials are checked against a small reference written
+here: ints mod p, Fractions and (c0, c1) pairs with their textbook
+operations, Leibniz expansion for the determinant, over the field and over
+its polynomial ring, and naive elimination for the rank.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from yangbaxter.fields import Field
 from yangbaxter.matrices import Matrix
+from yangbaxter.unipoly import char_poly
 
 SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
          "quad:2", "quad:-1", "quad:1/2"]
@@ -110,6 +112,34 @@ class Ref:
         return rank
 
 
+class PolyRef:
+    """Ref arithmetic on polynomials: coefficient lists, lowest degree first."""
+
+    def __init__(self, ref: Ref):
+        self.ref = ref
+
+    def zero(self):
+        return []
+
+    def one(self):
+        return [self.ref.one()]
+
+    def add(self, f, g):
+        return [self.ref.add(a, b) for a, b in zip_longest(f, g, fillvalue=self.ref.zero())]
+
+    def neg(self, f):
+        return [self.ref.neg(a) for a in f]
+
+    def mul(self, f, g):
+        out = [self.ref.zero()] * max(len(f) + len(g) - 1, 0)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = self.ref.add(out[i + j], self.ref.mul(a, b))
+        return out
+
+    det = Ref.det
+
+
 def matrices(spec: str, nrows, ncols):
     return st.lists(st.lists(values(spec), min_size=ncols, max_size=ncols),
                     min_size=nrows, max_size=nrows)
@@ -188,3 +218,18 @@ def test_matmul_det_rank_against_reference(spec, data):
     det = ref.det([[ref.lift(v) for v in row] for row in sq_rows])
     assert sq.det() == field.scalar(det)
     assert sq.is_invertible() == (det != ref.zero())
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:5", "quad:2", "quad:-1"])
+@quick
+@given(data=st.data())
+def test_char_poly_against_leibniz_reference(spec, data):
+    field, ref = Field.from_spec(spec), Ref(spec)
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(matrices(spec, n, n))
+    # xI - M, each entry a coefficient list
+    x_minus_m = [[[ref.neg(ref.lift(v))] + ([ref.one()] if i == j else [])
+                  for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    expected = PolyRef(ref).det(x_minus_m)
+    chi = char_poly(Matrix.from_rows(field, rows))
+    assert chi.coeffs == tuple(field.scalar(c) for c in expected)

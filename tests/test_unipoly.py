@@ -4,7 +4,7 @@ import pytest
 
 from yangbaxter.errors import InconclusiveError
 from yangbaxter.matrices import Matrix, jordan_block, nilpotent_block
-from yangbaxter.unipoly import UniPoly, char_poly, eval_poly_at_matrix, is_similar, min_poly
+from yangbaxter.unipoly import UniPoly, char_poly, is_similar, min_poly
 
 
 def M(field, rows):
@@ -89,7 +89,7 @@ def test_eval_poly_examples(rat, gf5):
     assert lin.at_matrix(jordan_block(rat, 1, 2)) == M(rat, [[0, 1], [0, 0]])
     rng = random.Random(5)
     m = M(gf5, [[rng.randint(0, 4) for _ in range(3)] for _ in range(3)])
-    assert eval_poly_at_matrix(char_poly(m), m).is_zero
+    assert char_poly(m).at_matrix(m).is_zero
 
 
 def test_poly_divmod_and_gcd(rat):

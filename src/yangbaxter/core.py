@@ -216,11 +216,10 @@ def check_commuting_sylvester(a: Matrix, x: Matrix) -> PropertyVerdict:
     )
 
 
-def kernel_block_label(x: Matrix, ranges) -> str:
-    """Classify Ker(X) against half-open coordinate block ranges: "trivial",
-    the "+"-joined names P1, P2, ... of the blocks whose span it equals, or
-    "other"."""
-    basis = x.kernel_basis()
+def kernel_block_label(basis, ranges) -> str:
+    """Classify a kernel, given by its basis, against half-open coordinate
+    block ranges: "trivial", the "+"-joined names P1, P2, ... of the blocks
+    whose span it equals, or "other"."""
     if not basis:
         return "trivial"
     support = {j for v in basis for j, c in enumerate(v) if not c.is_zero}
@@ -244,12 +243,13 @@ def check_kernel_classification_two_blocks(a: Matrix, x: Matrix,
         raise PreconditionError("two-block-kernel: candidate is the zero matrix")
     if x.is_invertible():
         raise PreconditionError("two-block-kernel: candidate must be singular")
-    label = kernel_block_label(x, [(0, n1), (n1, n1 + n2)])
+    kernel = x.kernel_basis()
+    label = kernel_block_label(kernel, [(0, n1), (n1, n1 + n2)])
     holds = label in ("P1", "P2", "P1+P2")
     return PropertyVerdict(
         "two-block-kernel-classification",
         holds,
-        witness=None if holds else x.kernel_basis(),
+        witness=None if holds else kernel,
         note=f"kernel is {label}",
     )
 

@@ -17,6 +17,7 @@ from .core import is_solution, residual
 from .errors import ConstructionError, PreconditionError, SideConditionError
 from .fields import Field, Scalar
 from .matrices import Matrix, block_diag, jordan_block, nilpotent_block
+from .unipoly import UniPoly
 
 
 def _verified(a: Matrix, x: Matrix, what: str) -> Matrix:
@@ -173,11 +174,7 @@ def two_block_offdiag(lam: Scalar, k: int, z_coeffs, s: Matrix,
     y2 = s * a * s_inv
     if not is_solution(a, y2):
         raise SideConditionError("S A S^-1 is not a solution for the single block")
-    z = Matrix.zero(field, k)
-    apow = Matrix.identity(field, k)
-    for c in z_coeffs:
-        z = z + apow.scale(field.scalar(c))
-        apow = apow * a
+    z = UniPoly(field, z_coeffs).at_matrix(a)
     y1 = z * s_inv * (a_inv if offdiag_uses_inverse else a)
     zero = Matrix.zero(field, k)
     if side == "upper":

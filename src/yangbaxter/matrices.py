@@ -362,29 +362,40 @@ def _matrix_space_basis(a: Matrix, system: Matrix) -> list[Matrix]:
     return [Matrix(a.field, a.nrows, a.nrows, v) for v in system.kernel_basis()]
 
 
-def _left_right(a: Matrix, what: str) -> tuple[Matrix, Matrix]:
-    """The matrices of M -> AM and M -> MA on row-major vectorized M:
-    row (i, j) holds the coefficients of the entries M[k, l]."""
-    if not a.is_square:
-        raise DimensionError(f"{what} needs a square matrix")
-    f, n = a.field, a.nrows
-    idx = [(i, j, k, l) for i in range(n) for j in range(n)
-           for k in range(n) for l in range(n)]
-    left = [a.raw[i * n + k] if l == j else f.ZERO for i, j, k, l in idx]
-    right = [a.raw[l * n + j] if k == i else f.ZERO for i, j, k, l in idx]
-    return Matrix._make(f, n * n, n * n, left), Matrix._make(f, n * n, n * n, right)
+def operator_matrix(left: Matrix, right: Matrix) -> Matrix:
+    """The matrix of M -> left*M + M*right on row-major vectorized M, with M
+    of shape left.nrows x right.nrows: row (i, j) holds the coefficients of
+    the entries M[k, l]."""
+    if not left.is_square or not right.is_square:
+        raise DimensionError("operator factors must be square")
+    if left.field is not right.field:
+        raise FieldMismatchError("operator factors over different fields")
+    f, p, q = left.field, left.nrows, right.nrows
+    raw = []
+    for i in range(p):
+        for j in range(q):
+            # left[i, k] multiplies M[k, j] and right[l, j] multiplies M[i, l]
+            row = [f.ZERO] * (p * q)
+            row[j::q] = left.raw[i * p:(i + 1) * p]
+            row[i * q:(i + 1) * q] = map(f.add, row[i * q:(i + 1) * q], right.raw[j::q])
+            raw += row
+    return Matrix._make(f, p * q, p * q, raw)
 
 
 def centralizer_basis(a: Matrix) -> list[Matrix]:
     """Canonical basis of {M : AM = MA}."""
-    left, right = _left_right(a, "centralizer")
-    return _matrix_space_basis(a, left - right)
+    if not a.is_square:
+        raise DimensionError("centralizer needs a square matrix")
+    return _matrix_space_basis(a, operator_matrix(a, -a))
 
 
 def annihilator_basis(a: Matrix) -> list[Matrix]:
     """Canonical basis of {M : AM = 0 and MA = 0}."""
-    left, right = _left_right(a, "annihilator")
-    return _matrix_space_basis(a, Matrix.block([[left], [right]]))
+    if not a.is_square:
+        raise DimensionError("annihilator needs a square matrix")
+    zero = Matrix.zero(a.field, a.nrows)
+    return _matrix_space_basis(a, Matrix.block([[operator_matrix(a, zero)],
+                                                [operator_matrix(zero, a)]]))
 
 
 def jordan_chain_conjugator(x: Matrix, lam) -> Matrix | None:

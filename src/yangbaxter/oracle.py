@@ -8,6 +8,11 @@ scalar arithmetic of the rest of the package before it is reported.
 
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
+
+Classification against the single-block families holds no formula of its
+own: it reads a solution's free entries, calls the family constructor on
+them and compares what comes back, so a broken constructor shows up in
+the census tallies.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, SideConditionError
+from .families import (family_2x2_invertible, family_2x2_nilpotent, family_3x3_nilpotent,
+                       family_nilpotent_general)
 from .fields import Field
 from .matrices import JordanSpec, Matrix, centralizer_basis
 from .unipoly import char_poly, is_similar
@@ -63,17 +70,11 @@ def _check_int64(p: int, terms: int, total: int) -> None:
         raise BudgetError(f"GF({p}) screen of {total} candidates would overflow int64")
 
 
-def _as_int_array(m: Matrix) -> np.ndarray:
-    return np.array(m.raw, dtype=np.int64).reshape(m.nrows, m.ncols)
-
-
 def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of candidates with AXA == XAX, all arithmetic mod p."""
-    ax = np.einsum("ij,bjk->bik", a, xs) % p
-    axa = np.einsum("bij,jk->bik", ax, a) % p
-    xa = np.einsum("bij,jk->bik", xs, a) % p
-    xax = np.einsum("bij,bjk->bik", xa, xs) % p
-    return (axa == xax).all(axis=(1, 2))
+    """Boolean mask of candidates with AXA == XAX, all arithmetic mod p;
+    both sides reuse the one product AX."""
+    ax = a @ xs % p
+    return (ax @ a % p == xs @ ax % p).all(axis=(1, 2))
 
 
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
@@ -90,10 +91,11 @@ def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
     by_kernel: dict[str, int] = {}
     ranges = jordan.block_ranges() if jordan is not None else None
     for x in solutions:
-        r = x.rank()
+        kernel = x.kernel_basis()
+        r = x.ncols - len(kernel)
         by_rank[r] = by_rank.get(r, 0) + 1
-        label = (core.kernel_block_label(x, ranges) if ranges is not None
-                 else f"dim={len(x.kernel_basis())}")
+        label = (core.kernel_block_label(kernel, ranges) if ranges is not None
+                 else f"dim={len(kernel)}")
         by_kernel[label] = by_kernel.get(label, 0) + 1
     return CensusReport(field, a, commuting, tuple(solutions),
                         by_rank, by_kernel, jordan=jordan)
@@ -118,15 +120,14 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     if total > budget:
         raise BudgetError(f"{total} {noun} exceed the budget of {budget}")
     _check_int64(p, terms, total)
-    a_int = _as_int_array(a)
-    basis_int = np.stack([_as_int_array(b) for b in basis]) if commuting else None
+    a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
+    basis_int = np.array([b.raw for b in basis], dtype=np.int64) if commuting else None
     weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     found: list[Matrix] = []
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % p
-        xs = (np.einsum("bd,dij->bij", digits, basis_int) % p if commuting
-              else digits.reshape(-1, n, n))
+        xs = (digits @ basis_int % p if commuting else digits).reshape(-1, n, n)
         mask = _screen_batch(a_int, xs, p)
         for x_int in xs[mask]:
             found.append(Matrix.from_rows(field, x_int.tolist()))
@@ -153,57 +154,13 @@ def enumerate_commuting_solutions(a: Matrix, jordan: JordanSpec | None = None,
 # -- family classification ---------------------------------------------------------
 
 
-def _match_jordan2_invertible(a: Matrix, x: Matrix, lam) -> str | None:
-    field = x.field
-    if x.is_zero:
-        return "zero"
-    if x == a:
-        return "jordan2-invertible[toeplitz]"
-    if x[1, 0] != -(lam * lam):
-        return None
-    av = x[0, 1]
-    if x[0, 0] + x[1, 1] != lam + lam:
-        return None
-    diff = x[0, 0] - lam
-    if diff * diff != lam * lam * av:
-        return None
-    if x[1, 1] != lam + lam - x[0, 0]:
-        return None
-    return f"jordan2-invertible[a={av}]"
-
-
-def _match_jordan2_nilpotent(x: Matrix) -> str | None:
-    if not x[1, 0].is_zero:
-        return None
-    if not (x[0, 0] * x[1, 1]).is_zero:
-        return None
-    return f"jordan2-nilpotent[a={x[0, 0]},b={x[1, 1]},alpha={x[0, 1]}]"
-
-
-def _match_jordan3_nilpotent(x: Matrix) -> str | None:
-    for i, j in ((1, 0), (1, 1), (2, 0), (2, 1)):
-        if not x[i, j].is_zero:
-            return None
-    if not (x[0, 0] * x[1, 2] + x[0, 1] * x[2, 2]).is_zero:
-        return None
-    return (f"jordan3-nilpotent[a={x[0, 0]},b={x[0, 1]},c={x[0, 2]},"
-            f"f={x[1, 2]},i={x[2, 2]}]")
-
-
-def _match_nilpotent_general(x: Matrix) -> str | None:
-    n = x.nrows
-    for i in range(n):
-        for j in range(n):
-            inside = (i == 0 and j >= 1) or (i == 1 and j >= n - 2) \
-                or (2 <= i <= n - 2 and j == n - 1)
-            if not inside and not x[i, j].is_zero:
-                return None
-    coupling = x.field.zero()
-    for idx in range(n - 3):
-        coupling = coupling + x[0, 1 + idx] * x[2 + idx, n - 1]
-    if x[1, n - 2] != coupling:
-        return None
-    return "nilpotent-general"
+def _rebuilds(x: Matrix, constructor, *params) -> bool:
+    """Whether a family constructor, fed parameters read off ``x``, builds
+    ``x`` itself; a violated side condition means ``x`` is not a member."""
+    try:
+        return constructor(*params) == x
+    except SideConditionError:
+        return False
 
 
 def _match_two_block(a: Matrix, x: Matrix, k: int) -> str | None:
@@ -247,21 +204,37 @@ def classify_against_families(report: CensusReport) -> CensusReport:
     a = report.coefficient
 
     def tag_of(x: Matrix) -> str | None:
-        if len(blocks) == 1:
-            lam, size = blocks[0]
-            if size == 2 and not lam.is_zero:
-                return _match_jordan2_invertible(a, x, lam)
-            if size == 2 and lam.is_zero:
-                return _match_jordan2_nilpotent(x)
-            if size == 3 and lam.is_zero:
-                return _match_jordan3_nilpotent(x)
-            if size >= 4 and lam.is_zero:
-                return _match_nilpotent_general(x)
-            raise PreconditionError(f"unsupported single block ({lam}, {size})")
-        if (len(blocks) == 2 and blocks[0] == blocks[1]
-                and not blocks[0][0].is_zero):
+        if len(blocks) == 2 and blocks[0] == blocks[1] and not blocks[0][0].is_zero:
             return _match_two_block(a, x, blocks[0][1])
-        raise PreconditionError("unsupported coefficient block structure")
+        if len(blocks) != 1:
+            raise PreconditionError("unsupported coefficient block structure")
+        lam, n = blocks[0]
+        if n == 2 and not lam.is_zero:
+            if x.is_zero:
+                return "zero"
+            if _rebuilds(x, family_2x2_invertible, lam, "toeplitz"):
+                return "jordan2-invertible[toeplitz]"
+            av = x[0, 1]
+            if any(_rebuilds(x, family_2x2_invertible, lam, branch, av)
+                   for branch in ("plus", "minus")):
+                return f"jordan2-invertible[a={av}]"
+        elif n == 2:
+            params = x[0, 0], x[1, 1], x[0, 1]
+            if _rebuilds(x, family_2x2_nilpotent, *params):
+                return "jordan2-nilpotent[a={},b={},alpha={}]".format(*params)
+        elif n == 3 and lam.is_zero:
+            params = x[0, 0], x[0, 1], x[0, 2], x[1, 2], x[2, 2]
+            if _rebuilds(x, family_3x3_nilpotent, *params):
+                return "jordan3-nilpotent[a={},b={},c={},f={},i={}]".format(*params)
+        elif n >= 4 and lam.is_zero:
+            # first-row parameters x[0, 1..n-2], last-column parameters x[1..n-2, n-1]
+            if _rebuilds(x, family_nilpotent_general, n,
+                         [x[0, j] for j in range(1, n - 1)],
+                         [x[i, n - 1] for i in range(1, n - 1)], x[0, n - 1]):
+                return "nilpotent-general"
+        else:
+            raise PreconditionError(f"unsupported single block ({lam}, {n})")
+        return None
 
     tags = []
     tallies: dict[str, int] = {}
@@ -353,8 +326,7 @@ def _kernel_eigenspace_filters(x: Matrix, simple_blocks):
     ``simple_blocks`` lists (eigenvalue, lo, hi) for the Jordan blocks of
     the coefficient whose eigenvalue labels no other block.
     """
-    field, n = x.field, x.nrows
-    z, o = field.zero(), field.one()
+    n = x.nrows
     chi_x = char_poly(x)
     kernel = x.kernel_basis()
     out = []
@@ -373,11 +345,7 @@ def _kernel_eigenspace_filters(x: Matrix, simple_blocks):
                 note=f"kernel equals the eigenspace of {lam}",
             ))
         if absent:
-            killed = all(
-                all(c.is_zero for c in x.apply(
-                    tuple(o if t == col else z for t in range(n))))
-                for col in range(lo, hi)
-            )
+            killed = all(x[i, col].is_zero for col in range(lo, hi) for i in range(n))
             out.append(core.PropertyVerdict(
                 "annihilates-generalized-eigenspace",
                 killed,

@@ -2,9 +2,12 @@
 
 The equation is vectorized column-major into an (n*m) x (n*m) linear
 system, the Kronecker lift I_m (x) A + B^T (x) I_n, and solved by exact
-elimination. Non-uniqueness is a first-class outcome: the solver returns
-a particular solution together with a canonical kernel basis, because the
-homogeneous case C = 0 is exactly the interesting one here.
+elimination. The column-major vector of X is the row-major vector of X^T,
+and on X^T the map reads X^T -> B^T X^T + X^T A^T, so the lift is the
+row-major operator matrix of that map. Non-uniqueness is a first-class
+outcome: the solver returns a particular solution together with a
+canonical kernel basis, because the homogeneous case C = 0 is exactly the
+interesting one here.
 
 Column-major vectorization is fixed throughout this module: the unknown
 X[i, j] sits at coordinate j*n + i.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, FieldMismatchError, PreconditionError
-from .matrices import Matrix
+from .matrices import Matrix, operator_matrix
 from .unipoly import char_poly, solve_linear
 
 
@@ -66,19 +69,9 @@ def sylvester_unique(a: Matrix, b: Matrix) -> bool:
 
 
 def kronecker_lift(a: Matrix, b: Matrix) -> Matrix:
-    """The (n*m) x (n*m) matrix of X -> AX + XB in column-major coordinates."""
-    field = a.field
-    n, m = a.nrows, b.nrows
-    rows = []
-    for j in range(m):
-        for i in range(n):
-            coeff = [field.ZERO] * (n * m)
-            for k in range(n):
-                coeff[j * n + k] = field.add(coeff[j * n + k], a.raw[i * n + k])
-            for l in range(m):
-                coeff[l * n + i] = field.add(coeff[l * n + i], b.raw[l * m + j])
-            rows.append(coeff)
-    return Matrix.from_rows(field, rows)
+    """The (n*m) x (n*m) matrix of X -> AX + XB in column-major coordinates:
+    the row-major operator Y -> B^T Y + Y A^T on Y = X^T."""
+    return operator_matrix(b.transpose(), a.transpose())
 
 
 def sylvester_solve(problem: SylvesterProblem) -> SylvesterSolution:

@@ -223,6 +223,21 @@ def test_census_cli_golden(capsys, field, extra, golden):
     assert (code, out, err) == (1, expected, "")
 
 
+@pytest.mark.parametrize("field, jordan", [
+    ("gf:3", "0^2"), ("gf:5", "3^2"), ("gf:3", "0^3"), ("gf:2", "0^4"),
+])
+def test_census_family_tags_golden(capsys, field, jordan):
+    """Family tags and tallies match, entry for entry, those recorded when
+    the census still classified with its own copies of the family formulas."""
+    code, out, _ = run(capsys, "census", "--field", field, "--jordan", jordan, "--json")
+    doc = json.loads(out)
+    golden = json.loads((Path(__file__).parent / "data" / "census_family_tags.json")
+                        .read_text(encoding="utf-8"))[f"{field} {jordan}"]
+    assert code == 0
+    assert doc["family_tags"] == golden["family_tags"]
+    assert doc["family_tallies"] == golden["family_tallies"]
+
+
 def test_pencil_cli(rat, write_matrix, capsys):
     a = write_matrix(nilpotent_block(rat, 3))
     x0 = write_matrix(Matrix.unit(rat, 3, 3, 0, 0))

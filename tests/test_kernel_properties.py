@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yangbaxter.fields import Field
-from yangbaxter.matrices import Matrix
+from yangbaxter.matrices import Matrix, operator_matrix
 from yangbaxter.unipoly import char_poly
 
 SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
@@ -233,3 +233,16 @@ def test_char_poly_against_leibniz_reference(spec, data):
     expected = PolyRef(ref).det(x_minus_m)
     chi = char_poly(Matrix.from_rows(field, rows))
     assert chi.coeffs == tuple(field.scalar(c) for c in expected)
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:5", "quad:2"])
+@quick
+@given(data=st.data())
+def test_operator_matrix_applies_left_right_map(spec, data):
+    """operator_matrix(L, R) sends row-major vec(M) to vec(LM + MR), for
+    square and rectangular M."""
+    field = Field.from_spec(spec)
+    p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    left, right, m = (Matrix.from_rows(field, data.draw(matrices(spec, r, c)))
+                      for r, c in ((p, p), (q, q), (p, q)))
+    assert operator_matrix(left, right).apply(m.entries) == (left * m + m * right).entries

@@ -32,9 +32,13 @@ def naive_solutions(a):
 
 
 def test_counts_match_naive_enumeration(gf2, gf3):
-    for field, shorthand in ((gf2, "0^2"), (gf2, "1^2"), (gf3, "0^2")):
+    cases = []
+    for field, shorthand in ((gf2, "0^2"), (gf2, "1^2"), (gf3, "0^2"), (gf2, "0^3")):
         spec = parse_jordan(field, shorthand)
-        a = jordan_matrix(field, spec)
+        cases.append((jordan_matrix(field, spec), spec))
+    # dense and neither triangular nor symmetric, so A and its transpose differ
+    cases.append((Matrix.from_rows(gf3, [[1, 2], [1, 1]]), None))
+    for a, spec in cases:
         fast = oracle.enumerate_solutions(a, jordan=spec)
         assert list(fast.solutions) == naive_solutions(a)
 

@@ -320,11 +320,7 @@ class JordanSpec:
 
     def eigenvalues(self) -> list[Scalar]:
         """Distinct eigenvalues in order of first appearance."""
-        seen: list[Scalar] = []
-        for lam, _ in self.blocks:
-            if lam not in seen:
-                seen.append(lam)
-        return seen
+        return list(dict.fromkeys(lam for lam, _ in self.blocks))
 
 
 def jordan_block(field: Field, eigenvalue, size: int) -> Matrix:

@@ -26,8 +26,8 @@ from .errors import BudgetError, PreconditionError, SideConditionError
 from .families import (family_2x2_invertible, family_2x2_nilpotent, family_3x3_nilpotent,
                        family_nilpotent_general)
 from .fields import Field
-from .matrices import JordanSpec, Matrix, centralizer_basis
-from .unipoly import char_poly, is_similar
+from .matrices import JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator
+from .unipoly import char_poly
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 15
@@ -301,15 +301,15 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
 
 def _single_block_classification(a: Matrix, lam, x: Matrix) -> core.PropertyVerdict:
     """For a single Jordan block: with a nonzero eigenvalue every solution is
-    zero or similar to the block; with eigenvalue zero no solution is
-    invertible."""
+    zero or similar to the block, which a Jordan chain of the solution
+    certifies; with eigenvalue zero no solution is invertible."""
     if lam.is_zero:
         holds = not x.is_invertible()
         note = "nilpotent block admits no invertible solution"
     elif x.is_zero:
         holds, note = True, "zero solution"
     else:
-        holds = x.is_invertible() and is_similar(x, a, [lam, a.field.zero()])
+        holds = jordan_chain_conjugator(x, lam) is not None
         note = "nonzero solution must be similar to the block"
     return core.PropertyVerdict(
         "single-block-classification", holds,

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import core
 from .errors import DimensionError, FieldMismatchError, PreconditionError
 from .matrices import Matrix, operator_matrix
-from .unipoly import char_poly, solve_linear
+from .unipoly import solve_linear
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def sylvester_unique(a: Matrix, b: Matrix) -> bool:
         raise DimensionError("A and B must be square")
     if a.field is not b.field:
         raise FieldMismatchError("A and B over different fields")
-    return char_poly(a).gcd(char_poly(-b)).degree == 0
+    return core.spectra_disjoint(a, -b)
 
 
 def kronecker_lift(a: Matrix, b: Matrix) -> Matrix:
@@ -95,12 +96,10 @@ def offdiag_solution_space(a1: Matrix, a2: Matrix, x2: Matrix) -> list[Matrix]:
     A1 Y - Y X2 = 0; the kernel is computed exactly and mapped back
     through A2^{-1}.
     """
-    from .core import is_solution
-
     a2_inv = a2.inverse()
     if a2_inv is None:
         raise PreconditionError("off-diagonal space: A2 must be invertible")
-    if not is_solution(a2, x2):
+    if not core.is_solution(a2, x2):
         raise PreconditionError("off-diagonal space: X2 must solve the equation for A2")
     problem = SylvesterProblem(a1, -x2, Matrix.zero(a1.field, a1.nrows, x2.nrows))
     sol = sylvester_solve(problem)

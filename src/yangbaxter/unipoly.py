@@ -3,6 +3,9 @@
 The characteristic polynomial det(xI - M) is expanded by fraction-free
 Bareiss elimination over the polynomial ring F[x], for every field. F[x]
 is an integral domain, so every division is exact.
+
+Spectral questions need no root finding: :func:`unsplit_part` divides out
+the linear factors at roots a caller supplies and leaves the rest.
 """
 
 from __future__ import annotations
@@ -229,22 +232,20 @@ def char_poly(m: Matrix) -> UniPoly:
 
 
 def min_poly(m: Matrix) -> UniPoly:
-    """Monic minimal polynomial, found as the first linear dependence
-    among I, M, M^2, ... in vectorized coordinates."""
+    """Monic minimal polynomial, from one elimination on the columns
+    vec(I), vec(M), ..., vec(M^n): the first non-pivot column is M^d for
+    d the number of pivots, and its reduced entries write M^d in the
+    lower powers."""
     if not m.is_square:
         raise DimensionError("minimal polynomial needs a square matrix")
     field, n = m.field, m.nrows
-    power = Matrix.identity(field, n)
-    rows = []
-    for d in range(1, n + 1):
-        rows.append(power.raw)
-        power = power * m
-        if Matrix.from_rows(field, rows + [power.raw]).rank() == d:
-            # M^d is a combination of lower powers; solve for the coefficients.
-            sol = solve_linear(Matrix.from_rows(field, rows).transpose(), power.raw)
-            assert sol is not None
-            return UniPoly(field, [-c for c in sol] + [field.one()])
-    raise AssertionError("Cayley-Hamilton guarantees degree <= n")
+    powers = [Matrix.identity(field, n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    rows, pivots = Matrix._make(field, n * n, n + 1,
+                                [v for row in zip(*(p.raw for p in powers)) for v in row])._rref()
+    d = len(pivots)
+    return UniPoly._make(field, [field.neg(row[d]) for row in rows[:d]] + [field.ONE])
 
 
 def solve_linear(a: Matrix, rhs) -> list[Scalar] | None:
@@ -267,13 +268,27 @@ def solve_linear(a: Matrix, rhs) -> list[Scalar] | None:
     return [Scalar(f, v) for v in sol]
 
 
+def unsplit_part(p: UniPoly, roots) -> UniPoly:
+    """What is left of a nonzero p once every factor x - r, for r among
+    ``roots``, is divided out to its full multiplicity: p divided by
+    gcd(p, prod (x - r)^deg p). Constant exactly when every root of p is
+    among ``roots``."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no unsplit part")
+    f = p.field
+    bound = UniPoly.one(f)
+    for r in dict.fromkeys(map(f.coerce, roots)):
+        bound = bound * UniPoly.linear(f, r) ** p.degree
+    return p.divexact(p.gcd(bound))
+
+
 def is_similar(x: Matrix, y: Matrix, candidate_eigenvalues) -> bool:
     """Similarity test over a caller-supplied candidate eigenvalue list.
 
     Compares rank((m - lam I)^k) profiles for both matrices. Raises
     :class:`InconclusiveError` when the candidates fail to exhaust either
-    spectrum, which is detected by exact divisibility of the characteristic
-    polynomial by the product of candidate linear factors.
+    spectrum, that is when either characteristic polynomial has an
+    :func:`unsplit_part` of positive degree.
     """
     if not x.is_square or not y.is_square:
         raise DimensionError("similarity needs square matrices")
@@ -282,21 +297,10 @@ def is_similar(x: Matrix, y: Matrix, candidate_eigenvalues) -> bool:
     if x.nrows != y.nrows:
         return False
     field, n = x.field, x.nrows
-    cands: list[Scalar] = []
-    for lam in candidate_eigenvalues:
-        lam = field.scalar(lam)
-        if lam not in cands:
-            cands.append(lam)
-    if not cands:
-        raise InconclusiveError("no candidate eigenvalues supplied")
-    bound = UniPoly.one(field)
-    for lam in cands:
-        bound = bound * (UniPoly.linear(field, lam) ** n)
+    cands = list(dict.fromkeys(map(field.scalar, candidate_eigenvalues)))
     for m in (x, y):
-        if not char_poly(m).divides(bound):
-            raise InconclusiveError(
-                "candidate eigenvalues do not exhaust the spectrum"
-            )
+        if unsplit_part(char_poly(m), cands).degree > 0:
+            raise InconclusiveError("candidate eigenvalues do not exhaust the spectrum")
     ident = Matrix.identity(field, n)
     for lam in cands:
         dx = x - ident.scale(lam)

@@ -5,19 +5,25 @@ the equality/hash contract. Matrix products, determinants, ranks and
 characteristic polynomials are checked against a small reference written
 here: ints mod p, Fractions and (c0, c1) pairs with their textbook
 operations, Leibniz expansion for the determinant, over the field and over
-its polynomial ring, and naive elimination for the rank.
+its polynomial ring, and naive elimination for the rank. The spectral
+primitives are checked against repeated linear division, the defining
+properties of the minimal polynomial, and rank-profile similarity.
+
+The examples are not shrunk: a shrink of quadratic-field inputs can run
+for minutes before a failure is reported, and an unshrunk example
+reproduces the failure just as well.
 """
 
 from fractions import Fraction
 from itertools import permutations, zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from yangbaxter.fields import Field
-from yangbaxter.matrices import Matrix, operator_matrix
-from yangbaxter.unipoly import char_poly
+from yangbaxter.matrices import Matrix, jordan_block, jordan_chain_conjugator, operator_matrix
+from yangbaxter.unipoly import UniPoly, char_poly, is_similar, min_poly, unsplit_part
 
 SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
          "quad:2", "quad:-1", "quad:1/2"]
@@ -146,7 +152,8 @@ def matrices(spec: str, nrows, ncols):
 
 
 fields = pytest.mark.parametrize("spec", SPECS)
-quick = settings(max_examples=40, deadline=None)
+quick = settings(max_examples=40, deadline=None,
+                 phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 
 @fields
@@ -246,3 +253,85 @@ def test_operator_matrix_applies_left_right_map(spec, data):
     left, right, m = (Matrix.from_rows(field, data.draw(matrices(spec, r, c)))
                       for r, c in ((p, p), (q, q), (p, q)))
     assert operator_matrix(left, right).apply(m.entries) == (left * m + m * right).entries
+
+
+spectral_fields = pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:5", "quad:2"])
+
+
+def triangular(field, spec, data, diagonal):
+    """An upper triangular matrix with the given diagonal and drawn entries above it."""
+    n = len(diagonal)
+    above = iter(data.draw(st.lists(values(spec), min_size=n * (n - 1) // 2,
+                                    max_size=n * (n - 1) // 2)))
+    return Matrix.from_rows(field, [[diagonal[i] if i == j else next(above) if j > i
+                                     else field.zero() for j in range(n)] for i in range(n)])
+
+
+def spectral_matrix(field, spec, data):
+    """A random n <= 4 matrix and its diagonal; half the time upper
+    triangular, so that its eigenvalues, the diagonal, lie in the field."""
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        m = triangular(field, spec, data, [field.scalar(data.draw(values(spec)))
+                                           for _ in range(n)])
+    else:
+        m = Matrix.from_rows(field, data.draw(matrices(spec, n, n)))
+    return m, [m[i, i] for i in range(n)]
+
+
+def divide_out_roots(p, roots):
+    """Reference for unsplit_part: divide p by x - r for any listed root r
+    that divides it, until none does."""
+    progress = True
+    while p.degree > 0 and progress:
+        progress = False
+        for r in roots:
+            q, rest = p.divmod(UniPoly.linear(p.field, r))
+            if rest.is_zero:
+                p, progress = q, True
+                break
+    return p
+
+
+@spectral_fields
+@quick
+@given(data=st.data())
+def test_unsplit_part_against_repeated_division(spec, data):
+    field = Field.from_spec(spec)
+    m, diagonal = spectral_matrix(field, spec, data)
+    roots = data.draw(st.lists(st.sampled_from(diagonal) | values(spec).map(field.scalar),
+                               max_size=6))
+    chi = char_poly(m)
+    assert unsplit_part(chi, roots) == divide_out_roots(chi, roots)
+
+
+@spectral_fields
+@quick
+@given(data=st.data())
+def test_min_poly_annihilates_divides_char_poly_and_is_minimal(spec, data):
+    field = Field.from_spec(spec)
+    m, _ = spectral_matrix(field, spec, data)
+    mp = min_poly(m)
+    d = mp.degree
+    assert mp.is_monic and mp.at_matrix(m).is_zero
+    assert mp.divides(char_poly(m))
+    assert Matrix.from_rows(field, [(m ** k).entries for k in range(d)]).rank() == d
+
+
+@spectral_fields
+@quick
+@given(data=st.data())
+def test_jordan_chain_agrees_with_rank_profile_similarity(spec, data):
+    """x ~ J_n(lam) by a Jordan chain exactly when is_similar says so, on
+    triangular matrices whose diagonal is all lam half the time."""
+    field = Field.from_spec(spec)
+    n = data.draw(st.integers(1, 4))
+    lam = field.scalar(data.draw(values(spec)))
+    if data.draw(st.booleans()):
+        diagonal = [lam] * n
+    else:
+        diagonal = [lam if data.draw(st.booleans()) else field.scalar(data.draw(values(spec)))
+                    for _ in range(n)]
+    m = triangular(field, spec, data, diagonal)
+    similar = is_similar(m, jordan_block(field, lam, n), [lam, *diagonal])
+    assert (jordan_chain_conjugator(m, lam) is not None) == similar

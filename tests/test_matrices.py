@@ -80,6 +80,8 @@ def test_jordan_spec_helpers(rat):
     assert spec.dimension == 5
     assert spec.block_ranges() == [(0, 3), (3, 5)]
     assert spec.eigenvalues() == [rat.scalar(0), rat.scalar(2)]
+    repeated = JordanSpec(((rat.scalar(2), 1), (rat.scalar(0), 1), (rat.scalar(2), 2)))
+    assert repeated.eigenvalues() == [rat.scalar(2), rat.scalar(0)]
     with pytest.raises(DimensionError):
         JordanSpec(((rat.scalar(0), 0),))
 

@@ -7,7 +7,7 @@ from yangbaxter.core import is_solution, residual
 from yangbaxter.errors import BudgetError, PreconditionError
 from yangbaxter.fields import Field
 from yangbaxter.matio import parse_jordan
-from yangbaxter.matrices import Matrix, jordan_matrix, nilpotent_block
+from yangbaxter.matrices import Matrix, jordan_block, jordan_matrix, nilpotent_block
 from yangbaxter.unipoly import char_poly
 
 
@@ -218,6 +218,18 @@ def test_nonzero_solutions_similar_to_block(gf2, gf3):
             if not x.is_zero:
                 assert x.is_invertible()
                 assert is_similar(x, a, cands)
+
+
+def test_single_block_classification_refutes_a_foreign_spectrum(gf5):
+    """A nonzero candidate with an eigenvalue outside {lam, 0} is refuted
+    with itself as the witness instead of raising InconclusiveError."""
+    a, one = jordan_block(gf5, 1, 2), gf5.one()
+    x = Matrix.from_rows(gf5, [[2, 0], [0, 3]])
+    verdict = oracle._single_block_classification(a, one, x)
+    assert not verdict.holds and verdict.witness == x
+    assert not oracle._single_block_classification(a, one, Matrix.identity(gf5, 2)).holds
+    member = Matrix.from_rows(gf5, [[3, 4], [4, 4]])
+    assert oracle._single_block_classification(a, one, member).holds
 
 
 def test_nilpotent_blocks_have_no_invertible_solution(gf2, gf3):

@@ -129,6 +129,9 @@ def test_is_similar_inconclusive_signal(rat):
         is_similar(Matrix.identity(rat, 2), Matrix.identity(rat, 2), [rat.scalar(0)])
     with pytest.raises(InconclusiveError):
         is_similar(Matrix.identity(rat, 2), Matrix.identity(rat, 2), [])
+    # one eigenvalue, 2, of diag(1, 2) is missed: the unsplit part x - 2 has degree 1
+    with pytest.raises(InconclusiveError):
+        is_similar(M(rat, [[1, 0], [0, 2]]), M(rat, [[1, 0], [0, 2]]), [rat.scalar(1)])
 
 
 def test_poly_str(rat):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import families as fam
 from . import matio, oracle
@@ -21,27 +22,36 @@ from .errors import AlgebraError, ParseError, PreconditionError
 from .fields import Field
 from .groebner import MultiPoly, PolyRing, buchberger, normal_form, ybe_ideal, ybe_ring
 from .matrices import Matrix, annihilator_basis, centralizer_basis, jordan_matrix
-from .sylvester import SylvesterProblem, sylvester_solve, sylvester_unique
+from .sylvester import SylvesterProblem, sylvester_solve
 
 USAGE_ERROR = 2
 CLAIM_FALSE = 1
 OK = 0
 
 
-def _read_matrix(path: str) -> Matrix:
-    if path == "-":
-        return matio.loads_matrix(sys.stdin.read())
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for '-'."""
     try:
-        return matio.load_matrix(path)
-    except OSError as exc:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_matrix(path: str) -> Matrix:
+    return matio.loads_matrix(_read_text(path))
 
 
 def _emit(args, text: str, payload: dict) -> None:
     out = json.dumps(payload, indent=2) + "\n" if args.json else text
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write_text(args.out, out)
     else:
         sys.stdout.write(out)
 
@@ -113,7 +123,7 @@ def cmd_construct(args) -> int:
     }
     _emit(args, text, payload)
     if args.out_coefficient:
-        matio.save_matrix(args.out_coefficient, coeff)
+        _write_text(args.out_coefficient, matio.dumps_matrix(coeff))
     return OK
 
 
@@ -189,11 +199,9 @@ def cmd_sylvester(args) -> int:
     a = _read_matrix(args.A)
     b = _read_matrix(args.B)
     c = _read_matrix(args.C)
-    problem = SylvesterProblem(a, b, c)
-    sol = sylvester_solve(problem)
-    unique = sylvester_unique(a, b)
-    lines = [f"unique_for_every_rhs: {unique}"]
-    payload: dict = {"unique_for_every_rhs": unique}
+    sol = sylvester_solve(SylvesterProblem(a, b, c))
+    lines = [f"unique_for_every_rhs: {sol.unique}"]
+    payload: dict = {"unique_for_every_rhs": sol.unique}
     if sol.inconsistent:
         lines.append("inconsistent: no solution")
         payload["inconsistent"] = True
@@ -218,8 +226,11 @@ def cmd_groebner(args) -> int:
         gens = ybe_ideal(a, a.nrows)
         ring = ybe_ring(a.nrows)
     elif args.gens:
-        with open(args.gens, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = matio._loads_json(_read_text(args.gens))
+        if not (isinstance(doc, dict) and all(
+                isinstance(doc.get(key), list) and all(isinstance(v, str) for v in doc[key])
+                for key in ("variables", "generators"))):
+            raise ParseError(f"{args.gens}: needs 'variables' and 'generators' lists of strings")
         ring = PolyRing(doc["variables"])
         gens = [ring.parse(g) for g in doc["generators"]]
     else:

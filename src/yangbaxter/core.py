@@ -224,9 +224,9 @@ def check_kernel_classification_two_blocks(a: Matrix, x: Matrix,
     _require_solution(a, x, "two-block-kernel")
     if x.is_zero:
         raise PreconditionError("two-block-kernel: candidate is the zero matrix")
-    if x.is_invertible():
-        raise PreconditionError("two-block-kernel: candidate must be singular")
     kernel = x.kernel_basis()
+    if not kernel:
+        raise PreconditionError("two-block-kernel: candidate must be singular")
     label = kernel_block_label(kernel, [(0, n1), (n1, n1 + n2)])
     holds = label in ("P1", "P2", "P1+P2")
     return PropertyVerdict(

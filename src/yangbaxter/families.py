@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import is_solution, residual
-from .errors import ConstructionError, PreconditionError, SideConditionError
+from .errors import ConstructionError, ParseError, PreconditionError, SideConditionError
 from .fields import Field, Scalar
 from .matrices import Matrix, block_diag, jordan_block, nilpotent_block
 from .unipoly import UniPoly
@@ -424,44 +424,47 @@ def build_family(field: Field, name: str, params: dict) -> tuple[Matrix, Matrix]
     Matrices according to the family's parameter schema.
     """
     fam = find_family(name)
-    if fam.name == "jordan2-invertible":
-        lam = field.scalar(params["lam"])
-        x = family_2x2_invertible(lam, params["branch"], params.get("a"))
-        return jordan_block(field, lam, 2), x
-    if fam.name == "jordan2-nilpotent":
-        x = family_2x2_nilpotent(field.scalar(params["a"]),
-                                 field.scalar(params["b"]),
-                                 field.scalar(params["alpha"]))
-        return nilpotent_block(field, 2), x
-    if fam.name == "jordan3-nilpotent":
-        x = family_3x3_nilpotent(field.scalar(params["a"]), field.scalar(params["b"]),
-                                 field.scalar(params["c"]), field.scalar(params["f"]),
-                                 field.scalar(params["i"]))
-        return nilpotent_block(field, 3), x
-    if fam.name == "nilpotent-general":
-        n = params["n"]
-        x = family_nilpotent_general(n, params["a"], params["b"],
+    try:
+        if fam.name == "jordan2-invertible":
+            lam = field.scalar(params["lam"])
+            x = family_2x2_invertible(lam, params["branch"], params.get("a"))
+            return jordan_block(field, lam, 2), x
+        if fam.name == "jordan2-nilpotent":
+            x = family_2x2_nilpotent(field.scalar(params["a"]),
+                                     field.scalar(params["b"]),
                                      field.scalar(params["alpha"]))
-        return nilpotent_block(field, n), x
-    if fam.name == "commuting-nilpotent":
-        n = params["n"]
-        x = commuting_nilpotent(n, params["variant"], field.scalar(params["alpha"]),
-                                field.scalar(params["beta"]))
-        return nilpotent_block(field, n + 1), x
-    if fam.name == "two-block-offdiag":
-        return two_block_offdiag(field.scalar(params["lam"]), params["k"],
-                                 params["z"], params["s"],
-                                 params.get("side", "upper"))
-    if fam.name == "two-block-case":
-        return two_block_case(params["case"], field.scalar(params["lam"]),
-                              params.get("a"), params.get("b"),
-                              params.get("c"), params.get("e"))
-    if fam.name == "pencil":
-        a = params["A"]
-        x = pencil_extend(a, params["X"], params["M"], field.scalar(params["alpha"]))
-        return a, x
-    if fam.name == "conjugate":
-        a = params["A"]
-        x = conjugate_solution(a, params["X"], params["g"])
-        return a, x
+            return nilpotent_block(field, 2), x
+        if fam.name == "jordan3-nilpotent":
+            x = family_3x3_nilpotent(field.scalar(params["a"]), field.scalar(params["b"]),
+                                     field.scalar(params["c"]), field.scalar(params["f"]),
+                                     field.scalar(params["i"]))
+            return nilpotent_block(field, 3), x
+        if fam.name == "nilpotent-general":
+            n = params["n"]
+            x = family_nilpotent_general(n, params["a"], params["b"],
+                                         field.scalar(params["alpha"]))
+            return nilpotent_block(field, n), x
+        if fam.name == "commuting-nilpotent":
+            n = params["n"]
+            x = commuting_nilpotent(n, params["variant"], field.scalar(params["alpha"]),
+                                    field.scalar(params["beta"]))
+            return nilpotent_block(field, n + 1), x
+        if fam.name == "two-block-offdiag":
+            return two_block_offdiag(field.scalar(params["lam"]), params["k"],
+                                     params["z"], params["s"],
+                                     params.get("side", "upper"))
+        if fam.name == "two-block-case":
+            return two_block_case(params["case"], field.scalar(params["lam"]),
+                                  params.get("a"), params.get("b"),
+                                  params.get("c"), params.get("e"))
+        if fam.name == "pencil":
+            a = params["A"]
+            x = pencil_extend(a, params["X"], params["M"], field.scalar(params["alpha"]))
+            return a, x
+        if fam.name == "conjugate":
+            a = params["A"]
+            x = conjugate_solution(a, params["X"], params["g"])
+            return a, x
+    except KeyError as exc:  # only the params lookups raise it
+        raise ParseError(f"family {fam.name!r} needs parameter {exc.args[0]}") from None
     raise SideConditionError(f"family {fam.name!r} is not constructible from parameters")

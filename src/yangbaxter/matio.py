@@ -62,13 +62,16 @@ def matrix_from_json(obj) -> Matrix:
     return Matrix.from_rows(field, parsed)
 
 
-def loads_matrix(text: str) -> Matrix:
+def _loads_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
-    return matrix_from_json(obj)
+
+
+def loads_matrix(text: str) -> Matrix:
+    return matrix_from_json(_loads_json(text))
 
 
 def dumps_matrix(m: Matrix) -> str:

@@ -419,11 +419,7 @@ def jordan_chain_conjugator(x: Matrix, lam) -> Matrix | None:
 
 
 def span_contains(basis: list[Matrix], m: Matrix) -> bool:
-    """Whether ``m`` lies in the span of the given matrices."""
-    if not basis:
-        return m.is_zero
-    field = basis[0].field
-    rows = [b.raw for b in basis]
-    stacked = Matrix.from_rows(field, rows)
-    with_m = Matrix.from_rows(field, rows + [m.raw])
-    return stacked.rank() == with_m.rank()
+    """Whether ``m`` lies in the span of the given matrices: exactly when
+    its column is not a pivot of [b_1 ... b_k m]."""
+    columns = Matrix.from_rows(m.field, [b.raw for b in basis] + [m.raw]).transpose()
+    return len(basis) not in columns._rref()[1]

@@ -1,13 +1,13 @@
 """Exact Sylvester equation machinery: AX + XB = C at desk scale.
 
 The equation is vectorized column-major into an (n*m) x (n*m) linear
-system, the Kronecker lift I_m (x) A + B^T (x) I_n, and solved by exact
-elimination. The column-major vector of X is the row-major vector of X^T,
-and on X^T the map reads X^T -> B^T X^T + X^T A^T, so the lift is the
-row-major operator matrix of that map. Non-uniqueness is a first-class
-outcome: the solver returns a particular solution together with a
-canonical kernel basis, because the homogeneous case C = 0 is exactly the
-interesting one here.
+system, the Kronecker lift I_m (x) A + B^T (x) I_n, and solved by one exact
+reduction of [lift | -vec C]. The column-major vector of X is the
+row-major vector of X^T, and on X^T the map reads X^T -> B^T X^T + X^T A^T,
+so the lift is the row-major operator matrix of that map. Non-uniqueness is
+a first-class outcome: the solver returns a particular solution together
+with a canonical kernel basis, because the homogeneous case C = 0 is
+exactly the interesting one here.
 
 Column-major vectorization is fixed throughout this module: the unknown
 X[i, j] sits at coordinate j*n + i.
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from . import core
 from .errors import DimensionError, FieldMismatchError, PreconditionError
 from .matrices import Matrix, operator_matrix
-from .unipoly import solve_linear
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,7 @@ class SylvesterSolution:
 
     @property
     def unique(self) -> bool:
+        """Exactly :func:`sylvester_unique`: the square lift has no kernel."""
         return self.particular is not None and not self.kernel
 
 
@@ -76,17 +76,23 @@ def kronecker_lift(a: Matrix, b: Matrix) -> Matrix:
 
 
 def sylvester_solve(problem: SylvesterProblem) -> SylvesterSolution:
-    """Solve AX + XB = C exactly; see :class:`SylvesterSolution`."""
+    """Solve AX + XB = C exactly; see :class:`SylvesterSolution`.
+
+    Reducing [lift | -vec C] left to right reduces the lift as it would
+    alone: of its kernel vectors, those ending in 0 are the lift's kernel,
+    and the last, when it ends in 1, is the particular solution with every
+    free unknown at zero. n*m rows always leave one of the n*m + 1 columns
+    free, and the last is free exactly when the system is consistent.
+    """
     a, b, c = problem.a, problem.b, problem.c
-    field = a.field
-    n, m = a.nrows, b.nrows
-    system = kronecker_lift(a, b)
+    field, n, m = a.field, a.nrows, b.nrows
     # a column-major vector of an n-by-m matrix is the row-major vector of its transpose
-    particular_vec = solve_linear(system, c.transpose().raw)
-    kernel = tuple(Matrix(field, m, n, v).transpose() for v in system.kernel_basis())
-    if particular_vec is None:
-        return SylvesterSolution(None, kernel)
-    return SylvesterSolution(Matrix(field, m, n, particular_vec).transpose(), kernel)
+    rhs = Matrix._make(field, n * m, 1, (-c).transpose().raw)
+    vectors = Matrix.block([[kronecker_lift(a, b), rhs]]).kernel_basis()
+    xs = [Matrix(field, m, n, v[:-1]).transpose() for v in vectors]
+    if vectors[-1][-1].is_zero:
+        return SylvesterSolution(None, tuple(xs))
+    return SylvesterSolution(xs[-1], tuple(xs[:-1]))
 
 
 def offdiag_solution_space(a1: Matrix, a2: Matrix, x2: Matrix) -> list[Matrix]:

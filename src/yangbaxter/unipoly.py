@@ -248,26 +248,6 @@ def min_poly(m: Matrix) -> UniPoly:
     return UniPoly._make(field, [field.neg(row[d]) for row in rows[:d]] + [field.ONE])
 
 
-def solve_linear(a: Matrix, rhs) -> list[Scalar] | None:
-    """One particular solution of a x = rhs, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    f, k = a.field, a.ncols
-    rhs = [f.coerce(v) for v in rhs]
-    if len(rhs) != a.nrows:
-        raise DimensionError("right-hand side length does not match row count")
-    aug = Matrix._make(f, a.nrows, k + 1,
-                       [v for i, r in enumerate(rhs) for v in a.raw[i * k:(i + 1) * k] + (r,)])
-    rows, pivots = aug._rref()
-    if k in pivots:
-        return None
-    sol = [f.ZERO] * k
-    for row, pc in zip(rows, pivots):
-        sol[pc] = row[k]
-    return [Scalar(f, v) for v in sol]
-
-
 def unsplit_part(p: UniPoly, roots) -> UniPoly:
     """What is left of a nonzero p once every factor x - r, for r among
     ``roots``, is divided out to its full multiplicity: p divided by

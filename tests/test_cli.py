@@ -38,6 +38,38 @@ def test_verify_malformed_exits_two(tmp_path, rat, write_matrix, capsys):
     assert code == 2 and "error:" in err
 
 
+FILE_ERRORS = {
+    "gens-missing": ("groebner", "--gens", "{tmp}/missing.json"),
+    "gens-invalid-json": ("groebner", "--gens", "{tmp}/invalid.json"),
+    "gens-no-generators": ("groebner", "--gens", "{tmp}/no_generators.json"),
+    "gens-list": ("groebner", "--gens", "{tmp}/list.json"),
+    "gens-not-utf8": ("groebner", "--gens", "{tmp}/latin1.json"),
+    "matrix-not-utf8": ("verify", "--A", "{tmp}/latin1.json", "--X", "{tmp}/latin1.json"),
+    "out-directory": ("families", "--out", "{tmp}"),
+    "out-missing-directory": ("families", "--out", "{tmp}/nowhere/out.txt"),
+    "out-coefficient-directory": ("construct", "--family", "ex2", "--param", "a=0",
+                                  "--param", "b=1", "--param", "alpha=1",
+                                  "--out-coefficient", "{tmp}"),
+    "out-coefficient-missing-directory": ("construct", "--family", "ex2", "--param", "a=0",
+                                          "--param", "b=1", "--param", "alpha=1",
+                                          "--out-coefficient", "{tmp}/nowhere/a.json"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_errors_exit_two(tmp_path, capsys, case):
+    """Unreadable, malformed or unwritable files are bad invocations, not tracebacks."""
+    (tmp_path / "invalid.json").write_text('{\n  "variables": ["x"],\n')
+    (tmp_path / "no_generators.json").write_text(json.dumps({"variables": ["x"]}))
+    (tmp_path / "list.json").write_text(json.dumps(["x - 1"]))
+    (tmp_path / "latin1.json").write_bytes('{"field": "rat", "rows": [["\u00e9"]]}'.encode("latin-1"))
+    argv = [arg.format(tmp=tmp_path) for arg in FILE_ERRORS[case]]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error:" in err
+    if case == "gens-invalid-json":
+        assert "(line 3, column 1)" in err
+
+
 def test_construct_family_and_alias(capsys):
     code, out, _ = run(capsys, "construct", "--family", "ex1",
                        "--param", "lam=1", "--param", "branch=plus",
@@ -46,6 +78,20 @@ def test_construct_family_and_alias(capsys):
     m = loads_matrix(out)
     rat = Field.rationals()
     assert m == Matrix.from_rows(rat, [[3, 4], [-1, -1]])
+
+
+@pytest.mark.parametrize("alias, params, message", [
+    ("ex1", ["branch=plus"], "family 'jordan2-invertible' needs parameter lam"),
+    ("ex2", ["a=0", "alpha=1"], "family 'jordan2-nilpotent' needs parameter b"),
+    ("examplenilpotent", ["n=4", "b=1,2", "alpha=1"],
+     "family 'nilpotent-general' needs parameter a"),
+    ("two-block", ["lam=1", "k=2"], "family 'two-block-offdiag' needs parameter z"),
+])
+def test_construct_missing_parameter_exits_two(capsys, alias, params, message):
+    argv = ["construct", "--family", alias]
+    for param in params:
+        argv += ["--param", param]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_construct_side_condition_exits_two(capsys):
@@ -160,6 +206,32 @@ def test_sylvester_random_unique_instance(rat, write_matrix, capsys):
     b_m = -jordan_block(rat_field, 2, 2)
     c_m = Matrix.from_rows(rat_field, [[1, 2], [3, 4]])
     assert (a_m * x + x * b_m - c_m).is_zero
+
+
+SYLVESTER_SYSTEMS = {
+    "rat_unique": ("rat", [[1, 1], [0, 1]], [[-2, -1], [0, -2]], [[1, 2], [3, 4]]),
+    "rat_homogeneous": ("rat", [[1, 1], [0, 1]], [[-1, -1], [0, -1]], [[0, 0], [0, 0]]),
+    "rat_inconsistent": ("rat", [[1]], [[-1]], [[1]]),
+    "quad2_unique": ("quad:2", [["1*s", "1"], ["0", "1"]], [["1", "1*s"], ["0", "2"]],
+                     [["1", "1*s"], ["1/2", "0"]]),
+}
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+@pytest.mark.parametrize("system, expected_code", [
+    ("rat_unique", 0), ("rat_homogeneous", 0), ("rat_inconsistent", 1), ("quad2_unique", 0),
+])
+def test_sylvester_cli_golden(write_matrix, capsys, system, expected_code, extra):
+    """Stdout and exit code match, byte for byte, those recorded when the
+    solver reduced the lift twice and uniqueness came from char_poly gcds."""
+    spec, *rows = SYLVESTER_SYSTEMS[system]
+    field = Field.from_spec(spec)
+    a, b, c = (write_matrix(Matrix.from_rows(field, [[field.parse(str(v)) for v in row]
+                                                     for row in m])) for m in rows)
+    code, out, err = run(capsys, "sylvester", "--A", a, "--B", b, "--C", c, *extra)
+    golden = f"sylvester_{system}{'_json' if extra else ''}.txt"
+    expected = (Path(__file__).parent / "data" / golden).read_text(encoding="utf-8")
+    assert (code, out, err) == (expected_code, expected, "")
 
 
 def test_groebner_cli_ybe(capsys):

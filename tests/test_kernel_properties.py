@@ -7,7 +7,9 @@ here: ints mod p, Fractions and (c0, c1) pairs with their textbook
 operations, Leibniz expansion for the determinant, over the field and over
 its polynomial ring, and naive elimination for the rank. The spectral
 primitives are checked against repeated linear division, the defining
-properties of the minimal polynomial, and rank-profile similarity.
+properties of the minimal polynomial, and rank-profile similarity. The
+Sylvester solver and span membership, one elimination each, are checked
+against two-elimination references.
 
 The examples are not shrunk: a shrink of quadratic-field inputs can run
 for minutes before a failure is reported, and an unshrunk example
@@ -22,7 +24,19 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from yangbaxter.fields import Field
-from yangbaxter.matrices import Matrix, jordan_block, jordan_chain_conjugator, operator_matrix
+from yangbaxter.matrices import (
+    Matrix,
+    jordan_block,
+    jordan_chain_conjugator,
+    operator_matrix,
+    span_contains,
+)
+from yangbaxter.sylvester import (
+    SylvesterProblem,
+    kronecker_lift,
+    sylvester_solve,
+    sylvester_unique,
+)
 from yangbaxter.unipoly import UniPoly, char_poly, is_similar, min_poly, unsplit_part
 
 SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
@@ -335,3 +349,65 @@ def test_jordan_chain_agrees_with_rank_profile_similarity(spec, data):
     m = triangular(field, spec, data, diagonal)
     similar = is_similar(m, jordan_block(field, lam, n), [lam, *diagonal])
     assert (jordan_chain_conjugator(m, lam) is not None) == similar
+
+
+def solve_and_kernel_by_two_eliminations(a, b, c):
+    """Reference Sylvester solver: a particular solution, free unknowns at
+    zero, from the rref of [lift | vec C], and the kernel from a second
+    rref of the lift alone."""
+    lift = kronecker_lift(a, b)
+    f, k, n, m = lift.field, lift.ncols, a.nrows, b.nrows
+    rhs = c.transpose().raw
+    rows, pivots = Matrix._make(f, lift.nrows, k + 1, [
+        v for i, r in enumerate(rhs) for v in lift.raw[i * k:(i + 1) * k] + (r,)])._rref()
+    particular = None
+    if k not in pivots:
+        sol = [f.ZERO] * k
+        for row, pc in zip(rows, pivots):
+            sol[pc] = row[k]
+        particular = Matrix(f, m, n, sol).transpose()
+    kernel = tuple(Matrix(f, m, n, v).transpose() for v in lift.kernel_basis())
+    return particular, kernel
+
+
+@spectral_fields
+@quick
+@given(data=st.data())
+def test_sylvester_solve_against_two_eliminations(spec, data):
+    """Half the time B = -A, so AX + XB = AX - XA has X = I in its kernel
+    and most right-hand sides are inconsistent."""
+    field = Field.from_spec(spec)
+    n = data.draw(st.integers(1, 3))
+    a = Matrix.from_rows(field, data.draw(matrices(spec, n, n)))
+    if data.draw(st.booleans()):
+        m, b = n, -a
+    else:
+        m = data.draw(st.integers(1, 3))
+        b = Matrix.from_rows(field, data.draw(matrices(spec, m, m)))
+    c = Matrix.from_rows(field, data.draw(matrices(spec, n, m)))
+    sol = sylvester_solve(SylvesterProblem(a, b, c))
+    assert (sol.particular, sol.kernel) == solve_and_kernel_by_two_eliminations(a, b, c)
+    assert sol.unique == sylvester_unique(a, b)
+
+
+@spectral_fields
+@quick
+@given(data=st.data())
+def test_span_contains_against_two_ranks(spec, data):
+    """Half the time m is a combination of the basis, so both answers occur."""
+    field = Field.from_spec(spec)
+    p, q, k = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+               data.draw(st.integers(0, 3)))
+    basis = [Matrix.from_rows(field, data.draw(matrices(spec, p, q))) for _ in range(k)]
+    m = Matrix.from_rows(field, data.draw(matrices(spec, p, q)))
+    if basis and data.draw(st.booleans()):
+        m = Matrix.zero(field, p, q)
+        for b in basis:
+            m = m + b.scale(field.scalar(data.draw(values(spec))))
+    if basis:
+        rows = [b.raw for b in basis]
+        expected = (Matrix.from_rows(field, rows).rank()
+                    == Matrix.from_rows(field, rows + [m.raw]).rank())
+    else:
+        expected = m.is_zero
+    assert span_contains(basis, m) == expected

@@ -63,8 +63,10 @@ def test_uniqueness_matches_kernel_dimension(rat, gf5):
             n, m = rng.randint(1, 3), rng.randint(1, 3)
             a = M(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             b = M(field, [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])
+            c = M(field, [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)])
             system = kronecker_lift(a, b)
             assert sylvester_unique(a, b) == (len(system.kernel_basis()) == 0)
+            assert sylvester_solve(SylvesterProblem(a, b, c)).unique == sylvester_unique(a, b)
 
 
 def test_offdiag_examples(rat):

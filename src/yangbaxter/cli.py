@@ -250,9 +250,8 @@ def cmd_groebner(args) -> int:
         if set(new_ring.variables) != set(ring.variables):
             raise ParseError("order override must permute the ring variables")
         remap = [ring.variables.index(v) for v in new_ring.variables]
-        gens = [
-            _remap_poly(new_ring, g, remap) for g in gens
-        ]
+        gens = [MultiPoly(new_ring, {tuple(m[i] for i in remap): c for m, c in g.terms})
+                for g in gens]
         ring = new_ring
     basis = buchberger(gens, pair_cap=args.pair_cap)
     lines = ["reduced basis:"]
@@ -265,14 +264,6 @@ def cmd_groebner(args) -> int:
         payload["probes"][probe_text] = str(nf)
     _emit(args, "\n".join(lines) + "\n", payload)
     return OK
-
-
-def _remap_poly(new_ring, poly, remap):
-    terms = {}
-    for m, c in poly.terms:
-        key = tuple(m[idx] for idx in remap)
-        terms[key] = c
-    return MultiPoly(new_ring, terms)
 
 
 def cmd_pencil(args) -> int:
@@ -305,6 +296,17 @@ def cmd_centralizer(args) -> int:
 
 
 # -- parser ---------------------------------------------------------------------
+
+
+def _int_at_least(low: int):
+    """An argparse type for an int of at least ``low``; smaller values exit 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jordan", help="Jordan shorthand, e.g. 0^3 or 1^2,1^2")
         p.add_argument("--commuting", action="store_true",
                        help="restrict to commuting solutions")
-        p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_int_at_least(1), default=oracle.DEFAULT_BUDGET,
                        help="candidate budget guard")
         p.add_argument("--solutions", action="store_true",
                        help="also print every solution")
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="monomial order override, e.g. lex:a..i")
     p.add_argument("--probe", action="append", default=[],
                    help="polynomial whose normal form is reported")
-    p.add_argument("--pair-cap", type=int, default=100_000,
+    p.add_argument("--pair-cap", type=_int_at_least(0), default=100_000,
                    help="most S-pairs taken off the queue for reduction (exit 2 "
                         "beyond it); pairs the Gebauer-Moeller update drops never count")
     common(p, field=False)

@@ -10,15 +10,20 @@ known linear factors: spectrum inclusion asks whether the
 :func:`~yangbaxter.unipoly.unsplit_part` of char(X) is constant, and
 disjointness whether two characteristic polynomials are coprime. So they
 work over every supported field without any root finding.
+
+Checks take matrices or :class:`Facts` records, which derive char(M), the
+kernel and invertibility at most once; a record from :func:`solution_facts`
+is a solution verified once, so a sweep re-verifies nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionError, FieldMismatchError, PreconditionError
 from .matrices import Matrix
-from .unipoly import char_poly, unsplit_part
+from .unipoly import UniPoly, char_poly, unsplit_part
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,42 @@ def is_solution(a: Matrix, x: Matrix) -> bool:
     return residual(a, x).is_solution
 
 
-def _require_solution(a: Matrix, x: Matrix, who: str):
-    if not is_solution(a, x):
+class Facts:
+    """A square matrix with its derived facts, each computed on first use and
+    kept only as long as the record. A record with a ``coefficient`` is a
+    solution for that coefficient record, checked by :func:`solution_facts`."""
+
+    def __init__(self, matrix: Matrix, coefficient: Facts | None = None):
+        self.matrix, self.coefficient = matrix, coefficient
+
+    @cached_property
+    def charpoly(self) -> UniPoly:
+        return char_poly(self.matrix)
+
+    @cached_property
+    def kernel(self) -> list:
+        return self.matrix.kernel_basis()
+
+    @property
+    def invertible(self) -> bool:
+        return self.matrix.is_square and not self.kernel
+
+
+def facts(m: Matrix | Facts) -> Facts:
+    return m if isinstance(m, Facts) else Facts(m)
+
+
+def solution_facts(a: Matrix | Facts, x: Matrix | Facts, who: str) -> Facts:
+    """The solution record of ``x`` for ``a``. Its residual is checked
+    exactly here, and only here: a record already made for this very
+    coefficient record is returned as it is."""
+    a = facts(a)
+    if isinstance(x, Facts) and x.coefficient is a:
+        return x
+    x = facts(x).matrix
+    if not is_solution(a.matrix, x):
         raise PreconditionError(f"{who}: candidate is not a solution")
+    return Facts(x, a)
 
 
 def check_conjugation_equivariance(a: Matrix, x: Matrix, g: Matrix) -> PropertyVerdict:
@@ -85,33 +123,31 @@ def check_conjugation_equivariance(a: Matrix, x: Matrix, g: Matrix) -> PropertyV
     )
 
 
-def check_spectrum_inclusion(a: Matrix, x: Matrix, eigenvalues_of_a) -> PropertyVerdict:
+def check_spectrum_inclusion(a: Matrix | Facts, x: Matrix | Facts,
+                             eigenvalues_of_a) -> PropertyVerdict:
     """With A invertible, the spectrum of a solution X lies in spec(A) union {0}.
 
     Checked as: the unsplit part of char(X) with respect to 0 and the
     supplied eigenvalues is constant; otherwise it is the witness.
     """
-    if not a.is_invertible():
+    a = facts(a)
+    if not a.invertible:
         raise PreconditionError("spectrum-inclusion: coefficient must be invertible")
-    _require_solution(a, x, "spectrum-inclusion")
-    rem = unsplit_part(char_poly(x), [0, *eigenvalues_of_a])
+    x = solution_facts(a, x, "spectrum-inclusion")
+    rem = unsplit_part(x.charpoly, [0, *eigenvalues_of_a])
     holds = rem.degree == 0
-    return PropertyVerdict(
-        "spectrum-inclusion",
-        holds,
-        witness=None if holds else rem,
-        note="" if holds else f"unfactored part {rem}",
-    )
+    return PropertyVerdict("spectrum-inclusion", holds, witness=None if holds else rem,
+                           note="" if holds else f"unfactored part {rem}")
 
 
-def check_kernel_invariance(a: Matrix, x: Matrix) -> PropertyVerdict:
+def check_kernel_invariance(a: Matrix | Facts, x: Matrix | Facts) -> PropertyVerdict:
     """With A invertible, A maps the kernel of a solution X into itself."""
-    if not a.is_invertible():
+    a = facts(a)
+    if not a.invertible:
         raise PreconditionError("kernel-invariance: coefficient must be invertible")
-    _require_solution(a, x, "kernel-invariance")
-    for v in x.kernel_basis():
-        image = a.apply(v)
-        if any(not c.is_zero for c in x.apply(image)):
+    x = solution_facts(a, x, "kernel-invariance")
+    for v in x.kernel:
+        if any(not c.is_zero for c in x.matrix.apply(a.matrix.apply(v))):
             return PropertyVerdict(
                 "kernel-invariance", False, witness=v,
                 note="A maps a kernel vector outside the kernel",
@@ -146,46 +182,42 @@ def check_power_identities(a: Matrix, x: Matrix, up_to: int) -> PropertyVerdict:
     return PropertyVerdict("power-identities", True)
 
 
-def check_charpoly_annihilation(a: Matrix, x: Matrix) -> PropertyVerdict:
+def check_charpoly_annihilation(a: Matrix | Facts, x: Matrix | Facts) -> PropertyVerdict:
     """XA phi_A(X) = 0 and phi_A(X) AX = 0 for a solution X."""
-    _require_solution(a, x, "charpoly-annihilation")
-    phi_at_x = char_poly(a).at_matrix(x)
+    sol = solution_facts(a, x, "charpoly-annihilation")
+    a, x = sol.coefficient.matrix, sol.matrix
+    phi_at_x = sol.coefficient.charpoly.at_matrix(x)
     left = x * a * phi_at_x
     right = phi_at_x * a * x
     holds = left.is_zero and right.is_zero
-    return PropertyVerdict(
-        "charpoly-annihilation",
-        holds,
-        witness=None if holds else (left if not left.is_zero else right),
-        note="" if holds else "a charpoly product is nonzero",
-    )
+    return PropertyVerdict("charpoly-annihilation", holds,
+                           witness=None if holds else (left if not left.is_zero else right),
+                           note="" if holds else "a charpoly product is nonzero")
 
 
-def spectra_disjoint(a: Matrix, x: Matrix) -> bool:
+def spectra_disjoint(a: Matrix | Facts, x: Matrix | Facts) -> bool:
     """Whether char(A) and char(X) are coprime (no shared eigenvalue)."""
-    return char_poly(a).gcd(char_poly(x)).degree == 0
+    return facts(a).charpoly.gcd(facts(x).charpoly).degree == 0
 
 
-def check_disjoint_spectra_dichotomy(a: Matrix, x: Matrix,
+def check_disjoint_spectra_dichotomy(a: Matrix | Facts, x: Matrix | Facts,
                                      spectra_disjoint: bool) -> PropertyVerdict:
     """With disjoint spectra, either A = 0 and X invertible, or X = 0 and A invertible."""
     if not spectra_disjoint:
         raise PreconditionError(
             "disjoint-spectra-dichotomy: caller must certify disjoint spectra"
         )
-    _require_solution(a, x, "disjoint-spectra-dichotomy")
-    holds = (a.is_zero and x.is_invertible()) or (x.is_zero and a.is_invertible())
-    return PropertyVerdict(
-        "disjoint-spectra-dichotomy",
-        holds,
-        witness=None if holds else (a, x),
-        note="" if holds else "neither branch of the dichotomy applies",
-    )
+    x = solution_facts(a, x, "disjoint-spectra-dichotomy")
+    a = x.coefficient
+    holds = (a.matrix.is_zero and x.invertible) or (x.matrix.is_zero and a.invertible)
+    return PropertyVerdict("disjoint-spectra-dichotomy", holds,
+                           witness=None if holds else (a.matrix, x.matrix),
+                           note="" if holds else "neither branch of the dichotomy applies")
 
 
 def check_commuting_sylvester(a: Matrix, x: Matrix) -> PropertyVerdict:
     """A commuting solution with A - X invertible satisfies AX = 0."""
-    _require_solution(a, x, "commuting-sylvester")
+    solution_facts(a, x, "commuting-sylvester")
     if a * x != x * a:
         raise PreconditionError("commuting-sylvester: candidate does not commute with A")
     if not (a - x).is_invertible():
@@ -212,29 +244,26 @@ def kernel_block_label(basis, ranges) -> str:
     return "other"
 
 
-def check_kernel_classification_two_blocks(a: Matrix, x: Matrix,
+def check_kernel_classification_two_blocks(a: Matrix | Facts, x: Matrix | Facts,
                                            block_split: tuple[int, int]) -> PropertyVerdict:
     """For a two-block coefficient with nonzero eigenvalues, the kernel of a
     singular nonzero solution is the first block span, the second, or both."""
     n1, n2 = block_split
-    if n1 + n2 != a.nrows:
+    a = facts(a)
+    if n1 + n2 != a.matrix.nrows:
         raise DimensionError("block split does not sum to the dimension")
-    if not a.is_invertible():
+    if not a.invertible:
         raise PreconditionError("two-block-kernel: coefficient must be invertible")
-    _require_solution(a, x, "two-block-kernel")
-    if x.is_zero:
+    x = solution_facts(a, x, "two-block-kernel")
+    if x.matrix.is_zero:
         raise PreconditionError("two-block-kernel: candidate is the zero matrix")
-    kernel = x.kernel_basis()
+    kernel = x.kernel
     if not kernel:
         raise PreconditionError("two-block-kernel: candidate must be singular")
     label = kernel_block_label(kernel, [(0, n1), (n1, n1 + n2)])
     holds = label in ("P1", "P2", "P1+P2")
-    return PropertyVerdict(
-        "two-block-kernel-classification",
-        holds,
-        witness=None if holds else kernel,
-        note=f"kernel is {label}",
-    )
+    return PropertyVerdict("two-block-kernel-classification", holds,
+                           witness=None if holds else kernel, note=f"kernel is {label}")
 
 
 def check_pencil_condition(a: Matrix, x0: Matrix, x1: Matrix) -> PropertyVerdict:
@@ -275,19 +304,18 @@ def check_pencil_condition(a: Matrix, x0: Matrix, x1: Matrix) -> PropertyVerdict
     )
 
 
-def check_eigenvalue_transfer(a: Matrix, x: Matrix,
+def check_eigenvalue_transfer(a: Matrix | Facts, x: Matrix | Facts,
                               eigenpairs) -> PropertyVerdict:
     """For each eigenpair (lam, v) of A and a solution X: AXv = 0 or lam is a
     root of char(X). For a Jordan-form coefficient the eigenvectors are
     standard basis vectors, which is how callers are expected to supply them."""
-    _require_solution(a, x, "eigenvalue-transfer")
-    chi = char_poly(x)
+    x = solution_facts(a, x, "eigenvalue-transfer")
+    a = x.coefficient.matrix
     for lam, v in eigenpairs:
         lam = a.field.scalar(lam)
-        image = a.apply(x.apply(v))
-        if all(c.is_zero for c in image):
+        if all(c.is_zero for c in a.apply(x.matrix.apply(v))):
             continue
-        if not chi(lam).is_zero:
+        if not x.charpoly(lam).is_zero:
             return PropertyVerdict(
                 "eigenvalue-transfer", False, witness=(lam, v),
                 note="AXv is nonzero yet lam is not an eigenvalue of X",

@@ -27,7 +27,6 @@ from .families import (family_2x2_invertible, family_2x2_nilpotent, family_3x3_n
                        family_nilpotent_general)
 from .fields import Field
 from .matrices import JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator
-from .unipoly import char_poly
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 15
@@ -256,88 +255,83 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     """Run every applicable solution property over every census entry.
 
     Failures are findings, not errors; the list carries one verdict per
-    (solution, applicable property).
+    (solution, applicable property). The facts of A are derived once per
+    census and those of each solution once, its residual included, and
+    every check reads them from the records.
     """
-    a = report.coefficient
-    jordan = report.jordan
+    a, jordan = report.coefficient, report.jordan
     n = a.nrows
-    verdicts: list[core.PropertyVerdict] = []
-    a_invertible = a.is_invertible()
-    eigenvalues = jordan.eigenvalues() if jordan is not None else None
-    single_block = jordan is not None and len(jordan.blocks) == 1
-    two_block = (jordan is not None and len(jordan.blocks) == 2
-                 and not jordan.blocks[0][0].is_zero
-                 and not jordan.blocks[1][0].is_zero)
-    if two_block:
-        split = (jordan.blocks[0][1], jordan.blocks[1][1])
+    coeff = core.Facts(a)
+    blocks = jordan.blocks if jordan is not None else ()
+    lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)
+    two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
     if jordan is not None:
+        eigenvalues, ranges = jordan.eigenvalues(), jordan.block_ranges()
         z, o = a.field.zero(), a.field.one()
         eigenpairs = [(lam, tuple(o if t == lo else z for t in range(n)))
-                      for (lam, _), (lo, _) in zip(jordan.blocks, jordan.block_ranges())]
-        lams = [lam for lam, _ in jordan.blocks]
+                      for lam, (lo, _) in zip(lams, ranges)]
         # blocks whose eigenvalue has geometric multiplicity one
-        simple_blocks = [(lam, lo, hi) for lam, (lo, hi) in zip(lams, jordan.block_ranges())
+        simple_blocks = [(lam, v, lo, hi) for (lam, v), (lo, hi) in zip(eigenpairs, ranges)
                          if lams.count(lam) == 1]
 
+    verdicts: list[core.PropertyVerdict] = []
     for x in report.solutions:
+        sol = core.solution_facts(coeff, x, "theorem sweep")
         verdicts.append(core.check_power_identities(a, x, 2 * n))
-        verdicts.append(core.check_charpoly_annihilation(a, x))
-        if core.spectra_disjoint(a, x):
-            verdicts.append(core.check_disjoint_spectra_dichotomy(a, x, True))
-        if a_invertible:
-            verdicts.append(core.check_kernel_invariance(a, x))
-            if eigenvalues is not None:
-                verdicts.append(core.check_spectrum_inclusion(a, x, eigenvalues))
-        if single_block:
-            verdicts.append(_single_block_classification(a, jordan.blocks[0][0], x))
-        if two_block and not x.is_zero and not x.is_invertible():
-            verdicts.append(core.check_kernel_classification_two_blocks(a, x, split))
+        verdicts.append(core.check_charpoly_annihilation(coeff, sol))
+        if core.spectra_disjoint(coeff, sol):
+            verdicts.append(core.check_disjoint_spectra_dichotomy(coeff, sol, True))
+        if coeff.invertible:
+            verdicts.append(core.check_kernel_invariance(coeff, sol))
+            if jordan is not None:
+                verdicts.append(core.check_spectrum_inclusion(coeff, sol, eigenvalues))
+        if len(blocks) == 1:
+            verdicts.append(_single_block_classification(a, lams[0], sol))
+        if two_block and not x.is_zero and not sol.invertible:
+            verdicts.append(core.check_kernel_classification_two_blocks(coeff, sol, sizes))
         if jordan is not None:
-            verdicts.append(core.check_eigenvalue_transfer(a, x, eigenpairs))
-        if jordan is not None and a_invertible and simple_blocks:
-            verdicts.extend(_kernel_eigenspace_filters(x, simple_blocks))
+            verdicts.append(core.check_eigenvalue_transfer(coeff, sol, eigenpairs))
+            if coeff.invertible and simple_blocks:
+                verdicts.extend(_kernel_eigenspace_filters(sol, simple_blocks))
     return verdicts
 
 
-def _single_block_classification(a: Matrix, lam, x: Matrix) -> core.PropertyVerdict:
+def _single_block_classification(a: Matrix, lam, x) -> core.PropertyVerdict:
     """For a single Jordan block: with a nonzero eigenvalue every solution is
     zero or similar to the block, which a Jordan chain of the solution
-    certifies; with eigenvalue zero no solution is invertible."""
+    certifies; with eigenvalue zero no solution is invertible. The solution
+    ``x`` is a matrix or its facts record."""
+    x = core.facts(x)
     if lam.is_zero:
-        holds = not x.is_invertible()
+        holds = not x.invertible
         note = "nilpotent block admits no invertible solution"
-    elif x.is_zero:
+    elif x.matrix.is_zero:
         holds, note = True, "zero solution"
     else:
-        holds = jordan_chain_conjugator(x, lam) is not None
+        holds = jordan_chain_conjugator(x.matrix, lam) is not None
         note = "nonzero solution must be similar to the block"
     return core.PropertyVerdict(
         "single-block-classification", holds,
-        witness=None if holds else x, note=note,
+        witness=None if holds else x.matrix, note=note,
     )
 
 
-def _kernel_eigenspace_filters(x: Matrix, simple_blocks):
+def _kernel_eigenspace_filters(sol: core.Facts, simple_blocks):
     """Census filters for the one-dimensional-eigenspace lemmas: a kernel
     equal to such an eigenspace excludes its eigenvalue from the spectrum
     of the solution, and an excluded eigenvalue forces the solution to
     kill the whole generalized eigenspace.
 
-    ``simple_blocks`` lists (eigenvalue, lo, hi) for the Jordan blocks of
-    the coefficient whose eigenvalue labels no other block.
+    ``simple_blocks`` lists (eigenvalue, eigenvector, lo, hi) for the Jordan
+    blocks of the coefficient whose eigenvalue labels no other block. The
+    kernel basis is canonical, so a kernel equal to the span of the
+    eigenvector e_lo has exactly e_lo as its basis.
     """
-    n = x.nrows
-    chi_x = char_poly(x)
-    kernel = x.kernel_basis()
+    x, n = sol.matrix, sol.matrix.nrows
     out = []
-    for lam, lo, hi in simple_blocks:
-        absent = not chi_x(lam).is_zero
-        kernel_is_eigenspace = (
-            len(kernel) == 1
-            and all(kernel[0][t].is_zero for t in range(n) if t != lo)
-            and not kernel[0][lo].is_zero
-        )
-        if kernel_is_eigenspace:
+    for lam, eigenvector, lo, hi in simple_blocks:
+        absent = not sol.charpoly(lam).is_zero
+        if sol.kernel == [eigenvector]:
             out.append(core.PropertyVerdict(
                 "kernel-eigenvalue-exclusion",
                 absent,

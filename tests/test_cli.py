@@ -161,6 +161,17 @@ def test_census_budget_exits_two(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_census_budget_below_one_rejected_at_parsing(capsys, budget):
+    """A budget below 1 is a usage error, not a census that exceeds it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--jordan", "0^4", "--field", "gf:2", "--budget", budget])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument --budget: must be at least 1, not {budget}" in captured.err
+    assert "exceed" not in captured.err
+
+
 def test_census_int64_guard_exits_two(capsys):
     code, out, err = run(capsys, "census", "--jordan", "1^1", "--field", "gf:4294967311",
                          "--budget", str(10 ** 10))
@@ -267,6 +278,16 @@ def test_groebner_pair_cap_exits_two(capsys):
     code, _, err = run(capsys, "groebner", "--ideal", "ybe", "--jordan", "0^3",
                        "--pair-cap", "2")
     assert code == 2 and "cap" in err
+
+
+def test_groebner_negative_pair_cap_rejected_at_parsing(capsys):
+    """A negative pair cap is a usage error, not a cap that was exceeded."""
+    with pytest.raises(SystemExit) as exc:
+        main(["groebner", "--ideal", "ybe", "--jordan", "0^3", "--pair-cap", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --pair-cap: must be at least 0, not -1" in captured.err
+    assert "exceeded" not in captured.err
 
 
 @pytest.mark.parametrize("jordan, golden", [

@@ -2,9 +2,10 @@
 
 This is the ground truth the closed-form families and the theorem checks
 are validated against. Candidates are generated in row-major lexicographic
-order over canonical residues, screened in vectorized batches of integer
-arithmetic mod p, and every survivor is then re-verified with the exact
-scalar arithmetic of the rest of the package before it is reported.
+order over canonical residues, in blocks that share their leading digits,
+and screened with vectorized integer arithmetic mod p one residual entry at
+a time; every survivor is then re-verified with the exact scalar
+arithmetic of the rest of the package before it is reported.
 
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
@@ -17,6 +18,7 @@ the census tallies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,19 +63,45 @@ class CensusReport:
 def _check_int64(p: int, terms: int, total: int) -> None:
     """Refuse a screen whose int64 arithmetic could wrap.
 
-    Entries and digits are residues below p, every product sum in the
-    screen adds at most ``terms`` products of two of them, and candidate
-    indices and digit weights stay below ``total``.
+    The invariant every screen formula keeps: each product sum adds at
+    most ``terms`` products of two residues below p, and every sum is
+    reduced mod p before it becomes a factor again. Digits, tail offsets
+    and block widths stay below ``total``.
     """
     if terms * (p - 1) ** 2 > _INT64_MAX or total > _INT64_MAX:
         raise BudgetError(f"GF({p}) screen of {total} candidates would overflow int64")
 
 
+def _combine(coefs: list[int], rows) -> np.ndarray:
+    """The sum of c * row over the nonzero coefficients c, with no product
+    for c = 1; zeros when every coefficient is zero. Never writes to a row."""
+    terms = [row if c == 1 else c * row for c, row in zip(coefs, rows) if c]
+    return sum(terms[1:], terms[0]) if terms else np.zeros_like(rows[0])
+
+
 def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of candidates with AXA == XAX, all arithmetic mod p;
-    both sides reuse the one product AX."""
-    ax = a @ xs % p
-    return (ax @ a % p == xs @ ax % p).all(axis=(1, 2))
+    """Boolean mask of the candidates with AXA == XAX, all arithmetic mod p.
+
+    ``xs`` is an (N, n, n) view whose entries are contiguous rows over the
+    N candidates. The residual is tested one entry at a time, each on the
+    survivors of the entries before it: entry (i, j) takes row i and
+    column j of AX, reduced mod p before the second product.
+    """
+    n = len(a)
+    a_rows, a_cols = a.tolist(), a.T.tolist()
+    x = xs.transpose(1, 2, 0)
+    alive = np.arange(len(xs))
+    for i, j in itertools.product(range(n), repeat=2):
+        ax_row = [_combine(a_rows[i], x[:, m]) % p for m in range(n)]
+        ax_col = [ax_row[j] if m == i else _combine(a_rows[m], x[:, j]) % p
+                  for m in range(n)]
+        lhs = _combine(a_cols[j], ax_row)
+        rhs = sum(x[i, m] * ax_col[m] for m in range(n))
+        keep = np.flatnonzero((lhs - rhs) % p == 0)
+        x, alive = x[:, :, keep], alive[keep]
+    mask = np.zeros(len(xs), dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
@@ -120,16 +148,38 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
         raise BudgetError(f"{total} {noun} exceed the budget of {budget}")
     _check_int64(p, terms, total)
     a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
-    basis_int = np.array([b.raw for b in basis], dtype=np.int64) if commuting else None
-    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    # A block shares its leading dim - k digits, the head; its trailing k
+    # digits come from one table of the first ``width`` values. Only a
+    # prime above the chunk splits the last digit's range into slices.
+    k = 1
+    while k < dim and p ** (k + 1) <= _CHUNK:
+        k += 1
+    span, width, head_len = p ** k, min(p ** k, _CHUNK), dim - k
+    table = (np.arange(width, dtype=np.int64)
+             // p ** np.arange(k - 1, -1, -1, dtype=np.int64)[:, None] % p)
+    buf = np.empty((n * n, width), dtype=np.int64)
+    if commuting:
+        basis_int = np.array([b.raw for b in basis], dtype=np.int64)
+        tail = basis_int[head_len:].T @ table % p
+    else:
+        buf[head_len:] = table
     found: list[Matrix] = []
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % p
-        xs = (digits @ basis_int % p if commuting else digits).reshape(-1, n, n)
-        mask = _screen_batch(a_int, xs, p)
-        for x_int in xs[mask]:
-            found.append(Matrix.from_rows(field, x_int.tolist()))
+    for head in itertools.product(range(p), repeat=head_len):
+        head = np.array(head, dtype=np.int64)
+        for lo in range(0, span, width):
+            size = min(width, span - lo)
+            block = buf[:, :size]
+            if commuting:
+                offset = (head @ basis_int[:head_len] + lo * basis_int[-1]) % p
+                np.add(tail[:, :size], offset[:, None], out=block)
+                np.remainder(block, p, out=block)
+            else:
+                block[:head_len] = head[:, None]
+                np.add(table[-1, :size], lo, out=block[-1])
+            xs = block.reshape(n, n, size).transpose(2, 0, 1)
+            mask = _screen_batch(a_int, xs, p)
+            for x_int in xs[mask]:
+                found.append(Matrix.from_rows(field, x_int.tolist()))
     return _census_from_matrices(field, a, found, commuting, jordan)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from yangbaxter.cli import main
+from yangbaxter.cli import build_parser, main
 from yangbaxter.fields import Field
 from yangbaxter.matio import loads_matrix
 from yangbaxter.matrices import Matrix, jordan_block, jordan_matrix, nilpotent_block
@@ -176,6 +176,17 @@ def test_census_int64_guard_exits_two(capsys):
     code, out, err = run(capsys, "census", "--jordan", "1^1", "--field", "gf:4294967311",
                          "--budget", str(10 ** 10))
     assert code == 2 and out == "" and "int64" in err
+
+
+def test_census_prime_above_the_screen_block(capsys):
+    """GF(3,000,017) has more residues than a screen block holds, so the
+    range of the one digit is split across blocks; and (p - 1)^3 overflows
+    int64, so an A*A*X not reduced mod p in between would wrap."""
+    code, out, err = run(capsys, "census", "--field", "gf:3000017",
+                         "--jordan", "3000016^1", "--solutions")
+    assert code == 0 and err == ""
+    assert "total: 2" in out
+    assert out.splitlines()[-2:] == ["[0]", "[3000016]"]
 
 
 def test_census_json_round_trips(capsys):
@@ -369,6 +380,25 @@ def test_byte_identical_repeat_invocations(capsys):
     _, f1, _ = run(capsys, "groebner", "--ideal", "ybe", "--jordan", "0^3")
     _, f2, _ = run(capsys, "groebner", "--ideal", "ybe", "--jordan", "0^3")
     assert f1 == f2
+
+
+def test_parse_failure_leaves_the_next_call_unchanged(capsys):
+    """Calls of main share one parser. A call that exits 2 while parsing,
+    one of them after an appended option, changes nothing for the next."""
+    census = ("census", "--jordan", "0^2", "--field", "gf:3")
+    groebner = ("groebner", "--ideal", "ybe", "--jordan", "0^2")
+    before = [run(capsys, *census), run(capsys, *groebner)]
+    for bad in (("census", "--jordan", "0^4", "--field", "gf:2", "--budget", "-1"),
+                ("groebner", "--ideal", "ybe", "--jordan", "0^2", "--probe", "a", "--probe")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert [run(capsys, *census), run(capsys, *groebner)] == before
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_output_to_file(tmp_path, rat, write_matrix, capsys):

@@ -1,13 +1,19 @@
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_kernel_properties import quick
 
 from yangbaxter import oracle
 from yangbaxter.core import is_solution, residual
 from yangbaxter.errors import BudgetError, PreconditionError
 from yangbaxter.fields import Field
 from yangbaxter.matio import parse_jordan
-from yangbaxter.matrices import Matrix, jordan_block, jordan_matrix, nilpotent_block
+from yangbaxter.matrices import (Matrix, centralizer_basis, jordan_block, jordan_matrix,
+                                 nilpotent_block)
 from yangbaxter.unipoly import char_poly
 
 
@@ -113,6 +119,84 @@ def test_int64_guard_fires_within_budget(commuting):
         census(field, "1^1", commuting=commuting, budget=10 ** 10)
 
 
+def reference_screen(a, commuting):
+    """The screen as it was before blocks: every candidate's digits split
+    off its index as idx // weights % p, then one batched AX = a @ xs % p
+    and both sides of AXA = XAX as batched products, all candidates at once."""
+    field, n, p = a.field, a.nrows, a.field.p
+    a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
+    basis = np.array([b.raw for b in centralizer_basis(a)], dtype=np.int64)
+    dim = len(basis) if commuting else n * n
+    idx = np.arange(p ** dim, dtype=np.int64)
+    digits = idx[:, None] // p ** np.arange(dim - 1, -1, -1, dtype=np.int64) % p
+    xs = (digits @ basis % p if commuting else digits).reshape(-1, n, n)
+    ax = a_int @ xs % p
+    mask = (ax @ a_int % p == xs @ ax % p).all(axis=(1, 2))
+    return sorted((Matrix.from_rows(field, x.tolist()) for x in xs[mask]),
+                  key=lambda m: m.raw)
+
+
+def assert_screen_matches_reference(a, commuting, chunk):
+    enum = oracle.enumerate_commuting_solutions if commuting else oracle.enumerate_solutions
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        found = enum(a).solutions
+    assert list(found) == reference_screen(a, commuting)
+
+
+@pytest.mark.parametrize("p, rows, commuting, chunk", [
+    # p^dim within one block: no head digits
+    (3, [[1, 2, 0], [2, 0, 1], [1, 1, 2]], False, oracle._CHUNK),
+    # k = 4 trailing digits of dim = 9: heads of 5 digits
+    (2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], False, 16),
+    # p = 7 above a block of 5: the last digit's range is split
+    (7, [[3, 5], [6, 2]], False, 5),
+    (7, [[3, 5], [6, 2]], True, 5),
+    # centralizer of dim 3 in blocks of p^2 = 9
+    (3, [[2, 1, 0], [1, 0, 2], [0, 1, 1]], True, 10),
+])
+def test_block_screen_matches_reference_cases(p, rows, commuting, chunk):
+    assert_screen_matches_reference(Matrix.from_rows(Field.gf(p), rows), commuting, chunk)
+
+
+@settings(quick, max_examples=100)
+@given(data=st.data())
+def test_block_screen_matches_reference_screen(data):
+    """Dense coefficients over GF(2), GF(3), GF(5) and GF(7) with n <= 3 and
+    at most 20,000 candidates, in blocks of the real size or of a small one
+    that leaves heads, a dim that is not a multiple of k, or a split digit."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    n = data.draw(st.integers(1, 3), label="n")
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                              min_size=n, max_size=n), label="rows")
+    a = Matrix.from_rows(Field.gf(p), rows)
+    commuting = data.draw(st.booleans(), label="commuting")
+    total = p ** (len(centralizer_basis(a)) if commuting else n * n)
+    assume(total <= 20_000)
+    low = max(2, total // 100)
+    chunk = data.draw(st.just(oracle._CHUNK) | st.integers(low, low + 400), label="chunk")
+    assert_screen_matches_reference(a, commuting, chunk)
+
+
+def test_screen_reduces_ax_before_the_second_product():
+    """At p = 1,000,000,007 a 2x2 screen keeps 2 (p - 1)^2 within int64, as
+    the guard demands, only because AX is reduced mod p before it is
+    multiplied again; unreduced, the second products reach (p - 1)^3 and
+    wrap, and true solutions are lost."""
+    from yangbaxter.families import family_2x2_invertible
+
+    field = Field.gf(1_000_000_007)
+    lam = field.scalar(123_456_789)
+    a = jordan_block(field, lam, 2)
+    cands = [family_2x2_invertible(lam, branch, field.scalar(v))
+             for branch in ("plus", "minus") for v in (4, 9, 10 ** 8)]
+    cands += [a, Matrix.zero(field, 2), a * a, Matrix.from_rows(field, [[1, 2], [3, 4]])]
+    expected = [is_solution(a, x) for x in cands]
+    assert expected.count(True) == 8
+    xs = np.array([x.raw for x in cands], dtype=np.int64).reshape(-1, 2, 2)
+    a_int = np.array(a.raw, dtype=np.int64).reshape(2, 2)
+    assert oracle._screen_batch(a_int, xs, field.p).tolist() == expected
+
+
 def test_enumeration_needs_prime_field(rat):
     with pytest.raises(PreconditionError):
         oracle.enumerate_solutions(nilpotent_block(rat, 2))
@@ -189,7 +273,6 @@ def test_equal_eigenvalue_two_block_kernels_can_mix_blocks(gf2):
     assert others == []
 
 
-@pytest.mark.slow
 def test_two_block_distinct_eigenvalue_census_kernels(gf3):
     """Full 43M-candidate census for diag(J2(1), J2(2)) over GF(3): every
     singular nonzero solution has kernel P1, P2 or P1+P2."""

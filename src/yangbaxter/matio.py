@@ -23,6 +23,7 @@ from .matrices import JordanSpec, Matrix
 from .oracle import CensusReport
 
 _MATRIX_KEYS = {"field", "rows"}
+_CENSUS_KEYS = "field coefficient commuting_only solutions by_rank by_kernel total".split()
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -137,15 +138,15 @@ def census_to_json(report: CensusReport) -> dict:
 def census_from_json(obj) -> CensusReport:
     if not isinstance(obj, dict) or obj.get("schema") != "census/1":
         raise ParseError("not a census/1 document")
+    if missing := [key for key in _CENSUS_KEYS if key not in obj]:
+        raise ParseError(f"census document needs {missing[0]!r}")
     field = Field.from_spec(obj["field"])
-    coefficient = matrix_from_json(obj["coefficient"])
     jordan = parse_jordan(field, obj["jordan"]) if obj.get("jordan") else None
-    solutions = tuple(matrix_from_json(s) for s in obj["solutions"])
     report = CensusReport(
         field=field,
-        coefficient=coefficient,
+        coefficient=matrix_from_json(obj["coefficient"]),
         commuting_only=bool(obj["commuting_only"]),
-        solutions=solutions,
+        solutions=tuple(matrix_from_json(s) for s in obj["solutions"]),
         by_rank={int(k): v for k, v in obj["by_rank"].items()},
         by_kernel=dict(obj["by_kernel"]),
         jordan=jordan,

@@ -1,11 +1,11 @@
 """Brute-force enumeration of solution sets over small prime fields.
 
 This is the ground truth the closed-form families and the theorem checks
-are validated against. Candidates are generated in row-major lexicographic
-order over canonical residues, in blocks that share their leading digits,
-and screened with vectorized integer arithmetic mod p one residual entry at
-a time; every survivor is then re-verified with the exact scalar
-arithmetic of the rest of the package before it is reported.
+are validated against. Candidates are searched depth first over the
+coordinates of a basis, each residual entry screened mod p with vectorized
+integer arithmetic at the stage whose coordinates fix it, so a failing
+partial matrix is dropped with every extension; every survivor is then
+re-verified with the exact scalar arithmetic of the rest of the package.
 
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
@@ -31,7 +31,7 @@ from .fields import Field
 from .matrices import JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator
 
 DEFAULT_BUDGET = 10_000_000
-_CHUNK = 1 << 15
+_CHUNK = 1 << 14
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -63,10 +63,10 @@ class CensusReport:
 def _check_int64(p: int, terms: int, total: int) -> None:
     """Refuse a screen whose int64 arithmetic could wrap.
 
-    The invariant every screen formula keeps: each product sum adds at
-    most ``terms`` products of two residues below p, and every sum is
-    reduced mod p before it becomes a factor again. Digits, tail offsets
-    and block widths stay below ``total``.
+    The invariant every formula of the search keeps: each sum adds at most
+    ``terms`` products of two residues below p, or two residues, and is
+    reduced mod p before it becomes a factor again. Place values, digits
+    and the number of partial matrices in a stage stay below ``total``.
     """
     if terms * (p - 1) ** 2 > _INT64_MAX or total > _INT64_MAX:
         raise BudgetError(f"GF({p}) screen of {total} candidates would overflow int64")
@@ -79,11 +79,12 @@ def _combine(coefs: list[int], rows) -> np.ndarray:
     return sum(terms[1:], terms[0]) if terms else np.zeros_like(rows[0])
 
 
-def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of the candidates with AXA == XAX, all arithmetic mod p.
+def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries=None) -> np.ndarray:
+    """Boolean mask of the candidates whose residual AXA - XAX vanishes mod p
+    at ``entries``; the default, every entry, serves direct tests of the screen.
 
     ``xs`` is an (N, n, n) view whose entries are contiguous rows over the
-    N candidates. The residual is tested one entry at a time, each on the
+    N candidates. The entries are tested one at a time, each on the
     survivors of the entries before it: entry (i, j) takes row i and
     column j of AX, reduced mod p before the second product.
     """
@@ -91,7 +92,7 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
     a_rows, a_cols = a.tolist(), a.T.tolist()
     x = xs.transpose(1, 2, 0)
     alive = np.arange(len(xs))
-    for i, j in itertools.product(range(n), repeat=2):
+    for i, j in itertools.product(range(n), repeat=2) if entries is None else entries:
         ax_row = [_combine(a_rows[i], x[:, m]) % p for m in range(n)]
         ax_col = [ax_row[j] if m == i else _combine(a_rows[m], x[:, j]) % p
                   for m in range(n)]
@@ -99,21 +100,17 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
         rhs = sum(x[i, m] * ax_col[m] for m in range(n))
         keep = np.flatnonzero((lhs - rhs) % p == 0)
         x, alive = x[:, :, keep], alive[keep]
-    mask = np.zeros(len(xs), dtype=bool)
-    mask[alive] = True
-    return mask
+    return np.bincount(alive, minlength=len(xs)) > 0
 
 
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                           commuting: bool, jordan: JordanSpec | None) -> CensusReport:
-    solutions = []
-    for x in sorted(mats, key=lambda m: m.raw):
-        rep = core.residual(a, x)
-        if not rep.is_solution:
+    solutions = sorted(mats, key=lambda m: m.raw)
+    for x in solutions:
+        if not core.residual(a, x).is_solution:
             raise AssertionError("screened candidate fails the exact residual")
         if commuting and a * x != x * a:
             raise AssertionError("screened candidate fails exact commutation")
-        solutions.append(x)
     by_rank: dict[int, int] = {}
     by_kernel: dict[str, int] = {}
     ranges = jordan.block_ranges() if jordan is not None else None
@@ -130,56 +127,58 @@ def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
 
 def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
                commuting: bool) -> CensusReport:
-    """Screen the candidates, every matrix or only the centralizer of A,
-    in lexicographic order of their canonical digits."""
+    """Search every matrix, or only the centralizer of A, depth first over
+    the coordinates of a basis, in pieces of at most ``_CHUNK``. A stage sets
+    the coordinates up to the next one that fixes a residual entry, the first
+    stage at least those one piece holds, and screens the entries they fix."""
     field = a.field
     if field.kind != "gf":
         raise PreconditionError("census enumeration needs a prime field")
     p, n = field.p, a.nrows
     if commuting:
-        basis = centralizer_basis(a)
-        dim, terms, noun = len(basis), max(n, len(basis)), "centralizer candidates"
+        basis, noun = [b.raw for b in centralizer_basis(a)], "centralizer candidates"
     else:
         if not a.is_square:
             raise PreconditionError("coefficient must be square")
-        dim, terms, noun = n * n, n, "candidates"
-    total = p ** dim
+        # cross order: row s from the diagonal on, then column s below it
+        cross = sorted(range(n * n), key=lambda c: (min(divmod(c, n)), c))
+        basis, noun = np.eye(n * n, dtype=np.int64)[cross], "candidates"
+    basis = np.array(basis, dtype=np.int64).reshape(-1, n, n)
+    dim, total = len(basis), p ** len(basis)
     if total > budget:
         raise BudgetError(f"{total} {noun} exceed the budget of {budget}")
-    _check_int64(p, terms, total)
+    _check_int64(p, dim, total)
     a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
-    # A block shares its leading dim - k digits, the head; its trailing k
-    # digits come from one table of the first ``width`` values. Only a
-    # prime above the chunk splits the last digit's range into slices.
-    k = 1
-    while k < dim and p ** (k + 1) <= _CHUNK:
-        k += 1
-    span, width, head_len = p ** k, min(p ** k, _CHUNK), dim - k
-    table = (np.arange(width, dtype=np.int64)
-             // p ** np.arange(k - 1, -1, -1, dtype=np.int64)[:, None] % p)
-    buf = np.empty((n * n, width), dtype=np.int64)
-    if commuting:
-        basis_int = np.array([b.raw for b in basis], dtype=np.int64)
-        tail = basis_int[head_len:].T @ table % p
-    else:
-        buf[head_len:] = table
+    last = np.where(basis != 0, np.arange(dim)[:, None, None], -1).max(axis=0)
+    head = max((t for t in range(1, dim + 1) if p ** t <= _CHUNK), default=min(dim, 1))
+    fixed: dict[int, list[tuple[int, int]]] = {}  # stage end -> the entries it fixes
+    for i, j in itertools.product(range(n), repeat=2):
+        reads = np.outer(a_int[i] != 0, a_int[:, j] != 0)  # X_kl where A_ik, A_lj != 0
+        reads[i], reads[:, j] = True, True  # row i and column j of X
+        if (t := last[reads].max()) >= 0:  # else X is zero on every read
+            fixed.setdefault(max(t + 1, head), []).append((i, j))
+    ends = sorted({head, dim, *fixed})
     found: list[Matrix] = []
-    for head in itertools.product(range(p), repeat=head_len):
-        head = np.array(head, dtype=np.int64)
-        for lo in range(0, span, width):
-            size = min(width, span - lo)
-            block = buf[:, :size]
-            if commuting:
-                offset = (head @ basis_int[:head_len] + lo * basis_int[-1]) % p
-                np.add(tail[:, :size], offset[:, None], out=block)
-                np.remainder(block, p, out=block)
-            else:
-                block[:head_len] = head[:, None]
-                np.add(table[-1, :size], lo, out=block[-1])
-            xs = block.reshape(n, n, size).transpose(2, 0, 1)
-            mask = _screen_batch(a_int, xs, p)
-            for x_int in xs[mask]:
-                found.append(Matrix.from_rows(field, x_int.tolist()))
+
+    def descend(x: np.ndarray, start: int) -> None:  # x: (n, n, S), coordinates < start set
+        if start == dim:
+            return found.extend(Matrix.from_rows(field, m) for m in x.transpose(2, 0, 1).tolist())
+        stop = next(e for e in ends if e > start)
+        span, on = p ** (stop - start), (basis[start:stop] != 0).any(axis=0)
+        step, place = max(1, _CHUNK // span), p ** np.arange(stop - start)[::-1, None]
+        wraps = (basis[:start, on] != 0).any()  # else X is zero where the run adds
+        for d in range(0, span, _CHUNK):
+            # the run's combinations d, d + 1, ... as base-p digits, times its elements
+            add = basis[start:stop, on].T @ (np.arange(d, min(d + _CHUNK, span)) // place % p) % p
+            for lo in range(0, x.shape[2], step):
+                ext = np.repeat(x[:, :, lo:lo + step, None], add.shape[1], axis=3)
+                ext[on] = (ext[on] + add[:, None]) % p if wraps else add[:, None]
+                ext = ext.reshape(n, n, -1)
+                if entries := fixed.get(stop):
+                    ext = ext[:, :, _screen_batch(a_int, ext.transpose(2, 0, 1), p, entries)]
+                descend(ext, stop)
+
+    descend(np.zeros((n, n, 1), dtype=np.int64), 0)
     return _census_from_matrices(field, a, found, commuting, jordan)
 
 

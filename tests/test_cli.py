@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -187,6 +188,23 @@ def test_census_prime_above_the_screen_block(capsys):
     assert code == 0 and err == ""
     assert "total: 2" in out
     assert out.splitlines()[-2:] == ["[0]", "[3000016]"]
+
+
+@pytest.mark.parametrize("field, jordan, code, total, digest", [
+    ("gf:2", "0^5", 0, 352, "68fc44f02ce2be57d2bcb773d8ace127a31a397ede91f64dc97ae75049843c38"),
+    ("gf:3", "0^4", 0, 891, "43b8c1d530fa143ac8a53aa3af89e2fd37148aeb4ed616b47d340d5872c67fd1"),
+    ("gf:3", "1^4", 0, 83, "33ddac5f4fbc220c6679ed3447b27d9480622768a67c34871860752618894d39"),
+    ("gf:3", "1^2,1^2", 1, 839, "c6458ab21f4776208dd898fb62f3e9ae91a417cc205fa9e72cff41137b4138d1"),
+    ("gf:7", "1^3", 0, 51, "a5f154193276362891e4fd9bd248eb63a1fb91b306d26047751c1ec55f7c03d8"),
+])
+def test_census_golden_beyond_the_default_budget(capsys, field, jordan, code, total, digest):
+    """Censuses of 3.4e7 to 4.3e7 candidates, recorded with a
+    screen of every candidate: exit code, total and the sha256 of the
+    --json output."""
+    got, out, _ = run(capsys, "census", "--field", field, "--jordan", jordan,
+                      "--budget", "100000000", "--json")
+    assert (got, json.loads(out)["total"]) == (code, total)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_census_json_round_trips(capsys):

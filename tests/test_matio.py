@@ -94,3 +94,13 @@ def test_census_schema_is_stable(gf2):
     assert set(doc) >= {"field", "coefficient", "by_rank", "by_kernel", "solutions"}
     with pytest.raises(ParseError):
         census_from_json({"schema": "census/2"})
+
+
+@pytest.mark.parametrize("key", ["field", "coefficient", "commuting_only", "solutions",
+                                 "by_rank", "by_kernel", "total"])
+def test_census_missing_key_is_a_parse_error(gf2, key):
+    spec = parse_jordan(gf2, "0^2")
+    doc = census_to_json(oracle.enumerate_solutions(jordan_matrix(gf2, spec), jordan=spec))
+    del doc[key]
+    with pytest.raises(ParseError, match=f"'{key}'"):
+        census_from_json(doc)

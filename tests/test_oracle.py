@@ -144,14 +144,15 @@ def assert_screen_matches_reference(a, commuting, chunk):
 
 
 @pytest.mark.parametrize("p, rows, commuting, chunk", [
-    # p^dim within one block: no head digits
-    (3, [[1, 2, 0], [2, 0, 1], [1, 1, 2]], False, oracle._CHUNK),
-    # k = 4 trailing digits of dim = 9: heads of 5 digits
+    # all p^dim = 19,683 candidates fit one piece of 2^15: a single stage
+    (3, [[1, 2, 0], [2, 0, 1], [1, 1, 2]], False, 1 << 15),
+    # pieces of 16 over dim = 9: a first stage of 2^4 = 16 partial
+    # matrices, then three stages of several pieces each
     (2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]], False, 16),
-    # p = 7 above a block of 5: the last digit's range is split
+    # p = 7 above pieces of 5: a stage's combinations are split into slices
     (7, [[3, 5], [6, 2]], False, 5),
     (7, [[3, 5], [6, 2]], True, 5),
-    # centralizer of dim 3 in blocks of p^2 = 9
+    # centralizer of dim 3 in pieces of 10: a first stage of p^2 = 9
     (3, [[2, 1, 0], [1, 0, 2], [0, 1, 1]], True, 10),
 ])
 def test_block_screen_matches_reference_cases(p, rows, commuting, chunk):
@@ -162,8 +163,8 @@ def test_block_screen_matches_reference_cases(p, rows, commuting, chunk):
 @given(data=st.data())
 def test_block_screen_matches_reference_screen(data):
     """Dense coefficients over GF(2), GF(3), GF(5) and GF(7) with n <= 3 and
-    at most 20,000 candidates, in blocks of the real size or of a small one
-    that leaves heads, a dim that is not a multiple of k, or a split digit."""
+    at most 20,000 candidates, in pieces of the real size or of a small one
+    that splits the stages into several pieces or a digit range in slices."""
     p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
     n = data.draw(st.integers(1, 3), label="n")
     rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
@@ -175,6 +176,93 @@ def test_block_screen_matches_reference_screen(data):
     low = max(2, total // 100)
     chunk = data.draw(st.just(oracle._CHUNK) | st.integers(low, low + 400), label="chunk")
     assert_screen_matches_reference(a, commuting, chunk)
+
+
+# block sizes of the Jordan coefficients drawn below, summing to at most 4
+PARTITIONS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)],
+              4: [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]}
+
+
+@settings(quick, max_examples=100)
+@given(data=st.data())
+def test_staged_census_matches_reference_on_jordan_coefficients(data):
+    """Jordan coefficients fix residual entries early, so the search prunes
+    partial matrices long before the last stage, unlike the dense ones
+    above: total size at most 3 over GF(2), GF(3), GF(5) and GF(7), or 4
+    over GF(2). At most 70,000 candidates, for the reference to hold, and
+    at most 1,000 solutions, whose exact re-verification would dominate."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    size = data.draw(st.integers(1, 4 if p == 2 else 3), label="size")
+    sizes = data.draw(st.sampled_from(PARTITIONS[size]), label="sizes")
+    lams = data.draw(st.lists(st.integers(0, p - 1), min_size=len(sizes),
+                              max_size=len(sizes)), label="lams")
+    a = jordan_matrix(Field.gf(p), list(zip(lams, sizes)))
+    commuting = data.draw(st.booleans(), label="commuting")
+    assume(p ** (len(centralizer_basis(a)) if commuting else size * size) <= 70_000)
+    expected = reference_screen(a, commuting)
+    assume(len(expected) <= 1000)
+    chunk = data.draw(st.just(oracle._CHUNK) | st.integers(2, 256), label="chunk")
+    enum = oracle.enumerate_commuting_solutions if commuting else oracle.enumerate_solutions
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        assert list(enum(a).solutions) == expected
+
+
+def screened_states(a, commuting, chunk):
+    """The number of partial matrices handed to each screen call, whose
+    entries must be residues, as the int64 guard assumes."""
+    sizes = []
+    screen = oracle._screen_batch
+
+    def spy(a_int, xs, p, *rest):
+        assert ((0 <= xs) & (xs < p)).all()
+        sizes.append(len(xs))
+        return screen(a_int, xs, p, *rest)
+
+    enum = oracle.enumerate_commuting_solutions if commuting else oracle.enumerate_solutions
+    with mock.patch.object(oracle, "_screen_batch", spy), \
+            mock.patch.object(oracle, "_CHUNK", chunk):
+        enum(a)
+    return sizes
+
+
+@pytest.mark.parametrize("p, shorthand, commuting, chunk", [
+    (5, "1^3", False, oracle._CHUNK),
+    (5, "1^2,2^1", True, oracle._CHUNK),
+    (2, "0^4", False, 16),
+    # p = 7 above a chunk of 5: a stage's combinations are split into slices
+    (7, "1^2", False, 5),
+    (7, "1^2", True, 5),
+    (7, "3^1,2^1", False, 5),
+])
+def test_screen_calls_stay_within_the_chunk(p, shorthand, commuting, chunk):
+    field = Field.gf(p)
+    a = jordan_matrix(field, parse_jordan(field, shorthand))
+    sizes = screened_states(a, commuting, chunk)
+    assert sizes and max(sizes) <= chunk
+
+
+@pytest.mark.parametrize("chunk", [5, 49])
+def test_overlapping_basis_elements_are_reduced(chunk):
+    """The centralizer basis of a dense coefficient, I and A, overlaps: in
+    pieces of 5 the second stage adds to entries the first one set, and in
+    one piece of p^2 = 49 a single stage sums both elements."""
+    a = Matrix.from_rows(Field.gf(7), [[3, 5], [6, 2]])
+    assert screened_states(a, True, chunk)
+
+
+def test_census_within_one_piece_is_screened_whole(gf3):
+    """The 81 candidates of the 2x2 block over GF(3) fit one piece, so the
+    first stage sets every coordinate and a single screen call sees them."""
+    a = jordan_matrix(gf3, parse_jordan(gf3, "0^2"))
+    assert screened_states(a, False, oracle._CHUNK) == [81]
+
+
+def test_cross_order_prunes_early(gf5):
+    """The 1,953,125 candidates of the 3x3 block over GF(5) cost under
+    100,000 partial matrices screened, because the cross order fixes the
+    residual entries of a Jordan coefficient stage by stage."""
+    a = jordan_matrix(gf5, parse_jordan(gf5, "1^3"))
+    assert sum(screened_states(a, False, oracle._CHUNK)) < 100_000
 
 
 def test_screen_reduces_ax_before_the_second_product():

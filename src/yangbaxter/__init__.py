@@ -75,7 +75,7 @@ from .sylvester import (
     sylvester_solve,
     sylvester_unique,
 )
-from .unipoly import UniPoly, char_poly, is_similar, min_poly
+from .unipoly import UniPoly, char_poly, min_poly
 
 __version__ = "0.1.0"
 
@@ -121,7 +121,6 @@ __all__ = [
     "family_3x3_nilpotent",
     "family_nilpotent_general",
     "find_family",
-    "is_similar",
     "is_solution",
     "jordan_block",
     "jordan_chain_conjugator",

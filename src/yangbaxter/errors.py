@@ -58,10 +58,6 @@ class ConstructionError(AlgebraError):
     """A constructor assembled a matrix that failed its own verification."""
 
 
-class InconclusiveError(AlgebraError):
-    """Similarity test cannot decide: candidate eigenvalues miss a spectrum."""
-
-
 class BudgetError(AlgebraError):
     """Exhaustive enumeration would exceed the candidate budget."""
 

@@ -194,15 +194,6 @@ class Matrix:
         return Matrix._make(self.field, self.ncols, self.nrows,
                             [v for j in range(self.ncols) for v in self.raw[j::self.ncols]])
 
-    def trace(self) -> Scalar:
-        if not self.is_square:
-            raise DimensionError("trace needs a square matrix")
-        f = self.field
-        acc = f.ZERO
-        for v in self.raw[::self.ncols + 1]:
-            acc = f.add(acc, v)
-        return Scalar(f, acc)
-
     def apply(self, vec) -> tuple[Scalar, ...]:
         """Multiply this matrix by a column vector given as a scalar sequence."""
         f = self.field

@@ -14,12 +14,16 @@ Classification against the single-block families holds no formula of its
 own: it reads a solution's free entries, calls the family constructor on
 them and compares what comes back, so a broken constructor shows up in
 the census tallies.
+
+The theorem sweep checks product identities mod p on one stack of all
+solutions; only a solution that batch flags meets the exact check, the
+one source of failing verdicts.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .fields import Field
 from .matrices import JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator
 
 DEFAULT_BUDGET = 10_000_000
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -48,6 +52,8 @@ class CensusReport:
     jordan: JordanSpec | None = None
     family_tags: tuple[str, ...] | None = None
     family_tallies: dict[str, int] | None = None
+    # the census's verified record of each solution, in order; none when read from a file
+    facts: tuple[core.Facts, ...] | None = dataclass_field(default=None, compare=False, repr=False)
 
     @property
     def total(self) -> int:
@@ -103,26 +109,52 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries=None) -> np.nda
     return np.bincount(alive, minlength=len(xs)) > 0
 
 
+def _product_masks(coeff: core.Facts, xs: list[Matrix]):
+    """Boolean masks over n x n matrices ``xs`` over GF(p): which satisfy
+    AXA^k = X^k AX and A^k XA = XA X^k for k = 1 .. 2n, and which satisfy
+    XA phi(X) = 0 = phi(X) AX for phi = char(A), by Horner from lead * I."""
+    a, phi = coeff.matrix, coeff.charpoly.raw
+    p, n = a.field.p, a.nrows
+    _check_int64(p, n + 1, len(xs))
+    stack = np.array([m.raw for m in (a, *xs)], dtype=np.int64).reshape(-1, n, n)
+    a, xs = stack[0], stack[1:]
+    ident = np.eye(n, dtype=np.int64)
+    ax, xa = a @ xs % p, xs @ a % p
+    left, right, left2, right2 = ax, ax, xa, xa
+    powers = np.ones(len(xs), dtype=bool)
+    for _ in range(2 * n):
+        left, right = left @ a % p, xs @ right % p
+        left2, right2 = a @ left2 % p, right2 @ xs % p
+        powers &= ((left == right) & (left2 == right2)).all(axis=(1, 2))
+    acc = np.broadcast_to(phi[-1] * ident, xs.shape)
+    for c in reversed(phi[:-1]):
+        acc = (acc @ xs + c * ident) % p
+    annihilated = ~((xa @ acc % p).any(axis=(1, 2)) | (acc @ ax % p).any(axis=(1, 2)))
+    return powers, annihilated
+
+
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                           commuting: bool, jordan: JordanSpec | None) -> CensusReport:
     solutions = sorted(mats, key=lambda m: m.raw)
-    for x in solutions:
-        if not core.residual(a, x).is_solution:
-            raise AssertionError("screened candidate fails the exact residual")
-        if commuting and a * x != x * a:
-            raise AssertionError("screened candidate fails exact commutation")
+    coeff = core.Facts(a)
+    try:  # the one exact residual of each solution
+        records = tuple(core.solution_facts(coeff, x, "census") for x in solutions)
+    except PreconditionError as err:
+        raise AssertionError("screened candidate fails the exact residual") from err
+    if commuting and any(a * x != x * a for x in solutions):
+        raise AssertionError("screened candidate fails exact commutation")
     by_rank: dict[int, int] = {}
     by_kernel: dict[str, int] = {}
     ranges = jordan.block_ranges() if jordan is not None else None
-    for x in solutions:
-        kernel = x.kernel_basis()
-        r = x.ncols - len(kernel)
+    for x in records:
+        kernel = x.kernel
+        r = a.ncols - len(kernel)
         by_rank[r] = by_rank.get(r, 0) + 1
         label = (core.kernel_block_label(kernel, ranges) if ranges is not None
                  else f"dim={len(kernel)}")
         by_kernel[label] = by_kernel.get(label, 0) + 1
     return CensusReport(field, a, commuting, tuple(solutions),
-                        by_rank, by_kernel, jordan=jordan)
+                        by_rank, by_kernel, jordan=jordan, facts=records)
 
 
 def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
@@ -305,12 +337,19 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
 
     Failures are findings, not errors; the list carries one verdict per
     (solution, applicable property). The facts of A are derived once per
-    census and those of each solution once, its residual included, and
-    every check reads them from the records.
+    census and those of each solution once, its residual and kernel from
+    the census's records when the report keeps them. Over GF(p) the power
+    identities and charpoly annihilation of all solutions are batched mod
+    p first, and only a flagged solution meets the exact check.
     """
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
-    coeff = core.Facts(a)
+    kept = report.facts or ()
+    coeff = kept[0].coefficient if kept and kept[0].coefficient.matrix is a else core.Facts(a)
+    sols = [core.solution_facts(coeff, x, "theorem sweep") for x in kept or report.solutions]
+    cleared = itertools.repeat((None, None))  # no batch outside GF(p)
+    if a.field.kind == "gf":
+        cleared = zip(*_product_masks(coeff, [s.matrix for s in sols]))
     blocks = jordan.blocks if jordan is not None else ()
     lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)
     two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
@@ -324,10 +363,12 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
                          if lams.count(lam) == 1]
 
     verdicts: list[core.PropertyVerdict] = []
-    for x in report.solutions:
-        sol = core.solution_facts(coeff, x, "theorem sweep")
-        verdicts.append(core.check_power_identities(a, x, 2 * n))
-        verdicts.append(core.check_charpoly_annihilation(coeff, sol))
+    for sol, (powers, annihilated) in zip(sols, cleared):
+        x = sol.matrix
+        verdicts.append(_exact_unless_cleared(powers, "power-identities",
+                                              core.check_power_identities, a, x, 2 * n))
+        verdicts.append(_exact_unless_cleared(annihilated, "charpoly-annihilation",
+                                              core.check_charpoly_annihilation, coeff, sol))
         if core.spectra_disjoint(coeff, sol):
             verdicts.append(core.check_disjoint_spectra_dichotomy(coeff, sol, True))
         if coeff.invertible:
@@ -343,6 +384,17 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
             if coeff.invertible and simple_blocks:
                 verdicts.extend(_kernel_eigenspace_filters(sol, simple_blocks))
     return verdicts
+
+
+def _exact_unless_cleared(cleared, name: str, check, *args) -> core.PropertyVerdict:
+    """The passing verdict when the batch cleared the solution, else the exact
+    check's, which must fail if the batch ran (``cleared`` not None)."""
+    if cleared:
+        return core.PropertyVerdict(name, True)
+    verdict = check(*args)
+    if verdict.holds and cleared is not None:
+        raise AssertionError(f"{name}: exact check holds on a solution the mod-p batch flags")
+    return verdict
 
 
 def _single_block_classification(a: Matrix, lam, x) -> core.PropertyVerdict:

@@ -1,8 +1,8 @@
 """Exact univariate polynomials, characteristic and minimal polynomials.
 
-The characteristic polynomial det(xI - M) is expanded by fraction-free
-Bareiss elimination over the polynomial ring F[x], for every field. F[x]
-is an integral domain, so every division is exact.
+The characteristic polynomial det(xI - M) comes from a Hessenberg form
+of M and the recurrence over its leading blocks, for every field: O(n^3)
+operations on the field's raw values.
 
 Spectral questions need no root finding: :func:`unsplit_part` divides out
 the linear factors at roots a caller supplies and leaves the rest.
@@ -10,9 +10,9 @@ the linear factors at roots a caller supplies and leaves the rest.
 
 from __future__ import annotations
 
-from itertools import starmap, zip_longest
+from itertools import accumulate, starmap, zip_longest
 
-from .errors import DimensionError, FieldMismatchError, InconclusiveError
+from .errors import DimensionError, FieldMismatchError
 from .fields import Field, Scalar, power
 from .matrices import Matrix
 
@@ -150,12 +150,6 @@ class UniPoly:
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
-    def divexact(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("inexact polynomial division")
-        return q
-
     def divides(self, other: "UniPoly") -> bool:
         if self.is_zero:
             return other.is_zero
@@ -183,9 +177,9 @@ class UniPoly:
             raise DimensionError("polynomial evaluation needs a square matrix")
         if m.field is not self.field:
             raise FieldMismatchError("matrix field differs from coefficient field")
-        acc = Matrix.zero(self.field, m.nrows)
         ident = Matrix.identity(self.field, m.nrows)
-        for c in reversed(self.raw):
+        acc = ident.scale(self.raw[-1]) if self.raw else Matrix.zero(self.field, m.nrows)
+        for c in reversed(self.raw[:-1]):
             acc = acc * m + ident.scale(c)
         return acc
 
@@ -208,27 +202,42 @@ class UniPoly:
 
 
 def char_poly(m: Matrix) -> UniPoly:
-    """Monic characteristic polynomial det(xI - m), by Bareiss elimination
-    over the field[x] ring.
+    """Monic characteristic polynomial det(xI - m) (Cohen, GTM 138, 2.2.9).
 
-    Every division is exact because the intermediate entries are minors of
-    xI - m. Each pivot is a leading principal minor of xI - m, hence monic
-    and never zero, so no row swap is needed.
+    Similarities bring m to upper Hessenberg form H, with a row and column
+    swap for a zero pivot; the leading blocks of H then satisfy
+    p_k = (x - h_kk) p_(k-1) - sum_i h_ik (h_(i+1)i ... h_k(k-1)) p_(i-1).
     """
     if not m.is_square:
         raise DimensionError("characteristic polynomial needs a square matrix")
-    field, n = m.field, m.nrows
-    x = UniPoly.x(field)
-    work = [[(x if i == j else UniPoly.zero(field)) - UniPoly._make(field, [m.raw[i * n + j]])
-             for j in range(n)] for i in range(n)]
-    prev = UniPoly.one(field)
+    f, n, z = m.field, m.nrows, m.field.ZERO
+    h = m._raw_rows()
+    for c in range(n - 2):
+        r = next((i for i in range(c + 1, n) if h[i][c] != z), None)
+        if r is None:
+            continue
+        if r != c + 1:
+            h[r], h[c + 1] = h[c + 1], h[r]
+            for row in h:
+                row[r], row[c + 1] = row[c + 1], row[r]
+        inv = f.inv(h[c + 1][c])
+        for i in range(c + 2, n):
+            if (u := f.mul(h[i][c], inv)) != z:
+                h[i] = f.sub_scaled(h[i], u, h[c + 1])
+                for row in h:
+                    row[c + 1] = f.add(row[c + 1], f.mul(u, row[i]))
+    polys = [[f.ONE]]
     for k in range(n):
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = num.divexact(prev)
-        prev = work[k][k]
-    return prev
+        pk = [z, *polys[k]]
+        pk[:k + 1] = f.sub_scaled(pk[:k + 1], h[k][k], polys[k])
+        t = f.ONE
+        for i in range(k - 1, -1, -1):
+            t = f.mul(t, h[i + 1][i])
+            if t == z:
+                break
+            pk[:i + 1] = f.sub_scaled(pk[:i + 1], f.mul(t, h[i][k]), polys[i])
+        polys.append(pk)
+    return UniPoly._make(f, polys[n])
 
 
 def min_poly(m: Matrix) -> UniPoly:
@@ -250,45 +259,16 @@ def min_poly(m: Matrix) -> UniPoly:
 
 def unsplit_part(p: UniPoly, roots) -> UniPoly:
     """What is left of a nonzero p once every factor x - r, for r among
-    ``roots``, is divided out to its full multiplicity: p divided by
-    gcd(p, prod (x - r)^deg p). Constant exactly when every root of p is
-    among ``roots``."""
+    ``roots``, is divided out to its full multiplicity: one synthetic
+    division by x - r after another while r is a root. Constant exactly
+    when every root of p is among ``roots``."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no unsplit part")
-    f = p.field
-    bound = UniPoly.one(f)
+    f, raw = p.field, p.raw
     for r in dict.fromkeys(map(f.coerce, roots)):
-        bound = bound * UniPoly.linear(f, r) ** p.degree
-    return p.divexact(p.gcd(bound))
-
-
-def is_similar(x: Matrix, y: Matrix, candidate_eigenvalues) -> bool:
-    """Similarity test over a caller-supplied candidate eigenvalue list.
-
-    Compares rank((m - lam I)^k) profiles for both matrices. Raises
-    :class:`InconclusiveError` when the candidates fail to exhaust either
-    spectrum, that is when either characteristic polynomial has an
-    :func:`unsplit_part` of positive degree.
-    """
-    if not x.is_square or not y.is_square:
-        raise DimensionError("similarity needs square matrices")
-    if x.field is not y.field:
-        raise FieldMismatchError("matrices over different fields")
-    if x.nrows != y.nrows:
-        return False
-    field, n = x.field, x.nrows
-    cands = list(dict.fromkeys(map(field.scalar, candidate_eigenvalues)))
-    for m in (x, y):
-        if unsplit_part(char_poly(m), cands).degree > 0:
-            raise InconclusiveError("candidate eigenvalues do not exhaust the spectrum")
-    ident = Matrix.identity(field, n)
-    for lam in cands:
-        dx = x - ident.scale(lam)
-        dy = y - ident.scale(lam)
-        px, py = ident, ident
-        for _ in range(n):
-            px = px * dx
-            py = py * dy
-            if px.rank() != py.rank():
-                return False
-    return True
+        while len(raw) > 1:  # Horner's partial sums: the quotient, then p(r)
+            quo = list(accumulate(reversed(raw), lambda acc, c: f.add(f.mul(acc, r), c)))
+            if quo[-1] != f.ZERO:
+                break
+            raw = quo[-2::-1]
+    return UniPoly._make(f, raw)

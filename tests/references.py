@@ -1,0 +1,53 @@
+"""References that only the tests use: the rank-profile similarity test
+and the trace, each checked against the package's own answers."""
+
+from yangbaxter.errors import AlgebraError, DimensionError, FieldMismatchError
+from yangbaxter.fields import Scalar
+from yangbaxter.matrices import Matrix
+from yangbaxter.unipoly import char_poly, unsplit_part
+
+
+class InconclusiveError(AlgebraError):
+    """Similarity test cannot decide: candidate eigenvalues miss a spectrum."""
+
+
+def trace(m: Matrix) -> Scalar:
+    if not m.is_square:
+        raise DimensionError("trace needs a square matrix")
+    f = m.field
+    acc = f.ZERO
+    for v in m.raw[::m.ncols + 1]:
+        acc = f.add(acc, v)
+    return Scalar(f, acc)
+
+
+def is_similar(x: Matrix, y: Matrix, candidate_eigenvalues) -> bool:
+    """Similarity test over a caller-supplied candidate eigenvalue list.
+
+    Compares rank((m - lam I)^k) profiles for both matrices. Raises
+    :class:`InconclusiveError` when the candidates fail to exhaust either
+    spectrum, that is when either characteristic polynomial has an
+    :func:`unsplit_part` of positive degree.
+    """
+    if not x.is_square or not y.is_square:
+        raise DimensionError("similarity needs square matrices")
+    if x.field is not y.field:
+        raise FieldMismatchError("matrices over different fields")
+    if x.nrows != y.nrows:
+        return False
+    field, n = x.field, x.nrows
+    cands = list(dict.fromkeys(map(field.scalar, candidate_eigenvalues)))
+    for m in (x, y):
+        if unsplit_part(char_poly(m), cands).degree > 0:
+            raise InconclusiveError("candidate eigenvalues do not exhaust the spectrum")
+    ident = Matrix.identity(field, n)
+    for lam in cands:
+        dx = x - ident.scale(lam)
+        dy = y - ident.scale(lam)
+        px, py = ident, ident
+        for _ in range(n):
+            px = px * dx
+            py = py * dy
+            if px.rank() != py.rank():
+                return False
+    return True

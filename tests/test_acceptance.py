@@ -10,6 +10,8 @@ import itertools
 import random
 import time
 
+from references import is_similar
+
 from yangbaxter import families as fam
 from yangbaxter import oracle
 from yangbaxter.core import (
@@ -37,7 +39,6 @@ from yangbaxter.matrices import (
     nilpotent_block,
 )
 from yangbaxter.sylvester import SylvesterProblem, kronecker_lift, sylvester_solve, sylvester_unique
-from yangbaxter.unipoly import is_similar
 
 RAT = Field.rationals()
 GF2 = Field.gf(2)

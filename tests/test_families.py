@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from references import is_similar
 
 from yangbaxter import families as fam
 from yangbaxter.core import is_solution, residual
@@ -12,7 +13,6 @@ from yangbaxter.matrices import (
     jordan_matrix,
     nilpotent_block,
 )
-from yangbaxter.unipoly import is_similar
 
 
 def M(field, rows):

@@ -22,6 +22,7 @@ from itertools import permutations, zip_longest
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from references import is_similar
 
 from yangbaxter.fields import Field
 from yangbaxter.matrices import (
@@ -37,7 +38,7 @@ from yangbaxter.sylvester import (
     sylvester_solve,
     sylvester_unique,
 )
-from yangbaxter.unipoly import UniPoly, char_poly, is_similar, min_poly, unsplit_part
+from yangbaxter.unipoly import UniPoly, char_poly, min_poly, unsplit_part
 
 SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
          "quad:2", "quad:-1", "quad:1/2"]
@@ -241,17 +242,23 @@ def test_matmul_det_rank_against_reference(spec, data):
     assert sq.is_invertible() == (det != ref.zero())
 
 
+def leibniz_char_poly(spec: str, rows):
+    """The coefficients of det(xI - M), lowest degree first, by Leibniz
+    expansion of xI - M with each entry a reference coefficient list."""
+    ref = Ref(spec)
+    x_minus_m = [[[ref.neg(ref.lift(v))] + ([ref.one()] if i == j else [])
+                  for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    return PolyRef(ref).det(x_minus_m)
+
+
 @pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:5", "quad:2", "quad:-1"])
 @quick
 @given(data=st.data())
 def test_char_poly_against_leibniz_reference(spec, data):
-    field, ref = Field.from_spec(spec), Ref(spec)
+    field = Field.from_spec(spec)
     n = data.draw(st.integers(1, 4))
     rows = data.draw(matrices(spec, n, n))
-    # xI - M, each entry a coefficient list
-    x_minus_m = [[[ref.neg(ref.lift(v))] + ([ref.one()] if i == j else [])
-                  for j, v in enumerate(row)] for i, row in enumerate(rows)]
-    expected = PolyRef(ref).det(x_minus_m)
+    expected = leibniz_char_poly(spec, rows)
     chi = char_poly(Matrix.from_rows(field, rows))
     assert chi.coeffs == tuple(field.scalar(c) for c in expected)
 

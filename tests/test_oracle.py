@@ -379,7 +379,7 @@ def test_eigenvalue_transfer_and_eigenspace_filters_run(gf3):
 
 
 def test_nonzero_solutions_similar_to_block(gf2, gf3):
-    from yangbaxter.unipoly import is_similar
+    from references import is_similar
 
     for field in (gf2, gf3):
         rep = census(field, "1^2")

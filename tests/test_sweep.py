@@ -1,16 +1,22 @@
 """The census theorem sweep: its verdicts, and the work it does to get them.
 
 The sweep derives every fact once: char(A) and the invertibility of A per
-census, and per solution one exact residual, char(X) and the kernel. These
-tests pin its verdict lists to ones recorded when every check recomputed
-its own facts, compare it with that loop on random censuses, count the
-characteristic polynomials and residuals it computes, and make sure a
-non-solution smuggled into a census is still refused.
+census, and per solution one exact residual, char(X) and the kernel, the
+residual and kernel kept from the census itself. These tests pin its
+verdict lists to ones recorded when every check recomputed its own facts,
+compare it with that loop on random censuses, count the characteristic
+polynomials, residuals and kernels it computes, and make sure a
+non-solution smuggled into a census is still refused. Its mod-p batch of
+product identities is checked against the exact checks, with and
+without a batch, and a batch the exact check contradicts must raise.
 """
 
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -19,7 +25,7 @@ from test_kernel_properties import quick
 from yangbaxter import core, oracle
 from yangbaxter.errors import BudgetError, PreconditionError
 from yangbaxter.fields import Field
-from yangbaxter.matio import parse_jordan
+from yangbaxter.matio import census_from_json, census_to_json, parse_jordan
 from yangbaxter.matrices import Matrix, jordan_chain_conjugator, jordan_matrix
 from yangbaxter.unipoly import char_poly
 
@@ -188,3 +194,104 @@ def test_solution_record_is_reverified_for_another_coefficient(gf2):
     with pytest.raises(PreconditionError, match="charpoly-annihilation: candidate is not"):
         core.check_charpoly_annihilation(b, record)
     assert core.check_charpoly_annihilation(b, core.solution_facts(b, x, "test")).holds
+
+
+def batch_cases(rng, p, n):
+    """Random matrices over GF(p), then the zero matrix and the multiples cA,
+    c != 0, which are solutions for c = 1 and, when A^3 = 0, for every c."""
+    field = Field.gf(p)
+    a = Matrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    xs = [Matrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+          for _ in range(12)]
+    xs += [Matrix.zero(field, n), *(a.scale(c) for c in range(1, p))]
+    return a, xs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_product_masks_match_exact_checks(p):
+    """The mod-p batch agrees with core.check_power_identities on every
+    matrix and with core.check_charpoly_annihilation on the solutions; on
+    a non-solution, which that check refuses, with the same two exact
+    products taken here."""
+    rng = random.Random(p)
+    seen = set()
+    for n in range(1, 5):
+        for _ in range(6):
+            a, xs = batch_cases(rng, p, n)
+            phi = char_poly(a)
+            powers, annihilated = oracle._product_masks(core.Facts(a), xs)
+            for x, power_ok, annihilated_ok in zip(xs, powers, annihilated):
+                assert power_ok == core.check_power_identities(a, x, 2 * n).holds
+                if core.is_solution(a, x):
+                    exact = core.check_charpoly_annihilation(a, x).holds
+                else:
+                    at_x = phi.at_matrix(x)
+                    exact = (x * a * at_x).is_zero and (at_x * a * x).is_zero
+                assert annihilated_ok == exact
+                seen.add((bool(power_ok), bool(annihilated_ok)))
+    assert {(True, True), (False, False), (False, True)} <= seen
+
+
+def test_sweep_without_the_batch_runs_every_exact_check(monkeypatch):
+    """With the batch forced to clear no solution, every power identity and
+    charpoly annihilation comes from the exact check, and the verdict
+    lists equal the reference loop's."""
+    report = census("gf:2", "1^2,1^2")
+
+    def unscreened(coeff, xs):
+        return [None] * len(xs), [None] * len(xs)
+
+    monkeypatch.setattr(oracle, "_product_masks", unscreened)
+    calls = {"power": 0}
+    check = core.check_power_identities
+
+    def counting(*args):
+        calls["power"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(core, "check_power_identities", counting)
+    assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
+    assert calls["power"] == 2 * report.total  # the sweep's and the reference's
+
+
+def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
+    """A batch that flags every solution is contradicted by the exact
+    check, which finds the identities hold; that is an internal error."""
+    report = census("gf:2", "1^2")
+
+    def flag_all(coeff, xs):
+        return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
+
+    monkeypatch.setattr(oracle, "_product_masks", flag_all)
+    with pytest.raises(AssertionError, match="power-identities: exact check holds"):
+        oracle.verify_theorems_on_census(report)
+
+
+def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch):
+    """The census keeps each solution's verified record, so census and
+    sweep together take one exact residual and one kernel per solution,
+    plus the kernel of A; a report read back from JSON keeps no records
+    and is verified again in full."""
+    calls = {"residual": 0, "kernel_basis": 0}
+    residual, kernel_basis = core.residual, Matrix.kernel_basis
+
+    def counting_residual(*args):
+        calls["residual"] += 1
+        return residual(*args)
+
+    def counting_kernel(self):
+        calls["kernel_basis"] += 1
+        return kernel_basis(self)
+
+    monkeypatch.setattr(core, "residual", counting_residual)
+    monkeypatch.setattr(Matrix, "kernel_basis", counting_kernel)
+    report = census("gf:3", "1^2,2^1")
+    verdicts = oracle.verify_theorems_on_census(report)
+    assert report.total == 30 and verdicts
+    assert calls == {"residual": report.total, "kernel_basis": report.total + 1}
+    bare = replace(report, facts=None)
+    assert bare == report and repr(bare) == repr(report)
+    again = census_from_json(census_to_json(report))
+    assert again == report and again.facts is None
+    assert rows(oracle.verify_theorems_on_census(again)) == rows(verdicts)
+    assert calls["residual"] == 2 * report.total

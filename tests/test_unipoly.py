@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from references import InconclusiveError, is_similar, trace
+from test_kernel_properties import leibniz_char_poly
 
-from yangbaxter.errors import InconclusiveError
-from yangbaxter.matrices import Matrix, jordan_block, nilpotent_block
-from yangbaxter.unipoly import UniPoly, char_poly, is_similar, min_poly
+from yangbaxter.fields import Field
+from yangbaxter.matrices import Matrix, jordan_block, jordan_matrix, nilpotent_block
+from yangbaxter.unipoly import UniPoly, char_poly, min_poly
 
 
 def M(field, rows):
@@ -50,9 +52,57 @@ def test_char_poly_matches_cofactor_oracle_random(rat, gf5, quad2):
             assert chi == det_cofactor_poly(m)
             assert chi.is_monic and chi.degree == n
             # trace and determinant sit in the expected coefficients
-            assert chi.coeffs[n - 1] == -m.trace()
+            assert chi.coeffs[n - 1] == -trace(m)
             sign = field.scalar(1 if n % 2 == 0 else -1)
             assert chi.coeffs[0] == sign * m.det()
+
+
+def structured_matrices(field, rng):
+    """Matrices whose Hessenberg reduction needs a row and column swap or
+    meets a column that is already reduced: conjugates of Jordan matrices
+    by permutations, block upper triangular and strictly upper triangular
+    matrices, and the cyclic shift, whose first pivot is zero."""
+    def entry():
+        if field.spec().startswith("quad"):
+            return field.scalar((rng.randint(-2, 2), rng.randint(-2, 2)))
+        return field.scalar(rng.randint(-2, 2))
+
+    yield M(field, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for n in range(1, 6):
+        blocks, room = [], n
+        while room:
+            size = rng.randint(1, room)
+            blocks.append((entry(), size))
+            room -= size
+        j = jordan_matrix(field, blocks)
+        perm = rng.sample(range(n), n)
+        yield M(field, [[j[perm[r], perm[c]] for c in range(n)] for r in range(n)])
+        k = rng.randint(1, n)
+        yield M(field, [[entry() if r < k or c >= k else field.zero() for c in range(n)]
+                        for r in range(n)])
+        yield M(field, [[entry() if c > r else field.zero() for c in range(n)]
+                        for r in range(n)])
+
+
+@pytest.mark.parametrize("spec", ["gf:2", "rat", "quad:2"])
+def test_char_poly_on_structured_matrices(spec):
+    field = Field.from_spec(spec)
+    rng = random.Random(23)
+    for _ in range(4):
+        for m in structured_matrices(field, rng):
+            chi = char_poly(m)
+            rows = [m.raw[i:i + m.ncols] for i in range(0, len(m.raw), m.ncols)]
+            assert chi.coeffs == tuple(field.scalar(c) for c in leibniz_char_poly(spec, rows))
+            assert chi == det_cofactor_poly(m)
+            assert chi.is_monic and chi.degree == m.nrows
+
+
+def test_at_matrix_of_zero_and_constant_polynomials(rat, gf5):
+    for field in (rat, gf5):
+        m = M(field, [[1, 2], [3, 4]])
+        assert UniPoly.zero(field).at_matrix(m) == Matrix.zero(field, 2)
+        assert UniPoly(field, [3]).at_matrix(m) == Matrix.identity(field, 2).scale(3)
+        assert UniPoly.x(field).at_matrix(m) == m
 
 
 def test_cayley_hamilton(rat, gf5):

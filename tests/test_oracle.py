@@ -226,6 +226,8 @@ def screened_states(a, commuting, chunk):
 
 
 @pytest.mark.parametrize("p, shorthand, commuting, chunk", [
+    (5, "1^3", False, 1 << 14),
+    (5, "1^2,2^1", True, 1 << 14),
     (5, "1^3", False, oracle._CHUNK),
     (5, "1^2,2^1", True, oracle._CHUNK),
     (2, "0^4", False, 16),

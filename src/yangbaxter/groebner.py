@@ -24,7 +24,7 @@ from .errors import DimensionError, PairCapError, ParseError, SideConditionError
 from .fields import Field, Scalar
 from .matrices import Matrix
 
-_TERM_COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)")
+_TERM_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?")
 _FACTOR_RE = re.compile(r"^([A-Za-z])(?:\^(\d+))?")
 
 
@@ -93,7 +93,9 @@ class PolyRing:
             coeff = sign
             m = _TERM_COEFF_RE.match(chunk)
             if m:
-                coeff *= Fraction(m.group(1))
+                if m.group(2) and not int(m.group(2)):
+                    raise ParseError(f"zero denominator in {text!r}")
+                coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
                 chunk = chunk[m.end():]
                 if chunk.startswith("*"):
                     chunk = chunk[1:]

@@ -407,10 +407,3 @@ def jordan_chain_conjugator(x: Matrix, lam) -> Matrix | None:
             if s.is_invertible():
                 return s
     return None
-
-
-def span_contains(basis: list[Matrix], m: Matrix) -> bool:
-    """Whether ``m`` lies in the span of the given matrices: exactly when
-    its column is not a pivot of [b_1 ... b_k m]."""
-    columns = Matrix.from_rows(m.field, [b.raw for b in basis] + [m.raw]).transpose()
-    return len(basis) not in columns._rref()[1]

@@ -13,7 +13,8 @@ would poison every completeness statement built on top of it.
 Classification against the single-block families holds no formula of its
 own: it reads a solution's free entries, calls the family constructor on
 them and compares what comes back, so a broken constructor shows up in
-the census tallies.
+the census tallies. For two equal blocks the tag is the block shape of a
+verified solution, which of its four blocks vanish.
 
 The theorem sweep checks product identities mod p on one stack of all
 solutions; only a solution that batch flags meets the exact check, the
@@ -23,6 +24,7 @@ one source of failing verdicts.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -32,7 +34,8 @@ from .errors import BudgetError, PreconditionError, SideConditionError
 from .families import (family_2x2_invertible, family_2x2_nilpotent, family_3x3_nilpotent,
                        family_nilpotent_general)
 from .fields import Field
-from .matrices import JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator
+from .matrices import (JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator,
+                       jordan_matrix)
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 13
@@ -243,28 +246,20 @@ def _rebuilds(x: Matrix, constructor, *params) -> bool:
         return False
 
 
-def _match_two_block(a: Matrix, x: Matrix, k: int) -> str | None:
-    field = x.field
-    if x.is_zero:
-        return "zero"
-    blk = [[Matrix.from_rows(field, [[x[bi * k + i, bj * k + j] for j in range(k)]
-                                     for i in range(k)])
-            for bj in range(2)] for bi in range(2)]
-    sub = Matrix.from_rows(field, [[a[i, j] for j in range(k)] for i in range(k)])
-    if blk[0][1].is_zero and blk[1][0].is_zero:
-        if core.is_solution(sub, blk[0][0]) and core.is_solution(sub, blk[1][1]):
-            return "block-diagonal"
-        return None
-    if blk[0][0].is_zero and blk[1][0].is_zero:
-        y1, y2 = blk[0][1], blk[1][1]
-        if core.is_solution(sub, y2) and sub * y1 * sub == y1 * sub * y2:
-            return "two-block-offdiag[upper]"
-        return None
-    if blk[0][1].is_zero and blk[1][1].is_zero:
-        y2, y1 = blk[0][0], blk[1][0]
-        if core.is_solution(sub, y2) and sub * y1 * sub == y1 * sub * y2:
-            return "two-block-offdiag[lower]"
-        return None
+def _two_block_tag(x: Matrix, k: int) -> str | None:
+    """The tag of a solution for diag(J, J), J of size k, by which of its
+    k x k blocks vanish: its residual is, block by block, the equations of
+    the family of that shape, so a verified solution needs no other check."""
+    n, zero = 2 * k, x.field.ZERO
+    rows = [x.raw[i:i + n] for i in range(0, n * n, n)]
+    z11, z12, z21, z22 = (all(v == zero for r in rows[h:h + k] for v in r[c:c + k])
+                          for h in (0, k) for c in (0, k))
+    if z12 and z21:
+        return "zero" if z11 and z22 else "block-diagonal"
+    if z11 and z21:
+        return "two-block-offdiag[upper]"
+    if z12 and z22:
+        return "two-block-offdiag[lower]"
     return None
 
 
@@ -276,16 +271,24 @@ def classify_against_families(report: CensusReport) -> CensusReport:
     eigenvalue. Solutions outside every family are tagged "unmatched";
     for the size-4 and larger nilpotent block that tag is expected, the
     closed form there is sound but not complete.
+
+    The tags are read off the census's verified records; a report without
+    them has each solution's residual checked here. The coefficient must be
+    the Jordan matrix of the report's block structure.
     """
     jordan = report.jordan
     if jordan is None:
         raise PreconditionError("classification needs the coefficient's block structure")
     blocks = jordan.blocks
     a = report.coefficient
+    if a != jordan_matrix(a.field, jordan):
+        raise PreconditionError("coefficient is not the Jordan matrix of its block structure")
+    records = report.facts or [core.solution_facts(a, x, "classification")
+                               for x in report.solutions]
 
     def tag_of(x: Matrix) -> str | None:
         if len(blocks) == 2 and blocks[0] == blocks[1] and not blocks[0][0].is_zero:
-            return _match_two_block(a, x, blocks[0][1])
+            return _two_block_tag(x, blocks[0][1])
         if len(blocks) != 1:
             raise PreconditionError("unsupported coefficient block structure")
         lam, n = blocks[0]
@@ -316,17 +319,9 @@ def classify_against_families(report: CensusReport) -> CensusReport:
             raise PreconditionError(f"unsupported single block ({lam}, {n})")
         return None
 
-    tags = []
-    tallies: dict[str, int] = {}
-    for x in report.solutions:
-        tag = tag_of(x)
-        if tag is None:
-            tag = "unmatched"
-        key = tag.split("[", 1)[0]
-        tallies[key] = tallies.get(key, 0) + 1
-        tags.append(tag)
-    tallies.setdefault("unmatched", 0)
-    return replace(report, family_tags=tuple(tags), family_tallies=tallies)
+    tags = tuple(tag_of(record.matrix) or "unmatched" for record in records)
+    tallies = {"unmatched": 0, **Counter(tag.split("[", 1)[0] for tag in tags)}
+    return replace(report, family_tags=tags, family_tallies=tallies)
 
 
 # -- theorem sweep -----------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate, starmap, zip_longest
 
 from .errors import DimensionError, FieldMismatchError
-from .fields import Field, Scalar, power
+from .fields import Field, Scalar
 from .matrices import Matrix
 
 
@@ -46,19 +46,6 @@ class UniPoly:
     @classmethod
     def zero(cls, field: Field) -> "UniPoly":
         return cls._make(field, [])
-
-    @classmethod
-    def one(cls, field: Field) -> "UniPoly":
-        return cls._make(field, [field.ONE])
-
-    @classmethod
-    def x(cls, field: Field) -> "UniPoly":
-        return cls._make(field, [field.ZERO, field.ONE])
-
-    @classmethod
-    def linear(cls, field: Field, root) -> "UniPoly":
-        """The monic linear factor x - root."""
-        return cls._make(field, [field.neg(field.coerce(root)), field.ONE])
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
@@ -118,11 +105,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        return power(self, k, UniPoly.one(self.field))
-
     def monic(self) -> "UniPoly":
         if self.is_zero or self.is_monic:
             return self
@@ -149,11 +131,6 @@ class UniPoly:
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
-
-    def divides(self, other: "UniPoly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic greatest common divisor via the Euclidean algorithm."""

@@ -1,5 +1,6 @@
-"""References that only the tests use: the rank-profile similarity test
-and the trace, each checked against the package's own answers."""
+"""References that only the tests use: the rank-profile similarity test,
+the trace and span membership, each checked against the package's own
+answers or used as an oracle for them."""
 
 from yangbaxter.errors import AlgebraError, DimensionError, FieldMismatchError
 from yangbaxter.fields import Scalar
@@ -51,3 +52,10 @@ def is_similar(x: Matrix, y: Matrix, candidate_eigenvalues) -> bool:
             if px.rank() != py.rank():
                 return False
     return True
+
+
+def span_contains(basis: list[Matrix], m: Matrix) -> bool:
+    """Whether ``m`` lies in the span of the given matrices: exactly when
+    its column is not a pivot of [b_1 ... b_k m]."""
+    columns = Matrix.from_rows(m.field, [b.raw for b in basis] + [m.raw]).transpose()
+    return len(basis) not in columns._rref()[1]

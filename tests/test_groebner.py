@@ -69,6 +69,17 @@ def test_parse_juxtaposed_letters():
         ring.parse("z")  # not a ring variable
 
 
+def test_parse_zero_denominator_is_a_parse_error():
+    """A zero denominator names the input; a leading zero in a denominator
+    or a zero numerator still parses."""
+    ring = PolyRing(tuple("xy"))
+    for text in ("3/0*x", "x + 1/00", "y - 2/0"):
+        with pytest.raises(ParseError, match="zero denominator in"):
+            ring.parse(text)
+    assert ring.parse("1/05*x") == ring.parse("1/5*x")
+    assert ring.parse("0/5*x + y") == ring.parse("y")
+
+
 def test_lex_ordering():
     ring = PolyRing(tuple("xyz"))
     p = ring.parse("y^5 + x")

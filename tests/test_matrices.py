@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from references import span_contains
 
 from yangbaxter.errors import DimensionError, FieldMismatchError
 from yangbaxter.matrices import (
@@ -13,7 +14,6 @@ from yangbaxter.matrices import (
     jordan_chain_conjugator,
     jordan_matrix,
     nilpotent_block,
-    span_contains,
 )
 
 

@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from references import span_contains
 from test_kernel_properties import quick
 
 from yangbaxter import oracle
@@ -14,6 +16,7 @@ from yangbaxter.fields import Field
 from yangbaxter.matio import parse_jordan
 from yangbaxter.matrices import (Matrix, centralizer_basis, jordan_block, jordan_matrix,
                                  nilpotent_block)
+from yangbaxter.sylvester import offdiag_solution_space
 from yangbaxter.unipoly import char_poly
 
 
@@ -315,6 +318,69 @@ def test_classification_tags_reproduce_members(gf3):
     rep = oracle.classify_against_families(census(gf3, "0^2"))
     for x, tag in zip(rep.solutions, rep.family_tags):
         assert tag.startswith("jordan2-nilpotent")
+
+
+@pytest.mark.parametrize("spec, shorthand, commuting", [
+    ("gf:2", "1^2,1^2", False), ("gf:3", "1^2,1^2", True), ("gf:5", "1^1,1^1", False),
+])
+def test_two_block_tags_hold_by_the_block_equations(spec, shorthand, commuting):
+    """A shape tag for diag(J, J) holds by a path that shares nothing with
+    the shape: the diagonal blocks of a block-diagonal solution solve the
+    equation for J, and the off-diagonal block Y1 of an off-diagonal one
+    lies in the span of the solutions of J Y1 J = Y1 J Y2 that the
+    Sylvester solver gives for its diagonal block Y2."""
+    field = Field.from_spec(spec)
+    rep = oracle.classify_against_families(census(field, shorthand, commuting))
+    (lam, k), _ = rep.jordan.blocks
+    j = jordan_block(field, lam, k)
+
+    def block(x, bi, bj):
+        return Matrix.from_rows(field, [[x[bi * k + r, bj * k + c] for c in range(k)]
+                                        for r in range(k)])
+
+    seen = set()
+    for x, tag in zip(rep.solutions, rep.family_tags):
+        (x11, x12), (x21, x22) = [[block(x, bi, bj) for bj in range(2)] for bi in range(2)]
+        seen.add(tag)
+        if tag == "zero":
+            assert x.is_zero
+        elif tag == "block-diagonal":
+            assert x12.is_zero and x21.is_zero
+            assert is_solution(j, x11) and is_solution(j, x22)
+        elif tag == "unmatched":
+            assert not (x12.is_zero and x21.is_zero)
+            assert not (x11.is_zero and x21.is_zero) and not (x12.is_zero and x22.is_zero)
+        else:
+            zeros, y1, y2 = {"two-block-offdiag[upper]": ((x11, x21), x12, x22),
+                             "two-block-offdiag[lower]": ((x12, x22), x21, x11)}[tag]
+            assert all(z.is_zero for z in zeros) and not y1.is_zero
+            assert span_contains(offdiag_solution_space(j, j, y2), y1)
+    assert {"zero", "block-diagonal", "two-block-offdiag[upper]",
+            "two-block-offdiag[lower]"} <= seen
+
+
+def test_classification_refuses_a_coefficient_other_than_its_jordan_matrix(gf3):
+    """The transposed Jordan block is similar to the block but is not its
+    Jordan matrix, so tags read off the spec would not describe it."""
+    spec = parse_jordan(gf3, "1^2")
+    rep = oracle.enumerate_solutions(jordan_matrix(gf3, spec).transpose(), jordan=spec)
+    with pytest.raises(PreconditionError, match="not the Jordan matrix"):
+        oracle.classify_against_families(rep)
+
+
+def test_classification_verifies_a_report_without_records(gf2):
+    """A report without the census's records is verified solution by
+    solution: it is tagged as the census is, and a smuggled non-solution
+    is refused rather than tagged."""
+    rep = census(gf2, "1^1,1^1")
+    bare = replace(rep, facts=None)
+    assert (oracle.classify_against_families(bare).family_tags
+            == oracle.classify_against_families(rep).family_tags)
+    intruder = Matrix.unit(gf2, 2, 2, 0, 1)
+    assert not is_solution(rep.coefficient, intruder)
+    forged = replace(bare, solutions=rep.solutions[:2] + (intruder,) + rep.solutions[2:])
+    with pytest.raises(PreconditionError, match="not a solution"):
+        oracle.classify_against_families(forged)
 
 
 def test_two_block_distinct_eigenvalue_kernels_direct(rat):

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from references import span_contains
 
 from yangbaxter.errors import PreconditionError
-from yangbaxter.matrices import Matrix, jordan_block, nilpotent_block, span_contains
+from yangbaxter.matrices import Matrix, jordan_block, nilpotent_block
 from yangbaxter.sylvester import (
     SylvesterProblem,
     kronecker_lift,

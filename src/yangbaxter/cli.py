@@ -162,12 +162,7 @@ def cmd_census(args) -> int:
                                                       budget=args.budget)
     else:
         report = oracle.enumerate_solutions(a, jordan=jordan, budget=args.budget)
-    classified = report
-    if jordan is not None:
-        try:
-            classified = oracle.classify_against_families(report)
-        except PreconditionError:
-            classified = report
+    classified = oracle.classify_against_families(report) if jordan is not None else report
     verdicts = oracle.verify_theorems_on_census(classified)
     failures = [v for v in verdicts if not v.holds]
     lines = [

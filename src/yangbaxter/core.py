@@ -55,14 +55,15 @@ class PropertyVerdict:
 
 
 def residual(a: Matrix, x: Matrix) -> ResidualReport:
-    """Exact residual AXA - XAX."""
+    """Exact residual AXA - XAX, as (AX)A - X(AX): three products."""
     if not a.is_square or not x.is_square:
         raise DimensionError("coefficient and candidate must be square")
     if a.nrows != x.nrows:
         raise DimensionError(f"dimension mismatch {a.nrows} vs {x.nrows}")
     if a.field is not x.field:
         raise FieldMismatchError("coefficient and candidate over different fields")
-    return ResidualReport(a, x, a * x * a - x * a * x)
+    ax = a * x
+    return ResidualReport(a, x, ax * a - x * ax)
 
 
 def is_solution(a: Matrix, x: Matrix) -> bool:

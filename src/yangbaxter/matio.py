@@ -155,4 +155,6 @@ def census_from_json(obj) -> CensusReport:
     )
     if report.total != obj["total"]:
         raise ParseError("census total does not match its solution list")
+    if report.family_tags is not None and len(report.family_tags) != report.total:
+        raise ParseError("census family_tags do not match its solution list")
     return report

@@ -14,7 +14,8 @@ Classification against the single-block families holds no formula of its
 own: it reads a solution's free entries, calls the family constructor on
 them and compares what comes back, so a broken constructor shows up in
 the census tallies. For two equal blocks the tag is the block shape of a
-verified solution, which of its four blocks vanish.
+verified solution, which of its four blocks vanish. Any other block
+structure comes back untagged.
 
 The theorem sweep checks product identities mod p on one stack of all
 solutions; only a solution that batch flags meets the exact check, the
@@ -88,9 +89,9 @@ def _combine(coefs: list[int], rows) -> np.ndarray:
     return sum(terms[1:], terms[0]) if terms else np.zeros_like(rows[0])
 
 
-def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries=None) -> np.ndarray:
+def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries) -> np.ndarray:
     """Boolean mask of the candidates whose residual AXA - XAX vanishes mod p
-    at ``entries``; the default, every entry, serves direct tests of the screen.
+    at ``entries``, an iterable of (i, j).
 
     ``xs`` is an (N, n, n) view whose entries are contiguous rows over the
     N candidates. The entries are tested one at a time, each on the
@@ -101,7 +102,7 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries=None) -> np.nda
     a_rows, a_cols = a.tolist(), a.T.tolist()
     x = xs.transpose(1, 2, 0)
     alive = np.arange(len(xs))
-    for i, j in itertools.product(range(n), repeat=2) if entries is None else entries:
+    for i, j in entries:
         ax_row = [_combine(a_rows[i], x[:, m]) % p for m in range(n)]
         ax_col = [ax_row[j] if m == i else _combine(a_rows[m], x[:, j]) % p
                   for m in range(n)]
@@ -136,12 +137,20 @@ def _product_masks(coeff: core.Facts, xs: list[Matrix]):
     return powers, annihilated
 
 
+def _records(a: Matrix, solutions, kept, who: str):
+    """One record of ``a`` and the verified record of each solution, in order.
+    A kept record stands only for the matrix it was made for, verified against
+    that record of ``a``; every other solution's residual is checked here once."""
+    coeff = kept[0].coefficient if kept and kept[0].coefficient.matrix == a else core.Facts(a)
+    by_matrix = {r.matrix: r for r in kept or () if r.coefficient is coeff}
+    return coeff, [core.solution_facts(coeff, by_matrix.get(x, x), who) for x in solutions]
+
+
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                           commuting: bool, jordan: JordanSpec | None) -> CensusReport:
     solutions = sorted(mats, key=lambda m: m.raw)
-    coeff = core.Facts(a)
     try:  # the one exact residual of each solution
-        records = tuple(core.solution_facts(coeff, x, "census") for x in solutions)
+        _, records = _records(a, solutions, None, "census")
     except PreconditionError as err:
         raise AssertionError("screened candidate fails the exact residual") from err
     if commuting and any(a * x != x * a for x in solutions):
@@ -157,7 +166,7 @@ def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                  else f"dim={len(kernel)}")
         by_kernel[label] = by_kernel.get(label, 0) + 1
     return CensusReport(field, a, commuting, tuple(solutions),
-                        by_rank, by_kernel, jordan=jordan, facts=records)
+                        by_rank, by_kernel, jordan=jordan, facts=tuple(records))
 
 
 def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
@@ -266,32 +275,31 @@ def _two_block_tag(x: Matrix, k: int) -> str | None:
 def classify_against_families(report: CensusReport) -> CensusReport:
     """Tag every census solution with the closed-form family producing it.
 
-    Supported coefficients: single Jordan blocks (2x2 any eigenvalue,
-    3x3 and larger nilpotent) and two equal Jordan blocks with nonzero
-    eigenvalue. Solutions outside every family are tagged "unmatched";
-    for the size-4 and larger nilpotent block that tag is expected, the
-    closed form there is sound but not complete.
+    Covered: one Jordan block of size 2, one nilpotent block of size 3 or
+    more, and two equal blocks with nonzero eigenvalue; any other block
+    structure comes back untagged. Solutions outside every family are
+    tagged "unmatched", as expected for nilpotent blocks of size 4 and
+    more, whose closed form is sound but not complete.
 
-    The tags are read off the census's verified records; a report without
-    them has each solution's residual checked here. The coefficient must be
-    the Jordan matrix of the report's block structure.
+    Every solution is verified first, by its census record where one stands
+    for it, so an untrusted report raises even when no family covers it.
+    The coefficient must be the Jordan matrix of the report's block structure.
     """
     jordan = report.jordan
     if jordan is None:
         raise PreconditionError("classification needs the coefficient's block structure")
-    blocks = jordan.blocks
     a = report.coefficient
     if a != jordan_matrix(a.field, jordan):
         raise PreconditionError("coefficient is not the Jordan matrix of its block structure")
-    records = report.facts or [core.solution_facts(a, x, "classification")
-                               for x in report.solutions]
+    _, records = _records(a, report.solutions, report.facts, "classification")
+    (lam, n), *rest = jordan.blocks
+    two_equal = rest == [(lam, n)] and not lam.is_zero
+    if not (two_equal or not rest and (n == 2 or n >= 3 and lam.is_zero)):
+        return replace(report, family_tags=None, family_tallies=None)
 
     def tag_of(x: Matrix) -> str | None:
-        if len(blocks) == 2 and blocks[0] == blocks[1] and not blocks[0][0].is_zero:
-            return _two_block_tag(x, blocks[0][1])
-        if len(blocks) != 1:
-            raise PreconditionError("unsupported coefficient block structure")
-        lam, n = blocks[0]
+        if two_equal:
+            return _two_block_tag(x, n)
         if n == 2 and not lam.is_zero:
             if x.is_zero:
                 return "zero"
@@ -305,18 +313,14 @@ def classify_against_families(report: CensusReport) -> CensusReport:
             params = x[0, 0], x[1, 1], x[0, 1]
             if _rebuilds(x, family_2x2_nilpotent, *params):
                 return "jordan2-nilpotent[a={},b={},alpha={}]".format(*params)
-        elif n == 3 and lam.is_zero:
+        elif n == 3:
             params = x[0, 0], x[0, 1], x[0, 2], x[1, 2], x[2, 2]
             if _rebuilds(x, family_3x3_nilpotent, *params):
                 return "jordan3-nilpotent[a={},b={},c={},f={},i={}]".format(*params)
-        elif n >= 4 and lam.is_zero:
-            # first-row parameters x[0, 1..n-2], last-column parameters x[1..n-2, n-1]
-            if _rebuilds(x, family_nilpotent_general, n,
-                         [x[0, j] for j in range(1, n - 1)],
-                         [x[i, n - 1] for i in range(1, n - 1)], x[0, n - 1]):
-                return "nilpotent-general"
-        else:
-            raise PreconditionError(f"unsupported single block ({lam}, {n})")
+        elif _rebuilds(x, family_nilpotent_general, n,  # nilpotent, n >= 4
+                       [x[0, j] for j in range(1, n - 1)],  # first-row parameters
+                       [x[i, n - 1] for i in range(1, n - 1)], x[0, n - 1]):  # last column
+            return "nilpotent-general"
         return None
 
     tags = tuple(tag_of(record.matrix) or "unmatched" for record in records)
@@ -339,9 +343,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     """
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
-    kept = report.facts or ()
-    coeff = kept[0].coefficient if kept and kept[0].coefficient.matrix is a else core.Facts(a)
-    sols = [core.solution_facts(coeff, x, "theorem sweep") for x in kept or report.solutions]
+    coeff, sols = _records(a, report.solutions, report.facts, "theorem sweep")
     cleared = itertools.repeat((None, None))  # no batch outside GF(p)
     if a.field.kind == "gf":
         cleared = zip(*_product_masks(coeff, [s.matrix for s in sols]))

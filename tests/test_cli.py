@@ -451,3 +451,20 @@ def test_stdin_matrix(rat, write_matrix, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(dumps_matrix(nilpotent_block(rat, 2))))
     code, out, _ = run(capsys, "verify", "--A", "-", "--X", x)
     assert code == 0 and "is_solution: True" in out
+
+
+CLI_CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json")
+                        .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CLI_CORPUS, ids=[" ".join(c["argv"]) for c in CLI_CORPUS])
+def test_cli_corpus_is_byte_identical(capsys, case):
+    """Exit code and the sha256 of stdout and stderr match those recorded
+    for a fixed corpus: every census of at most two Jordan blocks and
+    dimension at most 3 over GF(2) and GF(3), full and commuting, the
+    benchmark's census invocations, census refusals, the family catalog
+    and constructions over rat, gf:5 and quad:2."""
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == (
+        case["code"], case["stdout"], case["stderr"])

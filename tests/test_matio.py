@@ -104,3 +104,15 @@ def test_census_missing_key_is_a_parse_error(gf2, key):
     del doc[key]
     with pytest.raises(ParseError, match=f"'{key}'"):
         census_from_json(doc)
+
+
+def test_census_family_tags_must_match_the_solutions(gf2):
+    """A census/1 document with one tag dropped would load as 6 solutions
+    with 5 tags and be written back misaligned; it is refused instead."""
+    spec = parse_jordan(gf2, "0^2")
+    rep = oracle.enumerate_solutions(jordan_matrix(gf2, spec), jordan=spec)
+    doc = census_to_json(oracle.classify_against_families(rep))
+    assert census_from_json(doc).family_tags == tuple(doc["family_tags"])
+    doc["family_tags"] = doc["family_tags"][:-1]
+    with pytest.raises(ParseError, match="family_tags"):
+        census_from_json(doc)

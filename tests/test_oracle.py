@@ -287,7 +287,8 @@ def test_screen_reduces_ax_before_the_second_product():
     assert expected.count(True) == 8
     xs = np.array([x.raw for x in cands], dtype=np.int64).reshape(-1, 2, 2)
     a_int = np.array(a.raw, dtype=np.int64).reshape(2, 2)
-    assert oracle._screen_batch(a_int, xs, field.p).tolist() == expected
+    entries = itertools.product(range(2), repeat=2)
+    assert oracle._screen_batch(a_int, xs, field.p, entries).tolist() == expected
 
 
 def test_enumeration_needs_prime_field(rat):
@@ -381,6 +382,23 @@ def test_classification_verifies_a_report_without_records(gf2):
     forged = replace(bare, solutions=rep.solutions[:2] + (intruder,) + rep.solutions[2:])
     with pytest.raises(PreconditionError, match="not a solution"):
         oracle.classify_against_families(forged)
+
+
+@pytest.mark.parametrize("spec, shorthand", [
+    ("gf:5", "1^3"), ("gf:5", "1^2,2^1"), ("gf:3", "1^1"), ("gf:3", "0^1,1^2"),
+])
+def test_classification_leaves_uncovered_block_structures_untagged(spec, shorthand):
+    """No closed-form family covers a single invertible block of size 3, a
+    block of size 1, or two blocks with distinct eigenvalues: such a census
+    comes back untagged, not refused. A smuggled non-solution is refused
+    all the same."""
+    field = Field.from_spec(spec)
+    rep = oracle.classify_against_families(census(field, shorthand))
+    assert rep.family_tags is None and rep.family_tallies is None and rep.total > 0
+    intruder = Matrix.identity(field, rep.coefficient.nrows).scale(field.scalar(2))
+    assert not is_solution(rep.coefficient, intruder)
+    with pytest.raises(PreconditionError, match="not a solution"):
+        oracle.classify_against_families(replace(rep, solutions=rep.solutions + (intruder,)))
 
 
 def test_two_block_distinct_eigenvalue_kernels_direct(rat):

@@ -295,3 +295,45 @@ def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch
     assert again == report and again.facts is None
     assert rows(oracle.verify_theorems_on_census(again)) == rows(verdicts)
     assert calls["residual"] == 2 * report.total
+
+
+def test_records_stand_only_for_their_own_solution(gf2):
+    """A census record vouches for the one matrix it was made for, and for
+    the coefficient it was verified against: a non-solution appended to a
+    census that keeps its records is refused by classification and by the
+    sweep alike, and so are the records under another coefficient."""
+    report = census("gf:2", "1^1,1^1")
+    intruder = Matrix.unit(gf2, 2, 2, 0, 1)
+    assert report.total == 8 and not core.is_solution(report.coefficient, intruder)
+    forged = replace(report, solutions=report.solutions + (intruder,))
+    with pytest.raises(PreconditionError, match="not a solution"):
+        oracle.classify_against_families(forged)
+    with pytest.raises(PreconditionError, match="not a solution"):
+        oracle.verify_theorems_on_census(forged)
+    moved = replace(report, coefficient=Matrix.from_rows(gf2, [[1, 1], [0, 1]]))
+    with pytest.raises(PreconditionError, match="not a solution"):
+        oracle.verify_theorems_on_census(moved)
+
+
+def test_reordered_solutions_keep_their_records(monkeypatch):
+    """Reversing the solution list of a census that keeps its records gives
+    the tags and verdict rows of the same list verified afresh, in the new
+    order, and takes no exact residual: each record follows its matrix."""
+    report = census("gf:2", "1^1,1^1")
+    flipped = replace(report, solutions=tuple(reversed(report.solutions)))
+    bare = replace(flipped, facts=None)
+    calls = {"residual": 0}
+    residual = core.residual
+
+    def counting_residual(*args):
+        calls["residual"] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(core, "residual", counting_residual)
+    tags = oracle.classify_against_families(flipped).family_tags
+    verdicts = rows(oracle.verify_theorems_on_census(flipped))
+    assert calls["residual"] == 0
+    assert tags == oracle.classify_against_families(bare).family_tags
+    assert verdicts == rows(oracle.verify_theorems_on_census(bare))
+    assert tags == tuple(reversed(oracle.classify_against_families(report).family_tags))
+    assert calls["residual"] == 2 * report.total

@@ -20,6 +20,9 @@ structure comes back untagged.
 The theorem sweep checks product identities mod p on one stack of all
 solutions; only a solution that batch flags meets the exact check, the
 one source of failing verdicts.
+
+numpy is imported inside the functions that use it, so that importing the
+package, and every command but a census, does not load it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
-
-import numpy as np
 
 from . import core
 from .errors import BudgetError, PreconditionError, SideConditionError
@@ -40,7 +41,7 @@ from .matrices import (JordanSpec, Matrix, centralizer_basis, jordan_chain_conju
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 13
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _combine(coefs: list[int], rows) -> np.ndarray:
     """The sum of c * row over the nonzero coefficients c, with no product
     for c = 1; zeros when every coefficient is zero. Never writes to a row."""
     terms = [row if c == 1 else c * row for c, row in zip(coefs, rows) if c]
-    return sum(terms[1:], terms[0]) if terms else np.zeros_like(rows[0])
+    return sum(terms[1:], terms[0]) if terms else 0 * rows[0]
 
 
 def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries) -> np.ndarray:
@@ -98,6 +99,8 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries) -> np.ndarray:
     survivors of the entries before it: entry (i, j) takes row i and
     column j of AX, reduced mod p before the second product.
     """
+    import numpy as np
+
     n = len(a)
     a_rows, a_cols = a.tolist(), a.T.tolist()
     x = xs.transpose(1, 2, 0)
@@ -117,6 +120,8 @@ def _product_masks(coeff: core.Facts, xs: list[Matrix]):
     """Boolean masks over n x n matrices ``xs`` over GF(p): which satisfy
     AXA^k = X^k AX and A^k XA = XA X^k for k = 1 .. 2n, and which satisfy
     XA phi(X) = 0 = phi(X) AX for phi = char(A), by Horner from lead * I."""
+    import numpy as np
+
     a, phi = coeff.matrix, coeff.charpoly.raw
     p, n = a.field.p, a.nrows
     _check_int64(p, n + 1, len(xs))
@@ -175,6 +180,8 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     the coordinates of a basis, in pieces of at most ``_CHUNK``. A stage sets
     the coordinates up to the next one that fixes a residual entry, the first
     stage at least those one piece holds, and screens the entries they fix."""
+    import numpy as np
+
     field = a.field
     if field.kind != "gf":
         raise PreconditionError("census enumeration needs a prime field")
@@ -206,7 +213,9 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
 
     def descend(x: np.ndarray, start: int) -> None:  # x: (n, n, S), coordinates < start set
         if start == dim:
-            return found.extend(Matrix.from_rows(field, m) for m in x.transpose(2, 0, 1).tolist())
+            # residues below p already: no coercion, the census re-verifies each one
+            return found.extend(Matrix._make(field, n, n, m)
+                                for m in x.transpose(2, 0, 1).reshape(-1, n * n).tolist())
         stop = next(e for e in ends if e > start)
         span, on = p ** (stop - start), (basis[start:stop] != 0).any(axis=0)
         step, place = max(1, _CHUNK // span), p ** np.arange(stop - start)[::-1, None]
@@ -372,7 +381,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
             verdicts.append(core.check_kernel_invariance(coeff, sol))
             if jordan is not None:
                 verdicts.append(core.check_spectrum_inclusion(coeff, sol, eigenvalues))
-        if len(blocks) == 1:
+        if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
             verdicts.append(_single_block_classification(a, lams[0], sol))
         if two_block and not x.is_zero and not sol.invertible:
             verdicts.append(core.check_kernel_classification_two_blocks(coeff, sol, sizes))
@@ -397,8 +406,8 @@ def _exact_unless_cleared(cleared, name: str, check, *args) -> core.PropertyVerd
 def _single_block_classification(a: Matrix, lam, x) -> core.PropertyVerdict:
     """For a single Jordan block: with a nonzero eigenvalue every solution is
     zero or similar to the block, which a Jordan chain of the solution
-    certifies; with eigenvalue zero no solution is invertible. The solution
-    ``x`` is a matrix or its facts record."""
+    certifies; with eigenvalue zero and size 2 or more no solution is
+    invertible. The solution ``x`` is a matrix or its facts record."""
     x = core.facts(x)
     if lam.is_zero:
         holds = not x.invertible

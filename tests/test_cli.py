@@ -468,3 +468,46 @@ def test_cli_corpus_is_byte_identical(capsys, case):
     assert (code, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(err.encode()).hexdigest()) == (
         case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("spec", ["gf:2", "gf:3"])
+@pytest.mark.parametrize("commuting", [(), ("--commuting",)])
+def test_census_of_the_1x1_zero_block_holds(capsys, spec, commuting):
+    """A = 0 is 1x1: every X solves, [1] included, so no claim fails."""
+    code, out, _ = run(capsys, "census", "--field", spec, "--jordan", "0^1", *commuting)
+    assert code == 0 and "FAIL" not in out
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from yangbaxter.cli import build_parser, main
+
+build_parser()
+seen = {"import": "numpy" in sys.modules}
+a, x = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["families"]), main(["verify", "--A", a, "--X", x]),
+             main(["groebner", "--ideal", "ybe", "--jordan", "0^2"])]
+    seen["exact"] = "numpy" in sys.modules
+    codes.append(main(["census", "--field", "gf:2", "--jordan", "0^2"]))
+seen["census"] = "numpy" in sys.modules
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_only_census_imports_numpy(rat, write_matrix):
+    """In a fresh interpreter, the package, the parser and the exact
+    commands leave numpy unimported; a census imports it."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    a = write_matrix(nilpotent_block(rat, 2))
+    x = write_matrix(Matrix.from_rows(rat, [[1, 5], [0, 0]]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, a, x], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {
+        "codes": [0, 0, 0, 0], "seen": {"import": False, "exact": False, "census": True}}

@@ -122,6 +122,12 @@ def test_int64_guard_fires_within_budget(commuting):
         census(field, "1^1", commuting=commuting, budget=10 ** 10)
 
 
+def test_int64_max_literal_is_numpys():
+    """The guard's bound is written out so that importing the module does not
+    import numpy; it must still be the int64 maximum."""
+    assert oracle._INT64_MAX == np.iinfo(np.int64).max
+
+
 def reference_screen(a, commuting):
     """The screen as it was before blocks: every candidate's digits split
     off its index as idx // weights % p, then one batched AX = a @ xs % p

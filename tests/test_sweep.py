@@ -68,7 +68,7 @@ def reference_sweep(report):
             out.append(core.check_kernel_invariance(a, x))
             if jordan is not None:
                 out.append(core.check_spectrum_inclusion(a, x, jordan.eigenvalues()))
-        if len(blocks) == 1:
+        if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):
             lam = lams[0]
             if lam.is_zero:
                 holds = not x.is_invertible()

@@ -49,7 +49,7 @@ def _read_matrix(path: str) -> Matrix:
     return matio.loads_matrix(_read_text(path))
 
 
-def _emit(args, text: str, payload: dict) -> None:
+def _emit(args, text: str, payload: dict | None) -> None:
     out = json.dumps(payload, indent=2) + "\n" if args.json else text
     if getattr(args, "out", None):
         _write_text(args.out, out)
@@ -181,12 +181,14 @@ def cmd_census(args) -> int:
     if args.solutions:
         for x in classified.solutions:
             lines.append(str(x))
-    payload = matio.census_to_json(classified)
-    payload["theorem_checks"] = {
-        "run": len(verdicts),
-        "failed": len(failures),
-        "failures": [{"name": v.name, "note": v.note} for v in failures],
-    }
+    payload = None  # the text output never reads it
+    if args.json:
+        payload = matio.census_to_json(classified)
+        payload["theorem_checks"] = {
+            "run": len(verdicts),
+            "failed": len(failures),
+            "failures": [{"name": v.name, "note": v.note} for v in failures],
+        }
     _emit(args, "\n".join(lines) + "\n", payload)
     return OK if not failures else CLAIM_FALSE
 

@@ -5,6 +5,10 @@ its raw values: ``Fraction`` for the rationals, int residues in ``[0, p)``
 for GF(p), and Fraction pairs ``(c0, c1)`` meaning ``c0 + c1*s`` for Q(s),
 ``s**2 = a`` with ``a`` a rational non-square. Matrices and polynomials
 compute on raw values; a :class:`Scalar` boxes one at public interfaces.
+Over Q and Q(s) the two hot kernels run on Python ints: dot products sum
+numerators over a common denominator, and Gauss-Jordan elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968) on rows scaled to integers,
+so a Fraction is built once per result entry.
 
 Fields are interned: ``Field.rationals``, ``gf``, ``quadratic`` and
 ``from_spec`` return one object per field, even to racing threads, so
@@ -167,16 +171,11 @@ class Field:
         return Scalar(self, v)
 
     # -- arithmetic on raw values ------------------------------------------------
+    # Each field kind supplies add, sub, neg, mul, inv and dot, the sum of
+    # x*y over two equal-length raw sequences.
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def dot(self, xs, ys):
-        """sum(x * y) over two equal-length raw sequences."""
-        acc = self.ZERO
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
 
     def scale(self, c, xs) -> list:
         return [self.mul(c, x) for x in xs]
@@ -184,6 +183,15 @@ class Field:
     def sub_scaled(self, xs, c, ys) -> list:
         """[x - c*y] over two equal-length raw sequences."""
         return [self.sub(x, self.mul(c, y)) for x, y in zip(xs, ys)]
+
+    # -- Gauss-Jordan elimination ----------------------------------------------
+    # Matrix._rref runs the one loop over pivot columns; each field kind
+    # supplies the row arithmetic: WORK_ZERO and WORK_ONE, the zero of its
+    # working rows and the ``prev`` of the first step, and
+    #   lift_rows(rows) -> working rows with the same reduced echelon form,
+    #   clear_column(rows, r, c, prev) -> clears column c of every row but
+    #       the pivot row r, in place, and returns the next step's prev,
+    #   reduced_rows(rows, prev) -> the raw rows of the reduced echelon form.
 
     def canonical(self, a):
         """The number a scalar with raw value ``a`` equals and hashes as."""
@@ -205,7 +213,52 @@ class _Rationals(Field):
         return 1 / a
 
     def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys), Fraction(0))
+        """The numerators accumulate over a running common denominator,
+        and one Fraction is built at the end."""
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            n = x.numerator * y.numerator
+            if n:
+                d = x.denominator * y.denominator
+                if den % d:
+                    g = math.gcd(den, d)
+                    num, den = num * (d // g) + n * (den // g), den // g * d
+                else:
+                    num += n * (den // d)
+        return Fraction(num, den)
+
+    # Fraction-free Gauss-Jordan (Bareiss) on int rows: each row is scaled
+    # by the lcm of its denominators, and every entry after a step is a
+    # minor of the scaled matrix, so the division by ``prev`` is exact.
+    WORK_ZERO, WORK_ONE = 0, 1
+
+    def lift_rows(self, rows):
+        out = []
+        for row in rows:
+            m = math.lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (m // x.denominator) for x in row])
+        return out
+
+    def clear_column(self, rows, r, c, prev):
+        """row_i <- (p*row_i - e*row_r) / prev for every i != r, with p the
+        pivot and e row i's entry in column c. Rows with e = 0 are scaled
+        by p/prev too, so all rows stay on one scale: every pivot ends
+        equal to the last, which reduced_rows divides by."""
+        pivot = rows[r]
+        p = pivot[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            e = row[c]
+            if e:
+                rows[i] = [(p * x - e * y) // prev for x, y in zip(row, pivot)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
+        return p
+
+    def reduced_rows(self, rows, prev):
+        zero = self.ZERO
+        return [[Fraction(x, prev) if x else zero for x in row] for row in rows]
 
     def _coerce(self, value):
         if isinstance(value, (int, Fraction)):
@@ -221,7 +274,7 @@ class _Rationals(Field):
 class _PrimeField(Field):
     __slots__ = ()
     kind = GF
-    ZERO, ONE = 0, 1
+    ZERO, ONE = WORK_ZERO, WORK_ONE = 0, 1
     _noun = "residue"
 
     def __init__(self, p: int):
@@ -252,6 +305,20 @@ class _PrimeField(Field):
     def sub_scaled(self, xs, c, ys) -> list:
         p = self.p
         return [(x - c * y) % p for x, y in zip(xs, ys)]
+
+    # textbook Gauss-Jordan on residues: each pivot row is scaled to 1
+    def lift_rows(self, rows):
+        return rows
+
+    def clear_column(self, rows, r, c, prev):
+        pivot = rows[r] = self.scale(self.inv(rows[r][c]), rows[r])
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = self.sub_scaled(row, row[c], pivot)
+        return prev
+
+    def reduced_rows(self, rows, prev):
+        return rows
 
     def elements(self):
         return (Scalar(self, v) for v in range(self.p))
@@ -318,6 +385,70 @@ class _QuadraticField(Field):
         c0, c1 = a
         norm = c0 * c0 - c1 * c1 * self.radicand
         return (c0 / norm, -c1 / norm)
+
+    def dot(self, xs, ys):
+        """Each side is put over one common denominator, so the sums run
+        on ints, and one pair of Fractions is built at the end."""
+        dx = math.lcm(*(c.denominator for x in xs for c in x))
+        dy = math.lcm(*(c.denominator for y in ys for c in y))
+        s0 = s1 = s2 = 0  # the sum is (s0 + s1*s + s2*a) / (dx*dy)
+        for (x0, x1), (y0, y1) in zip(xs, ys):
+            a0, a1 = x0.numerator * (dx // x0.denominator), x1.numerator * (dx // x1.denominator)
+            b0, b1 = y0.numerator * (dy // y0.denominator), y1.numerator * (dy // y1.denominator)
+            s0 += a0 * b0
+            s1 += a0 * b1 + a1 * b0
+            s2 += a1 * b1
+        an, ad = self.radicand.numerator, self.radicand.denominator
+        return (Fraction(s0 * ad + s2 * an, dx * dy * ad), Fraction(s1, dx * dy))
+
+    # Fraction-free Gauss-Jordan as over the rationals, on pairs (x0, x1)
+    # meaning x0 + x1*t in Z[t], with t = v*s and t^2 = u*v for a = u/v.
+    # Division by prev multiplies by its conjugate, then divides exactly by
+    # its norm.
+    WORK_ZERO, WORK_ONE = (0, 0), (1, 0)
+
+    def lift_rows(self, rows):
+        v = self.radicand.denominator
+        out = []
+        for row in rows:
+            m = math.lcm(*(c0.denominator for c0, _ in row),
+                         *(c1.denominator * v for _, c1 in row))
+            out.append([(c0.numerator * (m // c0.denominator),
+                         c1.numerator * (m // (c1.denominator * v))) for c0, c1 in row])
+        return out
+
+    def clear_column(self, rows, r, c, prev):
+        w = self.radicand.numerator * self.radicand.denominator
+        pivot = rows[r]
+        p = p0, p1 = pivot[c]
+        q0, q1 = prev
+        norm, wp1, wq1 = q0 * q0 - w * q1 * q1, w * p1, w * q1
+
+        def div(d0, d1):  # (d0 + d1*t) / prev, exact
+            return ((d0 * q0 - d1 * wq1) // norm, (d1 * q0 - d0 * q1) // norm)
+
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            e0, e1 = row[c]
+            if e0 or e1:
+                we1 = w * e1
+                rows[i] = [div(p0 * x0 + wp1 * x1 - e0 * y0 - we1 * y1,
+                               p0 * x1 + p1 * x0 - e0 * y1 - e1 * y0)
+                           for (x0, x1), (y0, y1) in zip(row, pivot)]
+            elif p != prev:
+                rows[i] = [div(p0 * x0 + wp1 * x1, p0 * x1 + p1 * x0) if x0 or x1 else (0, 0)
+                           for x0, x1 in row]
+        return p
+
+    def reduced_rows(self, rows, prev):
+        """x / prev = x * conj(prev) / norm(prev), and x1*t = x1*v*s."""
+        w, v = self.radicand.numerator * self.radicand.denominator, self.radicand.denominator
+        q0, q1 = prev
+        norm = q0 * q0 - w * q1 * q1
+        zero = self.ZERO
+        return [[(Fraction(x0 * q0 - w * x1 * q1, norm), Fraction((x1 * q0 - x0 * q1) * v, norm))
+                 if x0 or x1 else zero for x0, x1 in row] for row in rows]
 
     def symbol(self) -> "Scalar":
         return Scalar(self, (Fraction(0), Fraction(1)))

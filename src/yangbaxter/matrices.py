@@ -5,8 +5,11 @@ their field (``Matrix.raw``), computing on them with the field's own
 arithmetic. Entries are boxed as scalars only where they leave a matrix;
 the public constructors coerce their input and reject another field's
 scalars, while results computed here skip that re-check. Every reduction
-(rref, rank, kernel, inverse, nullspace of operator equations) is plain
-Gauss-Jordan elimination, so results are deterministic down to the byte.
+(rref, rank, kernel, inverse, nullspace of operator equations) is one
+Gauss-Jordan loop whose row arithmetic the field supplies: fraction-free
+on ints over ``rat`` and ``quad:a``, with Fractions built once at the end,
+and textbook over GF(p). The reduced echelon form is unique, so results
+are canonical and deterministic down to the byte.
 
 Whenever a basis of a matrix space is returned (kernels, centralizers,
 annihilators) it is the reduced-echelon basis of the row-major
@@ -207,8 +210,9 @@ class Matrix:
 
     def _rref(self) -> tuple[list[list], tuple[int, ...]]:
         """Raw rows of the reduced row-echelon form and the pivot columns."""
-        f, z, nr = self.field, self.field.ZERO, self.nrows
-        rows = self._raw_rows()
+        f, nr = self.field, self.nrows
+        z, prev = f.WORK_ZERO, f.WORK_ONE
+        rows = f.lift_rows(self._raw_rows())
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -216,15 +220,12 @@ class Matrix:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            rows[r] = f.scale(f.inv(rows[r][c]), rows[r])
-            for i in range(nr):
-                if i != r and rows[i][c] != z:
-                    rows[i] = f.sub_scaled(rows[i], rows[i][c], rows[r])
+            prev = f.clear_column(rows, r, c, prev)
             pivots.append(c)
             r += 1
             if r == nr:
                 break
-        return rows, tuple(pivots)
+        return f.reduced_rows(rows, prev), tuple(pivots)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and the tuple of pivot columns."""

@@ -219,6 +219,18 @@ def test_census_json_round_trips(capsys):
     assert doc["theorem_checks"]["failed"] == 0
 
 
+@pytest.mark.parametrize("extra, calls", [((), 0), (("--json",), 1)])
+def test_census_builds_its_payload_only_for_json(capsys, monkeypatch, extra, calls):
+    """The text census never reads the census/1 payload, so it never builds it."""
+    from yangbaxter import matio
+
+    seen = []
+    build = matio.census_to_json
+    monkeypatch.setattr(matio, "census_to_json", lambda rep: seen.append(rep) or build(rep))
+    code, _, _ = run(capsys, "census", "--jordan", "0^2", "--field", "gf:2", *extra)
+    assert (code, len(seen)) == (0, calls)
+
+
 def test_sylvester_cli(rat, write_matrix, capsys):
     a = write_matrix(Matrix.from_rows(rat, [[1]]))
     b = write_matrix(Matrix.from_rows(rat, [[1]]))

@@ -5,7 +5,10 @@ the equality/hash contract. Matrix products, determinants, ranks and
 characteristic polynomials are checked against a small reference written
 here: ints mod p, Fractions and (c0, c1) pairs with their textbook
 operations, Leibniz expansion for the determinant, over the field and over
-its polynomial ring, and naive elimination for the rank. The spectral
+its polynomial ring, and textbook Gauss-Jordan elimination for the reduced
+echelon form, rank, kernel, inverse and determinant. Entries with
+denominators near 10^6 and rank-deficient matrices exercise the exact
+divisions of the fraction-free elimination over Q and Q(s). The spectral
 primitives are checked against repeated linear division, the defining
 properties of the minimal polynomial, and rank-profile similarity. The
 Sylvester solver and span membership, one elimination each, are checked
@@ -17,6 +20,7 @@ reproduces the failure just as well.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, zip_longest
 
 import pytest
@@ -44,8 +48,13 @@ SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
 
 small_fractions = st.integers(1, 9).flatmap(
     lambda d: st.integers(-20 * d, 20 * d).map(lambda n: Fraction(n, d)))
+# denominators near 10^6, whose products the exact divisions of the
+# fraction-free elimination must carry
+large_fractions = st.builds(Fraction, st.integers(-10**7, 10**7),
+                            st.integers(10**6 - 99, 10**6 + 99))
 
 
+@cache  # building a strategy anew for every draw costs more than drawing from it
 def values(spec: str):
     """Strategy for the raw inputs ``Field.scalar`` accepts in this field."""
     if spec == "rat":
@@ -117,20 +126,28 @@ class Ref:
             total = self.add(total, self.neg(term) if inversions % 2 else term)
         return total
 
-    def rank(self, rows):
+    def gauss_jordan(self, rows):
+        """Textbook Gauss-Jordan: reduced row-echelon rows, the pivot
+        columns and, for a square matrix, the determinant."""
         rows = [list(r) for r in rows]
-        rank = 0
+        pivots, det = [], self.one()
         for c in range(len(rows[0])):
-            pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != self.zero()), None)
-            if pivot is None:
+            r = len(pivots)
+            pr = next((i for i in range(r, len(rows)) if rows[i][c] != self.zero()), None)
+            if pr is None:
                 continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = self.inv(rows[rank][c])
-            for r in range(rank + 1, len(rows)):
-                factor = self.neg(self.mul(rows[r][c], inv))
-                rows[r] = [self.add(x, self.mul(factor, y)) for x, y in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
+            if pr != r:
+                rows[r], rows[pr] = rows[pr], rows[r]
+                det = self.neg(det)
+            det = self.mul(det, rows[r][c])
+            inv = self.inv(rows[r][c])
+            rows[r] = [self.mul(inv, x) for x in rows[r]]
+            for i in range(len(rows)):
+                if i != r:
+                    factor = self.neg(rows[i][c])
+                    rows[i] = [self.add(x, self.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            pivots.append(c)
+        return rows, tuple(pivots), det if len(pivots) == len(rows) else self.zero()
 
 
 class PolyRef:
@@ -159,6 +176,18 @@ class PolyRef:
         return out
 
     det = Ref.det
+
+
+@cache
+def entries(spec: str):
+    """Entries for the reduction tests: residues as in ``values``, and
+    rationals whose denominator is below 10 or, in a quarter of them,
+    near 10^6."""
+    if spec.startswith("gf:"):
+        return values(spec)
+    small = st.builds(Fraction, st.integers(-180, 180), st.integers(1, 9))
+    rational = st.one_of(small, small, small, large_fractions)
+    return rational if spec == "rat" else st.tuples(rational, rational)
 
 
 def matrices(spec: str, nrows, ncols):
@@ -233,7 +262,7 @@ def test_matmul_det_rank_against_reference(spec, data):
                 expected = ref.add(expected, ref.mul(ra[i][t], rb[t][j]))
             assert product[i, j] == field.scalar(expected)
 
-    assert a.rank() == ref.rank(ra)
+    assert a.rank() == len(ref.gauss_jordan(ra)[1])
     s = data.draw(st.integers(1, 4))
     sq_rows = data.draw(matrices(spec, s, s))
     sq = Matrix.from_rows(field, sq_rows)
@@ -418,3 +447,81 @@ def test_span_contains_against_two_ranks(spec, data):
     else:
         expected = m.is_zero
     assert span_contains(basis, m) == expected
+
+
+def reduction_rows(spec, data, nrows, ncols):
+    """Reference rows of a drawn matrix; half the time one row is a
+    combination of the others, so the matrix is rank-deficient."""
+    ref = Ref(spec)
+    rows = [[ref.lift(v) for v in row]
+            for row in data.draw(st.lists(st.lists(entries(spec), min_size=ncols, max_size=ncols),
+                                          min_size=nrows, max_size=nrows))]
+    if nrows > 1 and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, nrows - 1))
+        combination = [ref.zero()] * ncols
+        for i, row in enumerate(rows):
+            if i != k:
+                c = ref.lift(data.draw(values(spec)))
+                combination = [ref.add(x, ref.mul(c, y)) for x, y in zip(combination, row)]
+        rows[k] = combination
+    return rows
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_rref_rank_and_kernel_against_textbook_gauss_jordan(spec, data):
+    """Raw rows compare by repr, so a value of the wrong type (an int for a
+    Fraction) fails as a wrong value does."""
+    field, ref = Field.from_spec(spec), Ref(spec)
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    rows = reduction_rows(spec, data, nrows, ncols)
+    m = Matrix.from_rows(field, rows)
+    expected, pivots, _ = ref.gauss_jordan(rows)
+    got, got_pivots = m._rref()
+    assert (repr(got), got_pivots) == (repr(expected), pivots)
+    assert m.rank() == len(pivots)
+    kernel = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [ref.zero()] * ncols
+        v[fc] = ref.one()
+        for row, pc in zip(expected, pivots):
+            v[pc] = ref.neg(row[fc])
+        kernel.append(tuple(map(field.scalar, v)))
+    assert m.kernel_basis() == kernel
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_inverse_and_det_against_textbook_gauss_jordan(spec, data):
+    """[M | I] reduces to [I | M^-1] exactly when M is invertible."""
+    field, ref = Field.from_spec(spec), Ref(spec)
+    n = data.draw(st.integers(1, 6))
+    rows = reduction_rows(spec, data, n, n)
+    m = Matrix.from_rows(field, rows)
+    augmented = [row + [ref.one() if i == j else ref.zero() for j in range(n)]
+                 for i, row in enumerate(rows)]
+    expected, pivots, _ = ref.gauss_jordan(augmented)
+    got, got_pivots = Matrix.block([[m, Matrix.identity(field, n)]])._rref()
+    assert (repr(got), got_pivots) == (repr(expected), pivots)
+    if pivots == tuple(range(n)):
+        assert m.inverse() == Matrix.from_rows(field, [row[n:] for row in expected])
+    else:
+        assert m.inverse() is None
+    assert m.det() == field.scalar(ref.gauss_jordan(rows)[2])
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_dot_against_reference_sum(spec, data):
+    field, ref = Field.from_spec(spec), Ref(spec)
+    k = data.draw(st.integers(0, 8))
+    xs, ys = ([ref.lift(v) for v in data.draw(st.lists(entries(spec), min_size=k, max_size=k))]
+              for _ in range(2))
+    expected = ref.zero()
+    for x, y in zip(xs, ys):
+        expected = ref.add(expected, ref.mul(x, y))
+    got = field.dot([field.coerce(x) for x in xs], [field.coerce(y) for y in ys])
+    assert repr(got) == repr(expected)

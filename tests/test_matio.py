@@ -9,11 +9,14 @@ from yangbaxter.matio import (
     census_to_json,
     dumps_matrix,
     format_jordan,
+    load_matrix,
     loads_matrix,
     matrix_from_json,
     matrix_to_json,
     parse_jordan,
+    save_matrix,
 )
+from yangbaxter.fields import Field
 from yangbaxter.matrices import Matrix, jordan_matrix
 
 
@@ -26,6 +29,30 @@ def test_matrix_round_trip_all_fields(rat, gf5, quad2):
     ]
     for m in samples:
         assert loads_matrix(dumps_matrix(m)) == m
+
+
+@pytest.mark.parametrize("spec, rows", [
+    ("rat", [["1", "-3/4", "0"], ["1000003/7", "2", "-1"]]),
+    ("gf:5", [["0", "4"], ["3", "1"]]),
+    ("quad:1/2", [["1/2+3*s", "-2*s"], ["0", "-7/3-1/5*s"]]),
+])
+def test_save_and_load_matrix_round_trip(tmp_path, spec, rows):
+    field = Field.from_spec(spec)
+    m = Matrix.from_rows(field, [[field.parse(v) for v in row] for row in rows])
+    path = tmp_path / "m.json"
+    save_matrix(str(path), m)
+    assert path.read_text(encoding="utf-8") == dumps_matrix(m)
+    again = load_matrix(str(path))
+    assert again == m and again.field is field
+
+
+@pytest.mark.parametrize("text", ['{"field": "rat", "rows": [["1", "2"]', '{"field": "quad:1/2"}',
+                                  '{"field": "gf:5", "rows": [["1/2"]]}'])
+def test_load_matrix_of_a_malformed_file_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_matrix(str(path))
 
 
 def test_matrix_json_shape(rat):

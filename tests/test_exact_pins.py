@@ -173,19 +173,14 @@ def argv_of(case, write_matrix):
     return out
 
 
-def run_case(name, write_matrix, capsys):
-    code = main(argv_of(CASES[name], write_matrix))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_every_case_is_pinned():
     assert sorted(CASES) == sorted(PINS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_exact_path_output_is_pinned(name, write_matrix, capsys):
-    code, out, err = run_case(name, write_matrix, capsys)
+    code = main(argv_of(CASES[name], write_matrix))
+    out, err = capsys.readouterr()
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
         PINS[name]["code"], PINS[name]["stdout"])

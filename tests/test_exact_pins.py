@@ -5,7 +5,11 @@ exit code and the sha256 of its stdout must match those recorded in
 ``data/exact_pins.json``. The cases cover Sylvester systems with a unique
 solution, a homogeneous one and an inconsistent one over ``rat`` (n = 3..6),
 ``quad:2`` (n = 3, 4) and ``quad:1/2``, centralizer and annihilator bases,
-the two family constructors that take inverses, ``verify`` and ``pencil``.
+the two family constructors that take inverses, ``verify`` and ``pencil``
+(over ``quad:1/2`` as well), and the constructors that build from
+parameters alone (``commuting-nilpotent``, ``nilpotent-general``,
+``jordan2-invertible`` and the five cases of ``two-block-case``) over
+``rat``, ``quad:2`` and ``quad:1/2``.
 
 The matrices are P J P^-1 for a Jordan matrix J and a conjugator P built
 from elementary row operations with fractional multipliers, so they are
@@ -149,6 +153,50 @@ def desk_cases(spec):
     }
 
 
+def family_cases(spec):
+    """The constructors that build from parameters alone: square roots,
+    powers of the shift block and quotients by lam and by sqrt(a) - 1,
+    each checked by its residual before it is printed."""
+    field = Field.from_spec(spec)
+    quad = field.kind == "quad"
+    # a square whose root is irrational in a quadratic field: (1 + s)^2
+    root_of = {"rat": "49/81", "quad:2": "3+2*s", "quad:1/2": "3/2+2*s"}[spec]
+    lam = "7/9-2/3*s" if quad else "7/9"
+    b, c, e = ("3/7+1/2*s", "-5/9", "2/7-3*s") if quad else ("3/7", "-5/9", "2/7")
+
+    def construct(family, *params):
+        argv = ("construct", "--family", family, "--field", spec)
+        for param in params:
+            argv += ("--param", param)
+        return argv
+
+    return {
+        f"construct {spec} commuting-nilpotent with_B": construct(
+            "commuting-nilpotent", "n=3", "variant=with_B", f"alpha={lam}", "beta=-2/3"),
+        f"construct {spec} commuting-nilpotent without_B json": (
+            *construct("commuting-nilpotent", "n=4", "variant=without_B", "alpha=7/9",
+                       f"beta={b}"), "--json"),
+        f"construct {spec} nilpotent-general": construct(
+            "nilpotent-general", "n=5", f"a=1/2,{c},7/9", f"b={b},-1,{e}", f"alpha={lam}"),
+        f"construct {spec} jordan2-invertible plus": construct(
+            "jordan2-invertible", f"lam={lam}", "branch=plus", f"a={root_of}"),
+        f"construct {spec} jordan2-invertible minus json": (
+            *construct("jordan2-invertible", f"lam={lam}", "branch=minus", f"a={root_of}"),
+            "--json"),
+        f"construct {spec} two-block-case i": construct(
+            "two-block-case", "case=i", f"lam={lam}", f"b={b}", f"e={e}"),
+        f"construct {spec} two-block-case ii": construct(
+            "two-block-case", "case=ii", "lam=1", f"a={root_of}", f"c={c}", f"e={e}"),
+        f"construct {spec} two-block-case iii json": (
+            *construct("two-block-case", "case=iii", f"lam={lam}", f"a={root_of}", f"e={e}"),
+            "--json"),
+        f"construct {spec} two-block-case iv": construct(
+            "two-block-case", "case=iv", f"lam={lam}", f"b={b}"),
+        f"construct {spec} two-block-case v": construct(
+            "two-block-case", "case=v", "lam=1", f"b={b}", f"c={c}"),
+    }
+
+
 CASES = {}
 for _n in (3, 4, 5, 6):
     CASES.update(sylvester_cases("rat", _n))
@@ -158,6 +206,10 @@ CASES.update({k: v for k, v in sylvester_cases("quad:1/2", 3).items() if "unique
 for _spec in ("rat", "quad:2"):
     CASES.update(space_cases(_spec))
     CASES.update(desk_cases(_spec))
+CASES.update({k: v for k, v in desk_cases("quad:1/2").items()
+              if k.startswith(("verify", "pencil"))})
+for _spec in ("rat", "quad:2", "quad:1/2"):
+    CASES.update(family_cases(_spec))
 
 
 def argv_of(case, write_matrix):

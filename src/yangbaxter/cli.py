@@ -91,7 +91,7 @@ def _parse_params(fam_desc, pairs, field) -> dict:
         if kind == "scalar":
             out[name] = field.parse(value)
         elif kind == "count":
-            if not value.isdigit():
+            if not value.isdecimal():
                 raise ParseError(f"parameter {name} needs a positive integer")
             out[name] = int(value)
         elif kind == "choice":

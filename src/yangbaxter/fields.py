@@ -5,10 +5,11 @@ its raw values: ``Fraction`` for the rationals, int residues in ``[0, p)``
 for GF(p), and Fraction pairs ``(c0, c1)`` meaning ``c0 + c1*s`` for Q(s),
 ``s**2 = a`` with ``a`` a rational non-square. Matrices and polynomials
 compute on raw values; a :class:`Scalar` boxes one at public interfaces.
-Over Q and Q(s) the two hot kernels run on Python ints: dot products sum
-numerators over a common denominator, and Gauss-Jordan elimination is
-fraction-free (Bareiss, Math. Comp. 22, 1968) on rows scaled to integers,
-so a Fraction is built once per result entry.
+Over Q and Q(s) matrix products and Gauss-Jordan elimination run on one
+integer model, the rows ``lift_rows`` scales to integers: a product sums
+the lifted rows of one factor against the lifted columns of the other, and
+elimination is fraction-free (Bareiss, Math. Comp. 22, 1968), so a
+Fraction is built once per result entry.
 
 Fields are interned: ``Field.rationals``, ``gf``, ``quadratic`` and
 ``from_spec`` return one object per field, even to racing threads, so
@@ -171,8 +172,9 @@ class Field:
         return Scalar(self, v)
 
     # -- arithmetic on raw values ------------------------------------------------
-    # Each field kind supplies add, sub, neg, mul, inv and dot, the sum of
-    # x*y over two equal-length raw sequences.
+    # Each field kind supplies add, sub, neg, mul, inv and matmul(rows,
+    # cols), the row-major raw entries of each row times each column: the
+    # lifted rows times the lifted columns, over the product of two scales.
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -188,7 +190,8 @@ class Field:
     # Matrix._rref runs the one loop over pivot columns; each field kind
     # supplies the row arithmetic: WORK_ZERO and WORK_ONE, the zero of its
     # working rows and the ``prev`` of the first step, and
-    #   lift_rows(rows) -> working rows with the same reduced echelon form,
+    #   lift_rows(rows) -> the working rows and each row's scale, an int
+    #       that the raw row is multiplied by,
     #   clear_column(rows, r, c, prev) -> clears column c of every row but
     #       the pivot row r, in place, and returns the next step's prev,
     #   reduced_rows(rows, prev) -> the raw rows of the reduced echelon form.
@@ -212,32 +215,24 @@ class _Rationals(Field):
     def inv(self, a):
         return 1 / a
 
-    def dot(self, xs, ys):
-        """The numerators accumulate over a running common denominator,
-        and one Fraction is built at the end."""
-        num, den = 0, 1
-        for x, y in zip(xs, ys):
-            n = x.numerator * y.numerator
-            if n:
-                d = x.denominator * y.denominator
-                if den % d:
-                    g = math.gcd(den, d)
-                    num, den = num * (d // g) + n * (den // g), den // g * d
-                else:
-                    num += n * (den // d)
-        return Fraction(num, den)
-
-    # Fraction-free Gauss-Jordan (Bareiss) on int rows: each row is scaled
-    # by the lcm of its denominators, and every entry after a step is a
-    # minor of the scaled matrix, so the division by ``prev`` is exact.
+    # Products and fraction-free Gauss-Jordan (Bareiss) on int rows: each
+    # row is scaled by the lcm of its denominators. In elimination every
+    # entry after a step is a minor of the scaled matrix, so the division
+    # by ``prev`` is exact.
     WORK_ZERO, WORK_ONE = 0, 1
 
     def lift_rows(self, rows):
-        out = []
+        out, scales = [], []
         for row in rows:
             m = math.lcm(*(x.denominator for x in row))
             out.append([x.numerator * (m // x.denominator) for x in row])
-        return out
+            scales.append(m)
+        return out, scales
+
+    def matmul(self, rows, cols):
+        cols = list(zip(*self.lift_rows(cols)))
+        return [Fraction(sum(map(operator.mul, r, c)), a * b)
+                for r, a in zip(*self.lift_rows(rows)) for c, b in cols]
 
     def clear_column(self, rows, r, c, prev):
         """row_i <- (p*row_i - e*row_r) / prev for every i != r, with p the
@@ -299,23 +294,27 @@ class _PrimeField(Field):
             raise ZeroDivisionError("scalar is zero")
         return pow(a, -1, self.p)
 
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.p
+    def matmul(self, rows, cols):
+        """The lift is the identity, with scale 1: the sums run on residues."""
+        p = self.p
+        return [sum(map(operator.mul, r, c)) % p for r in rows for c in cols]
 
     def sub_scaled(self, xs, c, ys) -> list:
         p = self.p
         return [(x - c * y) % p for x, y in zip(xs, ys)]
 
-    # textbook Gauss-Jordan on residues: each pivot row is scaled to 1
+    # textbook Gauss-Jordan on residues: each pivot row is scaled to 1, and
+    # prev carries the product of the pivots
     def lift_rows(self, rows):
-        return rows
+        return rows, [1] * len(rows)
 
     def clear_column(self, rows, r, c, prev):
-        pivot = rows[r] = self.scale(self.inv(rows[r][c]), rows[r])
+        e = rows[r][c]
+        pivot = rows[r] = self.scale(self.inv(e), rows[r])
         for i, row in enumerate(rows):
             if i != r and row[c]:
                 rows[i] = self.sub_scaled(row, row[c], pivot)
-        return prev
+        return self.mul(prev, e)
 
     def reduced_rows(self, rows, prev):
         return rows
@@ -386,36 +385,37 @@ class _QuadraticField(Field):
         norm = c0 * c0 - c1 * c1 * self.radicand
         return (c0 / norm, -c1 / norm)
 
-    def dot(self, xs, ys):
-        """Each side is put over one common denominator, so the sums run
-        on ints, and one pair of Fractions is built at the end."""
-        dx = math.lcm(*(c.denominator for x in xs for c in x))
-        dy = math.lcm(*(c.denominator for y in ys for c in y))
-        s0 = s1 = s2 = 0  # the sum is (s0 + s1*s + s2*a) / (dx*dy)
-        for (x0, x1), (y0, y1) in zip(xs, ys):
-            a0, a1 = x0.numerator * (dx // x0.denominator), x1.numerator * (dx // x1.denominator)
-            b0, b1 = y0.numerator * (dy // y0.denominator), y1.numerator * (dy // y1.denominator)
-            s0 += a0 * b0
-            s1 += a0 * b1 + a1 * b0
-            s2 += a1 * b1
-        an, ad = self.radicand.numerator, self.radicand.denominator
-        return (Fraction(s0 * ad + s2 * an, dx * dy * ad), Fraction(s1, dx * dy))
-
-    # Fraction-free Gauss-Jordan as over the rationals, on pairs (x0, x1)
-    # meaning x0 + x1*t in Z[t], with t = v*s and t^2 = u*v for a = u/v.
-    # Division by prev multiplies by its conjugate, then divides exactly by
-    # its norm.
+    # Products and fraction-free Gauss-Jordan as over the rationals, on
+    # pairs (x0, x1) meaning x0 + x1*t in Z[t], with t = v*s and t^2 = u*v
+    # for a = u/v. Division by prev multiplies by its conjugate, then
+    # divides exactly by its norm.
     WORK_ZERO, WORK_ONE = (0, 0), (1, 0)
 
     def lift_rows(self, rows):
         v = self.radicand.denominator
-        out = []
+        out, scales = [], []
         for row in rows:
             m = math.lcm(*(c0.denominator for c0, _ in row),
                          *(c1.denominator * v for _, c1 in row))
             out.append([(c0.numerator * (m // c0.denominator),
                          c1.numerator * (m // (c1.denominator * v))) for c0, c1 in row])
-        return out
+            scales.append(m)
+        return out, scales
+
+    def matmul(self, rows, cols):
+        """(x0 + x1*t)(y0 + y1*t) = x0*y0 + w*x1*y1 + (x0*y1 + x1*y0)*t with
+        w = t^2, so a row's x0s then x1s meet a column's y0s then w*y1s in
+        s0 and its y1s then y0s in s1. The entry (s0 + s1*t)/d, d the product
+        of the scales, is (s0/d, s1*v/d)."""
+        v, mul = self.radicand.denominator, operator.mul
+        w = self.radicand.numerator * v
+        rows = [([x0 for x0, _ in r] + [x1 for _, x1 in r], a)
+                for r, a in zip(*self.lift_rows(rows))]
+        cols = [([y0 for y0, _ in c] + [w * y1 for _, y1 in c],
+                 [y1 for _, y1 in c] + [y0 for y0, _ in c], b)
+                for c, b in zip(*self.lift_rows(cols))]
+        return [(Fraction(sum(map(mul, x, y0)), a * b), Fraction(sum(map(mul, x, y1)) * v, a * b))
+                for x, a in rows for y0, y1, b in cols]
 
     def clear_column(self, rows, r, c, prev):
         w = self.radicand.numerator * self.radicand.denominator

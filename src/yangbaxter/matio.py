@@ -27,10 +27,8 @@ _CENSUS_KEYS = "field coefficient commuting_only solutions by_rank by_kernel tot
 
 
 def matrix_to_json(m: Matrix) -> dict:
-    return {
-        "field": m.field.spec(),
-        "rows": [[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)],
-    }
+    fmt = m.field.format
+    return {"field": m.field.spec(), "rows": [list(map(fmt, row)) for row in m._raw_rows()]}
 
 
 def matrix_from_json(obj) -> Matrix:
@@ -101,7 +99,7 @@ def parse_jordan(field: Field, text: str) -> JordanSpec:
             raise ParseError(f"empty block in Jordan shorthand {text!r}")
         if "^" in part:
             lam_text, _, size_text = part.partition("^")
-            if not size_text.isdigit() or int(size_text) < 1:
+            if not size_text.isdecimal() or int(size_text) < 1:
                 raise ParseError(f"bad block size in {part!r}")
             size = int(size_text)
         else:

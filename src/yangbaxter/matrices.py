@@ -4,12 +4,12 @@ Matrices are immutable and store their entries row-major as raw values of
 their field (``Matrix.raw``), computing on them with the field's own
 arithmetic. Entries are boxed as scalars only where they leave a matrix;
 the public constructors coerce their input and reject another field's
-scalars, while results computed here skip that re-check. Every reduction
-(rref, rank, kernel, inverse, nullspace of operator equations) is one
-Gauss-Jordan loop whose row arithmetic the field supplies: fraction-free
-on ints over ``rat`` and ``quad:a``, with Fractions built once at the end,
-and textbook over GF(p). The reduced echelon form is unique, so results
-are canonical and deterministic down to the byte.
+scalars, while results computed here skip that re-check. A product is
+one field call on the rows and columns of its factors. Every reduction
+(rref, rank, kernel, inverse, determinant, nullspace of operator
+equations) is one Gauss-Jordan loop whose row arithmetic the field
+supplies: fraction-free on ints over ``rat`` and ``quad:a``, and textbook
+over GF(p). The reduced echelon form is unique, so results are canonical.
 
 Whenever a basis of a matrix space is returned (kernels, centralizers,
 annihilators) it is the reduced-echelon basis of the row-major
@@ -18,6 +18,7 @@ vectorization, which makes those bases canonical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DimensionError, FieldMismatchError
@@ -173,11 +174,10 @@ class Matrix:
                 raise DimensionError(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
                 )
-            k, m, dot = self.ncols, other.ncols, self.field.dot
-            cols = [other.raw[j::m] for j in range(m)]
-            return Matrix._make(self.field, self.nrows, m,
-                                [dot(self.raw[i:i + k], col)
-                                 for i in range(0, len(self.raw), k) for col in cols])
+            k, m = self.ncols, other.ncols
+            return Matrix._make(self.field, self.nrows, m, self.field.matmul(
+                [self.raw[i:i + k] for i in range(0, len(self.raw), k)],
+                [other.raw[j::m] for j in range(m)]))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -204,28 +204,38 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionError("vector length does not match column count")
         k = self.ncols
-        return tuple(Scalar(f, f.dot(self.raw[i:i + k], vec)) for i in range(0, len(self.raw), k))
+        return tuple(Scalar(f, v) for v in f.matmul(
+            [self.raw[i:i + k] for i in range(0, len(self.raw), k)], [vec]))
 
     # -- elimination -----------------------------------------------------------
 
-    def _rref(self) -> tuple[list[list], tuple[int, ...]]:
-        """Raw rows of the reduced row-echelon form and the pivot columns."""
+    def _eliminate(self):
+        """The one Gauss-Jordan loop, on the rows the field lifts: the
+        working rows, the pivot columns, the last step's prev, the number
+        of row swaps and the lift scales."""
         f, nr = self.field, self.nrows
         z, prev = f.WORK_ZERO, f.WORK_ONE
-        rows = f.lift_rows(self._raw_rows())
+        rows, scales = f.lift_rows(self._raw_rows())
         pivots = []
-        r = 0
+        r = swaps = 0
         for c in range(self.ncols):
             pr = next((i for i in range(r, nr) if rows[i][c] != z), None)
             if pr is None:
                 continue
-            rows[r], rows[pr] = rows[pr], rows[r]
+            if pr != r:
+                rows[r], rows[pr] = rows[pr], rows[r]
+                swaps += 1
             prev = f.clear_column(rows, r, c, prev)
             pivots.append(c)
             r += 1
             if r == nr:
                 break
-        return f.reduced_rows(rows, prev), tuple(pivots)
+        return rows, tuple(pivots), prev, swaps, scales
+
+    def _rref(self) -> tuple[list[list], tuple[int, ...]]:
+        """Raw rows of the reduced row-echelon form and the pivot columns."""
+        rows, pivots, prev, _, _ = self._eliminate()
+        return self.field.reduced_rows(rows, prev), pivots
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and the tuple of pivot columns."""
@@ -234,7 +244,7 @@ class Matrix:
                             [v for row in rows for v in row]), pivots
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(self._eliminate()[1])
 
     def kernel_basis(self) -> list[tuple[Scalar, ...]]:
         """Canonical basis of the right kernel, one vector per free column."""
@@ -260,28 +270,19 @@ class Matrix:
         return Matrix._make(self.field, n, n, [v for row in rows for v in row[n:]])
 
     def det(self) -> Scalar:
-        """Determinant by exact elimination with row pivoting."""
+        """Determinant read off the Gauss-Jordan loop: (-1)^swaps times its
+        last prev, over the product of the lift scales."""
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
-        f, z, n = self.field, self.field.ZERO, self.nrows
-        rows = self._raw_rows()
-        det = f.ONE
-        for c in range(n):
-            pr = next((i for i in range(c, n) if rows[i][c] != z), None)
-            if pr is None:
-                return Scalar(f, z)
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = f.neg(det)
-            det = f.mul(det, rows[c][c])
-            inv = f.inv(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c] != z:
-                    rows[i] = f.sub_scaled(rows[i], f.mul(rows[i][c], inv), rows[c])
-        return Scalar(f, det)
+        f = self.field
+        _, pivots, prev, swaps, scales = self._eliminate()
+        if len(pivots) < self.nrows:
+            return Scalar(f, f.ZERO)
+        det = f.div(f.reduced_rows([[prev]], f.WORK_ONE)[0][0], f.coerce(math.prod(scales)))
+        return Scalar(f, f.neg(det) if swaps % 2 else det)
 
     def is_invertible(self) -> bool:
-        return self.is_square and not self.det().is_zero
+        return self.is_square and self.rank() == self.nrows
 
 
 # -- Jordan structure ------------------------------------------------------------

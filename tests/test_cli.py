@@ -101,6 +101,18 @@ def test_construct_side_condition_exits_two(capsys):
     assert code == 2 and "ab=0" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "--family", "nilpotent-general", "--param", "n=²",
+      "--param", "a=1,2", "--param", "b=1,2", "--param", "alpha=1"),
+     "parameter n needs a positive integer"),
+    (("census", "--field", "gf:2", "--jordan", "0^²"), "bad block size in '0^²'"),
+])
+def test_superscript_digit_exits_two(capsys, argv, message):
+    """str.isdigit accepts a superscript digit that int() refuses: that
+    must be a bad invocation with one error line, not a traceback."""
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_construct_commuting(capsys):
     code, out, _ = run(capsys, "construct", "--family", "commuting",
                        "--param", "n=3", "--param", "variant=with_B",

@@ -261,6 +261,8 @@ def test_matmul_det_rank_against_reference(spec, data):
             for t in range(k):
                 expected = ref.add(expected, ref.mul(ra[i][t], rb[t][j]))
             assert product[i, j] == field.scalar(expected)
+    for j in range(m):
+        assert a.apply([b[t, j] for t in range(k)]) == tuple(product[i, j] for i in range(n))
 
     assert a.rank() == len(ref.gauss_jordan(ra)[1])
     s = data.draw(st.integers(1, 4))
@@ -523,6 +525,8 @@ def test_inverse_and_det_against_textbook_gauss_jordan(spec, data):
 @quick
 @given(data=st.data())
 def test_dot_against_reference_sum(spec, data):
+    """``Field.matmul`` on one row and one column is their dot product,
+    also over an empty inner dimension."""
     field, ref = Field.from_spec(spec), Ref(spec)
     k = data.draw(st.integers(0, 8))
     xs, ys = ([ref.lift(v) for v in data.draw(st.lists(entries(spec), min_size=k, max_size=k))]
@@ -530,5 +534,24 @@ def test_dot_against_reference_sum(spec, data):
     expected = ref.zero()
     for x, y in zip(xs, ys):
         expected = ref.add(expected, ref.mul(x, y))
-    got = field.dot([field.coerce(x) for x in xs], [field.coerce(y) for y in ys])
-    assert repr(got) == repr(expected)
+    got = field.matmul([[field.coerce(x) for x in xs]], [[field.coerce(y) for y in ys]])
+    assert repr(got) == repr([expected])
+
+
+@pytest.mark.parametrize("spec", ["rat", "quad:2", "quad:1/2"])
+def test_product_lifts_each_factor_once(spec, monkeypatch):
+    """One product lifts its left rows and its right columns once each,
+    not once per entry."""
+    field = Field.from_spec(spec)
+    a = Matrix.from_rows(field, [[Fraction(i + 1, j + 2) for j in range(4)] for i in range(3)])
+    b = Matrix.from_rows(field, [[Fraction(i - j, 3 + i) for j in range(5)] for i in range(4)])
+    lifted = []
+    lift_rows = type(field).lift_rows
+
+    def spy(self, rows):
+        lifted.append(len(rows))
+        return lift_rows(self, rows)
+
+    monkeypatch.setattr(type(field), "lift_rows", spy)
+    a * b
+    assert sorted(lifted) == [3, 5]

@@ -173,8 +173,9 @@ class Field:
 
     # -- arithmetic on raw values ------------------------------------------------
     # Each field kind supplies add, sub, neg, mul, inv and matmul(rows,
-    # cols), the row-major raw entries of each row times each column: the
-    # lifted rows times the lifted columns, over the product of two scales.
+    # cols), the row-major raw entries of each row (read once) times each
+    # column (a list): the lifted rows times the lifted columns, over the
+    # product of two scales.
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -174,10 +174,9 @@ class Matrix:
                 raise DimensionError(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
                 )
-            k, m = self.ncols, other.ncols
+            m = other.ncols  # zip over ncols copies of one iterator yields the rows
             return Matrix._make(self.field, self.nrows, m, self.field.matmul(
-                [self.raw[i:i + k] for i in range(0, len(self.raw), k)],
-                [other.raw[j::m] for j in range(m)]))
+                zip(*[iter(self.raw)] * self.ncols), [other.raw[j::m] for j in range(m)]))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -203,9 +202,7 @@ class Matrix:
         vec = [f.coerce(v) for v in vec]
         if len(vec) != self.ncols:
             raise DimensionError("vector length does not match column count")
-        k = self.ncols
-        return tuple(Scalar(f, v) for v in f.matmul(
-            [self.raw[i:i + k] for i in range(0, len(self.raw), k)], [vec]))
+        return tuple(Scalar(f, v) for v in f.matmul(zip(*[iter(self.raw)] * self.ncols), [vec]))
 
     # -- elimination -----------------------------------------------------------
 
@@ -271,7 +268,7 @@ class Matrix:
 
     def det(self) -> Scalar:
         """Determinant read off the Gauss-Jordan loop: (-1)^swaps times its
-        last prev, over the product of the lift scales."""
+        last prev, read by reduced_rows, over the product of the lift scales."""
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
         f = self.field

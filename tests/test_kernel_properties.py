@@ -549,6 +549,7 @@ def test_product_lifts_each_factor_once(spec, monkeypatch):
     lift_rows = type(field).lift_rows
 
     def spy(self, rows):
+        rows = list(rows)
         lifted.append(len(rows))
         return lift_rows(self, rows)
 

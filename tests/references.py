@@ -1,6 +1,7 @@
 """References that only the tests use: the rank-profile similarity test,
-the trace and span membership, each checked against the package's own
-answers or used as an oracle for them."""
+the trace, span membership and the unit-vector search for a Jordan chain,
+each checked against the package's own answers or used as an oracle for
+them."""
 
 from yangbaxter.errors import AlgebraError, DimensionError, FieldMismatchError
 from yangbaxter.fields import Scalar
@@ -59,3 +60,29 @@ def span_contains(basis: list[Matrix], m: Matrix) -> bool:
     its column is not a pivot of [b_1 ... b_k m]."""
     columns = Matrix.from_rows(m.field, [b.raw for b in basis] + [m.raw]).transpose()
     return len(basis) not in columns._rref()[1]
+
+
+def jordan_chain_search(x: Matrix, lam) -> Matrix | None:
+    """Reference conjugator: the first unit vector v with (x - lam I)^(k-1) v
+    nonzero, when (x - lam I)^k = 0, starts a chain v, Nv, ..., N^(k-1) v;
+    S has the chain reversed as its columns and is returned if invertible."""
+    if not x.is_square:
+        raise DimensionError("conjugator needs a square matrix")
+    field, k = x.field, x.nrows
+    ident = Matrix.identity(field, k)
+    nil = x - ident.scale(lam)
+    if not (nil ** k).is_zero:
+        return None
+    top = nil ** (k - 1)
+    units = ident.entries
+    for idx in range(k):
+        v = units[idx * k:(idx + 1) * k]
+        if any(not c.is_zero for c in top.apply(v)):
+            chain = [v]
+            for _ in range(k - 1):
+                chain.append(nil.apply(chain[-1]))
+            chain.reverse()
+            s = Matrix.from_rows(field, zip(*chain))
+            if s.is_invertible():
+                return s
+    return None

@@ -26,7 +26,7 @@ from itertools import permutations, zip_longest
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from references import is_similar, span_contains
+from references import is_similar, jordan_chain_search, span_contains
 
 from yangbaxter.fields import Field
 from yangbaxter.matrices import (
@@ -375,7 +375,10 @@ def test_min_poly_annihilates_divides_char_poly_and_is_minimal(spec, data):
 @given(data=st.data())
 def test_jordan_chain_agrees_with_rank_profile_similarity(spec, data):
     """x ~ J_n(lam) by a Jordan chain exactly when is_similar says so, on
-    triangular matrices whose diagonal is all lam half the time."""
+    triangular matrices whose diagonal is all lam half the time, with rows
+    and columns permuted alike so that the chain can start at any unit
+    vector; a returned S conjugates J_n(lam) to x and is the S of the
+    reference search."""
     field = Field.from_spec(spec)
     n = data.draw(st.integers(1, 4))
     lam = field.scalar(data.draw(values(spec)))
@@ -384,9 +387,16 @@ def test_jordan_chain_agrees_with_rank_profile_similarity(spec, data):
     else:
         diagonal = [lam if data.draw(st.booleans()) else field.scalar(data.draw(values(spec)))
                     for _ in range(n)]
-    m = triangular(field, spec, data, diagonal)
-    similar = is_similar(m, jordan_block(field, lam, n), [lam, *diagonal])
-    assert (jordan_chain_conjugator(m, lam) is not None) == similar
+    t = triangular(field, spec, data, diagonal)
+    perm = data.draw(st.permutations(range(n)))
+    m = Matrix.from_rows(field, [[t[perm[i], perm[j]] for j in range(n)] for i in range(n)])
+    block = jordan_block(field, lam, n)
+    similar = is_similar(m, block, [lam, *diagonal])
+    s = jordan_chain_conjugator(m, lam)
+    assert (s is not None) == similar
+    assert s == jordan_chain_search(m, lam)
+    if s is not None:
+        assert s * block * s.inverse() == m
 
 
 def solve_and_kernel_by_two_eliminations(a, b, c):

@@ -112,9 +112,6 @@ class Matrix:
     def entries(self) -> tuple[Scalar, ...]:
         return tuple(Scalar(self.field, v) for v in self.raw)
 
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.field, v) for v in self.raw[i * self.ncols:(i + 1) * self.ncols])
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -385,24 +382,22 @@ def annihilator_basis(a: Matrix) -> list[Matrix]:
 
 
 def jordan_chain_conjugator(x: Matrix, lam) -> Matrix | None:
-    """An invertible S with S J_k(lam) S^{-1} = x, assembled from a Jordan
-    chain of x, or None when x is not similar to the full single block."""
+    """An invertible S with S J_k(lam) S^{-1} = x, or None when x is not
+    similar to J_k(lam). With N = x - lam I, that holds exactly when N has
+    index k: N^(k-1) != 0 and N^(k-1) N = 0. Then for the first nonzero
+    column j of N^(k-1) the chain e_j, N e_j, ..., N^(k-1) e_j is linearly
+    independent (N^(k-1-i) leaves of a vanishing combination only its
+    lowest term i, at N^(k-1) e_j != 0), and S, its columns the chain from
+    the highest power down, satisfies N S = S J_k(0)."""
     if not x.is_square:
         raise DimensionError("conjugator needs a square matrix")
     field, k = x.field, x.nrows
-    ident = Matrix.identity(field, k)
-    nil = x - ident.scale(lam)
-    if not (nil ** k).is_zero:
-        return None
+    nil = x - Matrix.identity(field, k).scale(lam)
     top = nil ** (k - 1)
-    for idx in range(k):
-        v = ident.row(idx)
-        if any(not c.is_zero for c in top.apply(v)):
-            chain = [v]
-            for _ in range(k - 1):
-                chain.append(nil.apply(chain[-1]))
-            chain.reverse()
-            s = Matrix.from_rows(field, zip(*chain))
-            if s.is_invertible():
-                return s
-    return None
+    if top.is_zero or not (top * nil).is_zero:
+        return None
+    j = next(j for j in range(k) if top.raw[j::k].count(field.ZERO) < k)
+    chain = [Matrix.unit(field, k, 1, j, 0)]
+    for _ in range(k - 1):
+        chain.append(nil * chain[-1])
+    return Matrix.block([chain[::-1]])

@@ -243,6 +243,17 @@ def test_census_builds_its_payload_only_for_json(capsys, monkeypatch, extra, cal
     assert (code, len(seen)) == (0, calls)
 
 
+def test_census_single_block_sweep_runs_no_elimination(capsys, monkeypatch):
+    """The single-block classification certifies each nonzero solution by a
+    Jordan chain, which is invertible by construction: no rank is taken."""
+    seen = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: seen.append(m) or rank(m))
+    code, out, _ = run(capsys, "census", "--jordan", "1^3", "--field", "gf:5")
+    assert code == 0 and "total: 27" in out
+    assert seen == []
+
+
 def test_sylvester_cli(rat, write_matrix, capsys):
     a = write_matrix(Matrix.from_rows(rat, [[1]]))
     b = write_matrix(Matrix.from_rows(rat, [[1]]))

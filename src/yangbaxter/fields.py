@@ -62,8 +62,31 @@ def power(base, k: int, one, mul=operator.mul):
     return out
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+# Miller-Rabin to these bases decides primality of every n below the bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); larger moduli are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for n below _PRIME_BOUND."""
+    if n < 2:
+        return False
+    if any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _rational_sqrt(a: Fraction) -> Fraction | None:
@@ -274,6 +297,9 @@ class _PrimeField(Field):
     _noun = "residue"
 
     def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise FieldError(f"modulus {p} is too large: primality is decided below "
+                             f"{_PRIME_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"modulus must be prime, got {p!r}")
         super().__init__(f"gf:{p}", p=p)

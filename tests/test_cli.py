@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,22 @@ def test_verify_malformed_exits_two(tmp_path, rat, write_matrix, capsys):
     x = write_matrix(Matrix.identity(rat, 2))
     code, _, err = run(capsys, "verify", "--A", str(bad), "--X", x)
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("p, expected", [(2**61 - 1, 0), (2**89 - 1, 2)])
+def test_verify_over_a_large_prime_field(tmp_path, capsys, p, expected):
+    """A 61-bit prime is decided at once; a modulus beyond the bound of the
+    deterministic primality test is a bad invocation, from a matrix file or
+    from --field."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": f"gf:{p}", "rows": [["3"]]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--A", str(path), "--X", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == expected
+    if expected == 2:
+        assert "too large" in err
+        assert run(capsys, "census", "--field", f"gf:{p}", "--jordan", "1^1")[0] == 2
 
 
 FILE_ERRORS = {

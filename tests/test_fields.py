@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from yangbaxter.errors import (
     FieldMismatchError,
     ParseError,
 )
-from yangbaxter.fields import Field
+from yangbaxter.fields import Field, _is_prime
 
 
 def test_prime_check():
@@ -22,6 +23,33 @@ def test_prime_check():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(FieldError):
             Field.gf(bad)
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    primes = []
+    for n in range(10**5):
+        prime = n >= 2 and all(n % q for q in primes if q * q <= n)
+        if prime:
+            primes.append(n)
+        assert _is_prime(n) == prime, n
+
+
+def test_large_moduli_are_decided_at_once():
+    start = time.perf_counter()
+    assert Field.gf(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(FieldError, match="must be prime"):
+        Field.gf(998244353 * 1000000007)  # trial division would take ~10^9 steps
+    assert time.perf_counter() - start < 1.0
+
+
+def test_moduli_beyond_the_deterministic_bound_are_refused():
+    """Miller-Rabin to the bases 2..37 is proven only below 318665857834031151167461,
+    itself a strong pseudoprime to all of them."""
+    bound = 318665857834031151167461
+    assert _is_prime(bound)
+    for p in (bound, 2**89 - 1):
+        with pytest.raises(FieldError, match="too large"):
+            Field.gf(p)
 
 
 def test_degenerate_extension_rejected():

@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from . import families as fam
 from . import matio, oracle
@@ -22,7 +21,7 @@ from .core import check_pencil_condition, residual
 from .errors import AlgebraError, ParseError, PreconditionError
 from .fields import Field
 from .groebner import MultiPoly, PolyRing, buchberger, normal_form, ybe_ideal, ybe_ring
-from .matrices import Matrix, annihilator_basis, centralizer_basis, jordan_matrix
+from .matrices import annihilator_basis, centralizer_basis, jordan_matrix
 from .sylvester import SylvesterProblem, sylvester_solve
 
 USAGE_ERROR = 2
@@ -30,29 +29,10 @@ CLAIM_FALSE = 1
 OK = 0
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of a file, or of stdin for '-'."""
-    try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_matrix(path: str) -> Matrix:
-    return matio.loads_matrix(_read_text(path))
-
-
 def _emit(args, text: str, payload: dict | None) -> None:
     out = json.dumps(payload, indent=2) + "\n" if args.json else text
     if getattr(args, "out", None):
-        _write_text(args.out, out)
+        matio.save_text(args.out, out)
     else:
         sys.stdout.write(out)
 
@@ -65,8 +45,8 @@ def _field_of(args) -> Field:
 
 
 def cmd_verify(args) -> int:
-    a = _read_matrix(args.A)
-    x = _read_matrix(args.X)
+    a = matio.load_matrix(args.A)
+    x = matio.load_matrix(args.X)
     rep = residual(a, x)
     text = (f"is_solution: {rep.is_solution}\n"
             f"residual: {rep.residual}\n")
@@ -103,7 +83,7 @@ def _parse_params(fam_desc, pairs, field) -> dict:
         elif kind == "scalars":
             out[name] = [field.parse(v) for v in value.split(",")] if value else []
         elif kind == "matrix":
-            out[name] = _read_matrix(value)
+            out[name] = matio.load_matrix(value)
         else:
             raise ParseError(f"parameter {name} cannot be given on the command line")
     return out
@@ -124,7 +104,7 @@ def cmd_construct(args) -> int:
     }
     _emit(args, text, payload)
     if args.out_coefficient:
-        _write_text(args.out_coefficient, matio.dumps_matrix(coeff))
+        matio.save_matrix(args.out_coefficient, coeff)
     return OK
 
 
@@ -152,7 +132,7 @@ def cmd_census(args) -> int:
         jordan = matio.parse_jordan(field, args.jordan)
         a = jordan_matrix(field, jordan)
     elif args.A:
-        a = _read_matrix(args.A)
+        a = matio.load_matrix(args.A)
         if a.field is not field:
             raise PreconditionError("matrix field does not match --field")
     else:
@@ -194,9 +174,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_sylvester(args) -> int:
-    a = _read_matrix(args.A)
-    b = _read_matrix(args.B)
-    c = _read_matrix(args.C)
+    a = matio.load_matrix(args.A)
+    b = matio.load_matrix(args.B)
+    c = matio.load_matrix(args.C)
     sol = sylvester_solve(SylvesterProblem(a, b, c))
     lines = [f"unique_for_every_rhs: {sol.unique}"]
     payload: dict = {"unique_for_every_rhs": sol.unique}
@@ -224,7 +204,7 @@ def cmd_groebner(args) -> int:
         gens = ybe_ideal(a, a.nrows)
         ring = ybe_ring(a.nrows)
     elif args.gens:
-        doc = matio._loads_json(_read_text(args.gens))
+        doc = matio.load_json(args.gens)
         if not (isinstance(doc, dict) and all(
                 isinstance(doc.get(key), list) and all(isinstance(v, str) for v in doc[key])
                 for key in ("variables", "generators"))):
@@ -265,9 +245,9 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_pencil(args) -> int:
-    a = _read_matrix(args.A)
-    x0 = _read_matrix(args.X0)
-    x1 = _read_matrix(args.X1)
+    a = matio.load_matrix(args.A)
+    x0 = matio.load_matrix(args.X0)
+    x1 = matio.load_matrix(args.X1)
     verdict = check_pencil_condition(a, x0, x1)
     lines = [str(verdict)]
     if verdict.witness is not None:
@@ -282,7 +262,7 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_centralizer(args) -> int:
-    a = _read_matrix(args.A)
+    a = matio.load_matrix(args.A)
     basis = annihilator_basis(a) if args.annihilator else centralizer_basis(a)
     kind = "annihilator" if args.annihilator else "centralizer"
     lines = [f"{kind} dimension: {len(basis)}"]

@@ -16,6 +16,8 @@ documented in the README and round-trips through :func:`census_from_json`.
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 from .errors import ParseError
 from .fields import Field
@@ -77,14 +79,33 @@ def dumps_matrix(m: Matrix) -> str:
     return json.dumps(matrix_to_json(m), indent=2) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for '-'."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def save_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def load_json(path: str):
+    """The JSON document in a file, or on stdin for '-'."""
+    return _loads_json(_read_text(path))
+
+
 def load_matrix(path: str) -> Matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
+    """The matrix in a file, or on stdin for '-'."""
+    return loads_matrix(_read_text(path))
 
 
 def save_matrix(path: str, m: Matrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_matrix(m))
+    save_text(path, dumps_matrix(m))
 
 
 # -- Jordan shorthand ----------------------------------------------------------

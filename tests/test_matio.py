@@ -55,6 +55,13 @@ def test_load_matrix_of_a_malformed_file_is_a_parse_error(tmp_path, text):
         load_matrix(str(path))
 
 
+def test_load_matrix_of_a_missing_file_is_a_parse_error(tmp_path, rat):
+    with pytest.raises(ParseError, match="cannot read"):
+        load_matrix(str(tmp_path / "missing.json"))
+    with pytest.raises(ParseError, match="cannot write"):
+        save_matrix(str(tmp_path / "nowhere" / "m.json"), Matrix.identity(rat, 1))
+
+
 def test_matrix_json_shape(rat):
     doc = matrix_to_json(Matrix.from_rows(rat, [[1, rat.parse("-3/4")]]))
     assert doc == {"field": "rat", "rows": [["1", "-3/4"]]}

@@ -62,29 +62,23 @@ def power(base, k: int, one, mul=operator.mul):
     return out
 
 
-# Miller-Rabin to these bases decides primality of every n below the bound
-# (Sorenson and Webster, Math. Comp. 86, 2017); larger moduli are refused.
+# Miller-Rabin to these bases decides primality below the bound (Sorenson
+# and Webster, Math. Comp. 86, 2017); larger moduli are refused.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_BOUND = 318665857834031151167461
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality for n below _PRIME_BOUND."""
-    if n < 2:
-        return False
-    if any(n % b == 0 for b in _PRIME_BASES):
+    """Deterministic Miller-Rabin below _PRIME_BOUND: with n - 1 = d * 2^s,
+    d odd, n is prime when each base b has b^d = 1 or b^(d * 2^r) = -1
+    mod n for some r < s."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
         return n in _PRIME_BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for b in _PRIME_BASES:
         x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
             return False
     return True
 

@@ -40,6 +40,10 @@ def test_large_moduli_are_decided_at_once():
     with pytest.raises(FieldError, match="must be prime"):
         Field.gf(998244353 * 1000000007)  # trial division would take ~10^9 steps
     assert time.perf_counter() - start < 1.0
+    # the least strong pseudoprimes to the first k prime bases, k = 1, ..., 11
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
 
 
 def test_moduli_beyond_the_deterministic_bound_are_refused():

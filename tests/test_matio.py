@@ -55,7 +55,7 @@ def test_load_matrix_of_a_malformed_file_is_a_parse_error(tmp_path, text):
         load_matrix(str(path))
 
 
-def test_load_matrix_of_a_missing_file_is_a_parse_error(tmp_path, rat):
+def test_load_and_save_on_a_missing_path_are_parse_errors(tmp_path, rat):
     with pytest.raises(ParseError, match="cannot read"):
         load_matrix(str(tmp_path / "missing.json"))
     with pytest.raises(ParseError, match="cannot write"):

@@ -52,14 +52,16 @@ def _intern(spec: str, make) -> "Field":
 
 
 def power(base, k: int, one, mul=operator.mul):
-    """base**k for an int k >= 0 by repeated squaring under ``mul``."""
-    out = one
+    """base**k for an int k >= 0 by repeated squaring under ``mul``, from
+    the lowest set bit: no product with ``one``, no square after the last bit."""
+    out = None
     while k:
         if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
+            out = base if out is None else mul(out, base)
         k >>= 1
-    return out
+        if k:
+            base = mul(base, base)
+    return one if out is None else out
 
 
 # Miller-Rabin to these bases decides primality below the bound (Sorenson

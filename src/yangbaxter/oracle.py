@@ -17,9 +17,11 @@ the census tallies. For two equal blocks the tag is the block shape of a
 verified solution, which of its four blocks vanish. Any other block
 structure comes back untagged.
 
-The theorem sweep checks product identities mod p on one stack of all
-solutions; only a solution that batch flags meets the exact check, the
-one source of failing verdicts.
+The theorem sweep checks product identities, kernel invariance and, for a
+Jordan coefficient, the spectral checks mod p on one stack of all
+solutions, the spectral ones through char_X(lam) at the eigenvalues lam
+of A by batched elimination; only a solution that batch flags meets the
+exact check, the one source of failing verdicts.
 
 numpy is imported inside the functions that use it, so that importing the
 package, and every command but a census, does not load it.
@@ -35,7 +37,7 @@ from . import core
 from .errors import BudgetError, PreconditionError, SideConditionError
 from .families import (family_2x2_invertible, family_2x2_nilpotent, family_3x3_nilpotent,
                        family_nilpotent_general)
-from .fields import Field
+from .fields import Field, power
 from .matrices import (JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator,
                        jordan_matrix)
 
@@ -116,16 +118,43 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries) -> np.ndarray:
     return np.bincount(alive, minlength=len(xs)) > 0
 
 
-def _product_masks(coeff: core.Facts, xs: list[Matrix]):
-    """Boolean masks over n x n matrices ``xs`` over GF(p): which satisfy
-    AXA^k = X^k AX and A^k XA = XA X^k for k = 1 .. 2n, and which satisfy
-    XA phi(X) = 0 = phi(X) AX for phi = char(A), by Horner from lead * I."""
+def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
+    """det(lam I - X) mod p for each X of an (S, n, n) stack of residues, by
+    elimination on the first nonzero pivot of each column: a sign flip per
+    row swap, each pivot inverted as v^(p-2). A column without one gives 0."""
+    import numpy as np
+
+    m = (lam * np.eye(xs.shape[-1], dtype=np.int64) - xs) % p
+    det, each = np.ones(len(xs), dtype=np.int64), np.arange(len(xs))
+    for c in range(m.shape[-1]):
+        r = c + (m[:, c:, c] != 0).argmax(axis=1)
+        top = m[each, r]
+        m[each, r], m[:, c] = m[:, c], top
+        det = np.where(r == c, det, p - det) * top[:, c] % p
+        inverse = power(top[:, c, None], p - 2, 1, lambda u, v: u * v % p)
+        m[:, c + 1:] -= (m[:, c + 1:, c] * inverse % p)[:, :, None] * top[:, None]
+        m %= p
+    return det
+
+
+def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec | None = None):
+    """Masks over solution records ``sols`` over GF(p), keyed by verdict name,
+    of the solutions that satisfy: AXA^k = X^k AX and A^k XA = XA X^k for
+    k = 1 .. 2n; XA phi(X) = 0 = phi(X) AX for phi = char(A), by Horner from
+    lead * I; with A invertible, X A K = 0 for the kernel basis K of X.
+
+    With the block structure ``jordan`` of A, also char_X(lam) mod p for each
+    eigenvalue lam of A, returned beside the masks, and the masks of
+    eigenvalue transfer (A X e_lo = 0 or char_X(lam) = 0 at each block start
+    lo) and spectrum inclusion (Q^n = 0 for Q the product of X - mu I over
+    mu in spec(A) and 0: char(X) splits over those mu)."""
     import numpy as np
 
     a, phi = coeff.matrix, coeff.charpoly.raw
     p, n = a.field.p, a.nrows
-    _check_int64(p, n + 1, len(xs))
-    stack = np.array([m.raw for m in (a, *xs)], dtype=np.int64).reshape(-1, n, n)
+    _check_int64(p, n + 1, len(sols))
+    stack = np.array([m.raw for m in (a, *(s.matrix for s in sols))],
+                     dtype=np.int64).reshape(-1, n, n)
     a, xs = stack[0], stack[1:]
     ident = np.eye(n, dtype=np.int64)
     ax, xa = a @ xs % p, xs @ a % p
@@ -139,7 +168,28 @@ def _product_masks(coeff: core.Facts, xs: list[Matrix]):
     for c in reversed(phi[:-1]):
         acc = (acc @ xs + c * ident) % p
     annihilated = ~((xa @ acc % p).any(axis=(1, 2)) | (acc @ ax % p).any(axis=(1, 2)))
-    return powers, annihilated
+    masks = {"power-identities": powers, "charpoly-annihilation": annihilated}
+    if coeff.invertible:
+        kernels = np.zeros_like(xs)  # basis vectors as columns, zero columns after them
+        for k, s in enumerate(sols):
+            for j, v in enumerate(s.kernel):
+                kernels[k, :, j] = [c.v for c in v]
+        masks["kernel-invariance"] = ~(xa @ kernels % p).any(axis=(1, 2))
+    chars = {}
+    if jordan is not None:
+        chars = {lam: _char_values(xs, lam.v, p) for lam in jordan.eigenvalues()}
+        masks["eigenvalue-transfer"] = np.logical_and.reduce(
+            [~ax[:, :, lo].any(axis=1) | (chars[lam] == 0)
+             for (lam, _), (lo, _) in zip(jordan.blocks, jordan.block_ranges())])
+        q = xs
+        for lam in chars:
+            if lam.v:
+                q = q @ ((xs - lam.v * ident) % p) % p
+        for _ in range((n - 1).bit_length()):  # to Q^(2^m), 2^m >= n
+            q = q @ q % p
+        masks["spectrum-inclusion"] = ~q.any(axis=(1, 2))
+    return ({name: mask.tolist() for name, mask in masks.items()},
+            {lam: values.tolist() for lam, values in chars.items()})
 
 
 def _records(a: Matrix, solutions, kept, who: str):
@@ -222,7 +272,9 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
         wraps = (basis[:start, on] != 0).any()  # else X is zero where the run adds
         for d in range(0, span, _CHUNK):
             # the run's combinations d, d + 1, ... as base-p digits, times its elements
-            add = basis[start:stop, on].T @ (np.arange(d, min(d + _CHUNK, span)) // place % p) % p
+            add = basis[start:stop, on].T @ (np.arange(d, min(d + _CHUNK, span)) // place % p)
+            add %= p  # in place, then kept through the descent in the least signed dtype
+            add = add.astype(np.min_scalar_type(1 - p))  # that holds a residue
             for lo in range(0, x.shape[2], step):
                 ext = np.repeat(x[:, :, lo:lo + step, None], add.shape[1], axis=3)
                 ext[on] = (ext[on] + add[:, None]) % p if wraps else add[:, None]
@@ -346,16 +398,24 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     Failures are findings, not errors; the list carries one verdict per
     (solution, applicable property). The facts of A are derived once per
     census and those of each solution once, its residual and kernel from
-    the census's records when the report keeps them. Over GF(p) the power
-    identities and charpoly annihilation of all solutions are batched mod
-    p first, and only a flagged solution meets the exact check.
+    the census's records when the report keeps them.
+
+    Over GF(p) the power identities, charpoly annihilation and kernel
+    invariance of all solutions are batched mod p first, and only a flagged
+    solution meets the exact check. When A is the Jordan matrix of the
+    report's block structure, the batch also takes char_X(lam) = det(lam I
+    - X) at each eigenvalue lam of A and screens eigenvalue transfer and
+    spectrum inclusion. char(A) splits over those lam, so the values decide
+    spectral disjointness and the kernel-eigenspace filters exactly, and a
+    solution the batch clears needs no char(X).
     """
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
     coeff, sols = _records(a, report.solutions, report.facts, "theorem sweep")
-    cleared = itertools.repeat((None, None))  # no batch outside GF(p)
+    masks, chars = {}, {}  # no batch outside GF(p)
     if a.field.kind == "gf":
-        cleared = zip(*_product_masks(coeff, [s.matrix for s in sols]))
+        split = jordan is not None and a == jordan_matrix(a.field, jordan)
+        masks, chars = _product_masks(coeff, sols, jordan if split else None)
     blocks = jordan.blocks if jordan is not None else ()
     lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)
     two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
@@ -369,32 +429,40 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
                          if lams.count(lam) == 1]
 
     verdicts: list[core.PropertyVerdict] = []
-    for sol, (powers, annihilated) in zip(sols, cleared):
+    for i, sol in enumerate(sols):
         x = sol.matrix
-        verdicts.append(_exact_unless_cleared(powers, "power-identities",
+        verdicts.append(_exact_unless_cleared(masks, i, "power-identities",
                                               core.check_power_identities, a, x, 2 * n))
-        verdicts.append(_exact_unless_cleared(annihilated, "charpoly-annihilation",
+        verdicts.append(_exact_unless_cleared(masks, i, "charpoly-annihilation",
                                               core.check_charpoly_annihilation, coeff, sol))
-        if core.spectra_disjoint(coeff, sol):
+        absent = {lam: values[i] != 0 for lam, values in chars.items()}  # char_X(lam) != 0
+        disjoint = all(absent.values()) if chars else core.spectra_disjoint(coeff, sol)
+        if disjoint:
             verdicts.append(core.check_disjoint_spectra_dichotomy(coeff, sol, True))
         if coeff.invertible:
-            verdicts.append(core.check_kernel_invariance(coeff, sol))
+            verdicts.append(_exact_unless_cleared(masks, i, "kernel-invariance",
+                                                  core.check_kernel_invariance, coeff, sol))
             if jordan is not None:
-                verdicts.append(core.check_spectrum_inclusion(coeff, sol, eigenvalues))
+                verdicts.append(_exact_unless_cleared(masks, i, "spectrum-inclusion",
+                                                      core.check_spectrum_inclusion,
+                                                      coeff, sol, eigenvalues))
         if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
             verdicts.append(_single_block_classification(a, lams[0], sol))
         if two_block and not x.is_zero and not sol.invertible:
             verdicts.append(core.check_kernel_classification_two_blocks(coeff, sol, sizes))
         if jordan is not None:
-            verdicts.append(core.check_eigenvalue_transfer(coeff, sol, eigenpairs))
+            verdicts.append(_exact_unless_cleared(masks, i, "eigenvalue-transfer",
+                                                  core.check_eigenvalue_transfer,
+                                                  coeff, sol, eigenpairs))
             if coeff.invertible and simple_blocks:
-                verdicts.extend(_kernel_eigenspace_filters(sol, simple_blocks))
+                verdicts.extend(_kernel_eigenspace_filters(sol, simple_blocks, absent))
     return verdicts
 
 
-def _exact_unless_cleared(cleared, name: str, check, *args) -> core.PropertyVerdict:
-    """The passing verdict when the batch cleared the solution, else the exact
-    check's, which must fail if the batch ran (``cleared`` not None)."""
+def _exact_unless_cleared(masks, i: int, name: str, check, *args) -> core.PropertyVerdict:
+    """The passing verdict when the batch cleared solution ``i`` under ``name``,
+    else the exact check's, which must fail if the batch ran for ``name``."""
+    cleared = masks[name][i] if name in masks else None
     if cleared:
         return core.PropertyVerdict(name, True)
     verdict = check(*args)
@@ -423,7 +491,7 @@ def _single_block_classification(a: Matrix, lam, x) -> core.PropertyVerdict:
     )
 
 
-def _kernel_eigenspace_filters(sol: core.Facts, simple_blocks):
+def _kernel_eigenspace_filters(sol: core.Facts, simple_blocks, absent_at):
     """Census filters for the one-dimensional-eigenspace lemmas: a kernel
     equal to such an eigenspace excludes its eigenvalue from the spectrum
     of the solution, and an excluded eigenvalue forces the solution to
@@ -432,12 +500,14 @@ def _kernel_eigenspace_filters(sol: core.Facts, simple_blocks):
     ``simple_blocks`` lists (eigenvalue, eigenvector, lo, hi) for the Jordan
     blocks of the coefficient whose eigenvalue labels no other block. The
     kernel basis is canonical, so a kernel equal to the span of the
-    eigenvector e_lo has exactly e_lo as its basis.
+    eigenvector e_lo has exactly e_lo as its basis. ``absent_at`` maps an
+    eigenvalue to whether char(X) is nonzero there, as the mod-p batch found;
+    for an eigenvalue it lacks, char(X) is computed.
     """
     x, n = sol.matrix, sol.matrix.nrows
     out = []
     for lam, eigenvector, lo, hi in simple_blocks:
-        absent = not sol.charpoly(lam).is_zero
+        absent = absent_at[lam] if lam in absent_at else not sol.charpoly(lam).is_zero
         if sol.kernel == [eigenvector]:
             out.append(core.PropertyVerdict(
                 "kernel-eigenvalue-exclusion",

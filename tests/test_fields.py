@@ -14,7 +14,7 @@ from yangbaxter.errors import (
     FieldMismatchError,
     ParseError,
 )
-from yangbaxter.fields import Field, _is_prime
+from yangbaxter.fields import Field, _is_prime, power
 
 
 def test_prime_check():
@@ -132,6 +132,20 @@ def test_division_and_powers(rat, gf5):
     assert (rat.scalar(2) ** -2).v == Fraction(1, 4)
     with pytest.raises(ZeroDivisionError):
         rat.zero().inverse()
+
+
+def test_power_squares_from_the_lowest_set_bit():
+    """base**k under a counting product: floor(log2 k) squares and one
+    product per further set bit, so none for k = 0 or 1."""
+    for k in range(40):
+        calls = []
+
+        def mul(u, v):
+            calls.append(k)
+            return u * v
+
+        assert power(3, k, 1, mul) == 3 ** k
+        assert len(calls) == (max(k.bit_length() - 1, 0) + max(k.bit_count() - 1, 0))
 
 
 def test_sqrt_rational(rat):

@@ -146,6 +146,23 @@ def test_jordan_chain_conjugator(rat, gf5):
     assert jordan_chain_conjugator(Matrix.zero(rat, 2), rat.zero()) is None
 
 
+@pytest.mark.parametrize("k, products", [(3, 2), (4, 3)])
+def test_jordan_chain_takes_the_least_square_products(monkeypatch, gf5, k, products):
+    """N^(k-1) and N^k = N^(k-1) N cost only the squares repeated squaring
+    needs: none with the identity, none after the last bit of k - 1."""
+    calls = {"square": 0}
+    mul = Matrix.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Matrix) and other.ncols == self.nrows == k:
+            calls["square"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    assert jordan_chain_conjugator(jordan_block(gf5, 1, k), gf5.one()) is not None
+    assert calls["square"] == products
+
+
 def test_det_and_invertibility(rat, gf3):
     assert M(rat, [[2, 1], [0, 2]]).det() == rat.scalar(4)
     assert M(gf3, [[1, 2], [2, 1]]).det() == gf3.scalar(0)

@@ -7,8 +7,10 @@ verdict lists to ones recorded when every check recomputed its own facts,
 compare it with that loop on random censuses, count the characteristic
 polynomials, residuals and kernels it computes, and make sure a
 non-solution smuggled into a census is still refused. Its mod-p batch of
-product identities is checked against the exact checks, with and
-without a batch, and a batch the exact check contradicts must raise.
+product identities, kernel invariance, eigenvalue transfer, spectrum
+inclusion and char(X) at the eigenvalues of A is checked against the
+exact checks, with and without a batch, and a batch the exact check
+contradicts must raise.
 """
 
 import json
@@ -27,7 +29,7 @@ from yangbaxter.errors import BudgetError, PreconditionError
 from yangbaxter.fields import Field
 from yangbaxter.matio import census_from_json, census_to_json, parse_jordan
 from yangbaxter.matrices import Matrix, jordan_chain_conjugator, jordan_matrix
-from yangbaxter.unipoly import char_poly
+from yangbaxter.unipoly import UniPoly, char_poly, unsplit_part
 
 GOLDEN = Path(__file__).parent / "data" / "census_verdicts.json"
 
@@ -147,11 +149,20 @@ def test_sweep_matches_reference_on_random_censuses(data):
     assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
 
 
+def test_sweep_off_the_block_structure_decides_disjointness_exactly(gf3):
+    """A coefficient that is not the Jordan matrix of the report's block
+    structure gets no spectral batch: char(A) need not split over the
+    listed eigenvalues, so only the exact gcd decides disjointness."""
+    a = Matrix.from_rows(gf3, [[1, 0], [0, 2]])
+    report = oracle.enumerate_solutions(a, jordan=parse_jordan(gf3, "1^2"))
+    assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
+
+
 def test_sweep_derives_each_fact_once(monkeypatch):
-    """On a 138-solution census the sweep computes char(A) once and char(X)
-    at most once per solution, and checks each residual exactly once."""
-    report = census("gf:2", "1^2,1^2")
-    calls = {"char_poly": 0, "residual": 0}
+    """On Jordan censuses over GF(p) the sweep computes char(A) and no
+    char(X), no gcd and no unsplit part, since the batch clears every
+    solution, and checks each residual exactly once."""
+    calls = {"char_poly": 0, "residual": 0, "unsplit_part": 0, "gcd": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -159,14 +170,21 @@ def test_sweep_derives_each_fact_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (core, oracle):
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    verdicts = oracle.verify_theorems_on_census(report)
-    assert verdicts and report.total == 138
-    assert calls["char_poly"] <= report.total + 1
-    assert calls["residual"] <= report.total
+    for key in ["gf:2 1^2,1^2", "gf:2 0^4", "gf:3 1^1,2^2", "gf:3 0^1,1^2",
+                "gf:3 1^2,1^2 --commuting"]:
+        spec, shorthand, *flags = key.split()
+        report = census(spec, shorthand, commuting="--commuting" in flags)
+        with monkeypatch.context() as patch:
+            for module in (core, oracle, UniPoly):
+                for name in calls:
+                    if hasattr(module, name):
+                        patch.setattr(module, name, counting(name, getattr(module, name)))
+            calls.update(dict.fromkeys(calls, 0))
+            verdicts = oracle.verify_theorems_on_census(report)
+        assert verdicts and report.total > 1
+        assert calls["char_poly"] <= 1, key
+        assert calls["unsplit_part"] == calls["gcd"] == 0, key
+        assert calls["residual"] <= report.total, key
 
 
 def test_sweep_refuses_a_smuggled_non_solution(gf2):
@@ -196,75 +214,175 @@ def test_solution_record_is_reverified_for_another_coefficient(gf2):
     assert core.check_charpoly_annihilation(b, core.solution_facts(b, x, "test")).holds
 
 
-def batch_cases(rng, p, n):
+def batch_cases(rng, p, n, a=None):
     """Random matrices over GF(p), then the zero matrix and the multiples cA,
-    c != 0, which are solutions for c = 1 and, when A^3 = 0, for every c."""
+    c != 0, which are solutions for c = 1 and, when A^3 = 0, for every c.
+    A is random unless given."""
     field = Field.gf(p)
-    a = Matrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    if a is None:
+        a = Matrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
     xs = [Matrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
           for _ in range(12)]
     xs += [Matrix.zero(field, n), *(a.scale(c) for c in range(1, p))]
     return a, xs
 
 
+def random_jordan(rng, field, n):
+    """A block structure of total size n with random eigenvalues."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    return parse_jordan(field, ",".join(f"{rng.randrange(field.p)}^{k}" for k in sizes))
+
+
+def exact_or_direct(a, x, check, direct):
+    """The exact check's verdict on a solution; on a non-solution, which
+    every such check refuses, the same condition computed directly."""
+    return check(a, x).holds if core.is_solution(a, x) else direct(x)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_product_masks_match_exact_checks(p):
     """The mod-p batch agrees with core.check_power_identities on every
-    matrix and with core.check_charpoly_annihilation on the solutions; on
-    a non-solution, which that check refuses, with the same two exact
-    products taken here."""
+    matrix, and on the solutions with core.check_charpoly_annihilation,
+    check_kernel_invariance for invertible A and, for a Jordan matrix A,
+    check_eigenvalue_transfer and check_spectrum_inclusion; on a
+    non-solution, which those checks refuse, with the same condition taken
+    here. char_X(lam) equals char(X) at each eigenvalue lam of A. Half the
+    coefficients are Jordan matrices, with their census solutions added
+    where the census is small."""
     rng = random.Random(p)
-    seen = set()
+    field = Field.gf(p)
+    seen = {}
     for n in range(1, 5):
-        for _ in range(6):
-            a, xs = batch_cases(rng, p, n)
-            phi = char_poly(a)
-            powers, annihilated = oracle._product_masks(core.Facts(a), xs)
-            for x, power_ok, annihilated_ok in zip(xs, powers, annihilated):
-                assert power_ok == core.check_power_identities(a, x, 2 * n).holds
-                if core.is_solution(a, x):
-                    exact = core.check_charpoly_annihilation(a, x).holds
-                else:
-                    at_x = phi.at_matrix(x)
-                    exact = (x * a * at_x).is_zero and (at_x * a * x).is_zero
-                assert annihilated_ok == exact
-                seen.add((bool(power_ok), bool(annihilated_ok)))
-    assert {(True, True), (False, False), (False, True)} <= seen
+        for k in range(6):
+            jordan = random_jordan(rng, field, n) if k % 2 else None
+            a, xs = batch_cases(rng, p, n, jordan and jordan_matrix(field, jordan))
+            if jordan and p ** (n * n) <= 3000:
+                xs += oracle.enumerate_solutions(a, jordan=jordan).solutions
+            phi, invertible = char_poly(a), a.is_invertible()
+            masks, chars = oracle._product_masks(core.Facts(a), [core.Facts(x) for x in xs],
+                                                 jordan)
+            expected_names = {"power-identities", "charpoly-annihilation"}
+            expected_names |= {"kernel-invariance"} if invertible else set()
+            expected_names |= {"eigenvalue-transfer", "spectrum-inclusion"} if jordan else set()
+            assert set(masks) == expected_names
+            assert set(chars) == set(jordan.eigenvalues() if jordan else ())
+            for i, x in enumerate(xs):
+                at_x = phi.at_matrix(x)
+                exact = {
+                    "power-identities": core.check_power_identities(a, x, 2 * n).holds,
+                    "charpoly-annihilation": exact_or_direct(
+                        a, x, core.check_charpoly_annihilation,
+                        lambda x: (x * a * at_x).is_zero and (at_x * a * x).is_zero),
+                }
+                if invertible:
+                    exact["kernel-invariance"] = exact_or_direct(
+                        a, x, core.check_kernel_invariance,
+                        lambda x: all(c.is_zero for v in x.kernel_basis()
+                                      for c in x.apply(a.apply(v))))
+                if jordan:
+                    chi_x, eigenvalues = char_poly(x), jordan.eigenvalues()
+                    assert [chars[lam][i] for lam in eigenvalues] == [chi_x(lam).v
+                                                                     for lam in eigenvalues]
+                    eigenpairs = [(lam, Matrix.unit(field, n, 1, lo, 0).raw)
+                                  for (lam, _), (lo, _) in zip(jordan.blocks,
+                                                               jordan.block_ranges())]
+                    exact["eigenvalue-transfer"] = exact_or_direct(
+                        a, x, lambda a, x: core.check_eigenvalue_transfer(a, x, eigenpairs),
+                        lambda x: all(all(c.is_zero for c in a.apply(x.apply(v)))
+                                      or chi_x(lam).is_zero for lam, v in eigenpairs))
+
+                    def splits(x):
+                        return unsplit_part(chi_x, [0, *eigenvalues]).degree == 0
+
+                    exact["spectrum-inclusion"] = exact_or_direct(
+                        a, x, lambda a, x: core.check_spectrum_inclusion(a, x, eigenvalues),
+                        splits) if invertible else splits(x)
+                for name, holds in exact.items():
+                    assert masks[name][i] == holds, (name, x)
+                    seen.setdefault(name, set()).add(holds)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+    assert len(seen) == 5
+
+
+@quick
+@given(data=st.data())
+def test_char_values_match_char_poly(data):
+    """det(lam I - X) mod p from the batched elimination equals char(X) at
+    lam. lam I - X is a zero-heavy matrix with its rows permuted, so
+    pivots are zero or sit below the diagonal and rows must be swapped."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 5))
+    lam = data.draw(st.integers(0, p - 1))
+    field, entry = Field.gf(p), st.one_of(st.just(0), st.integers(0, p - 1))
+    xs = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        rows = [rows[i] for i in data.draw(st.permutations(range(n)))]
+        xs.append(Matrix.identity(field, n).scale(lam) - Matrix.from_rows(field, rows))
+    stack = np.array([x.raw for x in xs], dtype=np.int64).reshape(-1, n, n)
+    values = oracle._char_values(stack, lam, p)
+    assert values.tolist() == [char_poly(x)(lam).v for x in xs]
+
+
+@pytest.mark.parametrize("p, lam, rows", [
+    (2, 0, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),  # a cycle: a swap at every column
+    (3, 0, [[2, 2, 0], [2, 2, 0], [0, 0, 2]]),  # column 1 has no pivot left: char 0
+    (3, 1, [[1, 2, 0], [0, 1, 0], [0, 0, 2]]),  # column 0 is zero
+    (3, 0, [[2, 1, 0], [1, 2, 2], [0, 2, 0]]),  # row 1 is 3 at column 1 before reduction
+    (5, 2, [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0, 2]]),  # lam I - X antidiagonal
+])
+def test_char_values_on_swaps_and_zero_pivots(p, lam, rows):
+    """Pinned stacks that need a row swap, that run out of pivots, and
+    whose elimination must reduce mod p before it picks the next pivot."""
+    field = Field.gf(p)
+    x = Matrix.from_rows(field, rows)
+    n = len(rows)
+    values = oracle._char_values(np.array(x.raw, dtype=np.int64).reshape(1, n, n), lam, p)
+    assert values.tolist() == [char_poly(x)(lam).v]
 
 
 def test_sweep_without_the_batch_runs_every_exact_check(monkeypatch):
-    """With the batch forced to clear no solution, every power identity and
-    charpoly annihilation comes from the exact check, and the verdict
-    lists equal the reference loop's."""
+    """With the batch switched off, so that it clears no solution and
+    gives no char(X) values, every batched verdict and every disjointness
+    branch comes from the exact check, and the verdict lists equal the
+    reference loop's."""
     report = census("gf:2", "1^2,1^2")
+    monkeypatch.setattr(oracle, "_product_masks", lambda coeff, sols, jordan: ({}, {}))
+    names = ["check_power_identities", "check_charpoly_annihilation", "check_kernel_invariance",
+             "check_spectrum_inclusion", "check_eigenvalue_transfer", "spectra_disjoint"]
+    calls = dict.fromkeys(names, 0)
 
-    def unscreened(coeff, xs):
-        return [None] * len(xs), [None] * len(xs)
+    def counting(name, check):
+        def wrapper(*args):
+            calls[name] += 1
+            return check(*args)
+        return wrapper
 
-    monkeypatch.setattr(oracle, "_product_masks", unscreened)
-    calls = {"power": 0}
-    check = core.check_power_identities
-
-    def counting(*args):
-        calls["power"] += 1
-        return check(*args)
-
-    monkeypatch.setattr(core, "check_power_identities", counting)
+    for name in names:
+        monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
     assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
-    assert calls["power"] == 2 * report.total  # the sweep's and the reference's
+    assert calls == dict.fromkeys(names, 2 * report.total)  # the sweep's and the reference's
 
 
 def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
-    """A batch that flags every solution is contradicted by the exact
-    check, which finds the identities hold; that is an internal error."""
+    """A batch that flags every solution under one verdict name is
+    contradicted by the exact check, which finds the property holds; that
+    is an internal error, for each name the batch clears."""
     report = census("gf:2", "1^2")
+    batch = oracle._product_masks
+    for name in ["power-identities", "charpoly-annihilation", "kernel-invariance",
+                 "spectrum-inclusion", "eigenvalue-transfer"]:
 
-    def flag_all(coeff, xs):
-        return np.zeros(len(xs), dtype=bool), np.zeros(len(xs), dtype=bool)
+        def flag_all(coeff, sols, jordan):
+            masks, chars = batch(coeff, sols, jordan)
+            return {**masks, name: [False] * len(sols)}, chars
 
-    monkeypatch.setattr(oracle, "_product_masks", flag_all)
-    with pytest.raises(AssertionError, match="power-identities: exact check holds"):
-        oracle.verify_theorems_on_census(report)
+        monkeypatch.setattr(oracle, "_product_masks", flag_all)
+        with pytest.raises(AssertionError, match=f"{name}: exact check holds"):
+            oracle.verify_theorems_on_census(report)
 
 
 def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch):

@@ -292,13 +292,10 @@ def test_product_masks_match_exact_checks(p):
                         a, x, lambda a, x: core.check_eigenvalue_transfer(a, x, eigenpairs),
                         lambda x: all(all(c.is_zero for c in a.apply(x.apply(v)))
                                       or chi_x(lam).is_zero for lam, v in eigenpairs))
-
-                    def splits(x):
-                        return unsplit_part(chi_x, [0, *eigenvalues]).degree == 0
-
+                    splits = unsplit_part(chi_x, [0, *eigenvalues]).degree == 0
                     exact["spectrum-inclusion"] = exact_or_direct(
                         a, x, lambda a, x: core.check_spectrum_inclusion(a, x, eigenvalues),
-                        splits) if invertible else splits(x)
+                        lambda x: splits) if invertible else splits
                 for name, holds in exact.items():
                     assert masks[name][i] == holds, (name, x)
                     seen.setdefault(name, set()).add(holds)

@@ -394,6 +394,48 @@ def test_groebner_cli_golden(capsys, jordan, golden):
     assert (code, out, err) == (0, expected, "")
 
 
+GROEBNER_GENS = {
+    "fractional": {"variables": ["x", "y"],
+                   "generators": ["1/2*x^2 - 3/4*y", "2/3*x*y - 1"]},
+    "high-degree": {"variables": ["x", "y"], "generators": ["x^500*y - 1", "y^2 - x"]},
+}
+BENCH_PROBES = ("--probe", "d^2", "--probe", "e^4", "--probe", "g^2", "--probe", "h^2",
+                "--probe", "af+bi")
+GROEBNER_PINS = [
+    (("--ideal", "ybe", "--jordan", "0^3", "--json", *BENCH_PROBES),
+     "e329c5fc43948a99560b6591b87bf43f24b4c46ace4187983629e77792e88d3f"),
+    (("--ideal", "ybe", "--jordan", "0^2,1^1", "--json"),
+     "41000ef0ecd8f125e979c52d174bf271c7f2ad3ee6fe58ad65f11c5f11ac859e"),
+    (("--ideal", "ybe", "--jordan", "2^2"),
+     "0dfec311f9912c2508bc1fdd3217e0e5ec9b93c433db5593cd2413a37071a218"),
+    (("--ideal", "ybe", "--jordan", "0^3", "--order", "lex:e,a,b,c,d,f,g,h,i",
+      "--probe", "af+bi"),
+     "aa011ae43d9097637236ca8f8719dc56111520e406e45cfe605ae146f4dea989"),
+    (("--gens", "{fractional}", "--probe", "x", "--probe", "x*y", "--probe", "x^3 + 1/5*y"),
+     "6d3058a23182cca1e5954bd9b9848cf474baae3fea73dae856ac282146aabc6b"),
+    (("--gens", "{fractional}", "--json", "--probe", "x^3 + 1/5*y"),
+     "6d5694be7c26ab4c4d750d3be219891194feb14d59065870c5c212b0b7472d44"),
+    (("--gens", "{high-degree}", "--probe", "x^400*y"),
+     "3e0a1e33407f24c8497a4ff6b7012b1d5ff01a98f2069f6f83ce532f5ab3c410"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GROEBNER_PINS,
+                         ids=[" ".join(argv) for argv, _ in GROEBNER_PINS])
+def test_groebner_output_is_pinned(tmp_path, capsys, argv, digest):
+    """Exit code 0, empty stderr and the sha256 of stdout match those
+    recorded with the exponent-tuple engine: the benchmark's invocations,
+    a nonzero eigenvalue, an order override, non-integral coefficients
+    (the probe x^3 + 1/5*y has normal form 1/5*y + 9/4) and exponents in
+    the hundreds."""
+    paths = {}
+    for name, doc in GROEBNER_GENS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    code, out, err = run(capsys, "groebner", *(arg.format(**paths) for arg in argv))
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
 @pytest.mark.parametrize("field, extra, golden", [
     ("gf:2", (), "census_gf2_1_2_1_2.txt"),
     ("gf:3", ("--commuting",), "census_gf3_1_2_1_2_commuting.txt"),

@@ -1,8 +1,14 @@
 """Multivariate polynomials over Q and Buchberger's algorithm.
 
-Monomials are exponent tuples over a fixed, ordered variable list; the
-order is lexicographic with the first variable strongest, which is what
-tuple comparison gives directly. Coefficients are exact rationals.
+Monomials over a fixed, ordered variable list are packed into ints, one
+16-bit field per variable with the first variable in the most significant
+field, so the lexicographic order with the first variable strongest is int
+comparison, a product is a sum and divisibility one subtraction and a mask
+test (see ``PolyRing``). An exponent may not exceed ``EXPONENT_LIMIT``
+(32,767): input beyond it, and any product that would carry past it, raise
+``SideConditionError``. Coefficients are exact rationals, kept as ints
+while integral. ``MultiPoly.terms`` gives the exponent tuples and
+Fraction coefficients.
 
 ``buchberger`` keeps its S-pairs in a heap keyed once, on insertion, by
 lcm degree and then lcm, prunes them with the Gebauer-Moeller update each
@@ -28,10 +34,38 @@ _TERM_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?")
 _FACTOR_RE = re.compile(r"^([A-Za-z])(?:\^(\d+))?")
 
 
-class PolyRing:
-    """A polynomial ring Q[x1, ..., xk] with lex order, x1 strongest."""
+_FIELD_BITS = 16
+EXPONENT_LIMIT = (1 << (_FIELD_BITS - 1)) - 1  # the top bit of each field is its guard
 
-    __slots__ = ("variables",)
+
+def _exponent_error() -> SideConditionError:
+    return SideConditionError(f"exponents must lie in 0..{EXPONENT_LIMIT}")
+
+
+def _exact(c):
+    """A coefficient as an int when it is integral, else as a Fraction.
+
+    Every coefficient a polynomial stores passes through here; inside the
+    algorithms only division by a leading coefficient makes a Fraction.
+    """
+    if type(c) is not int:
+        c = c if type(c) is Fraction else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+class PolyRing:
+    """A polynomial ring Q[x1, ..., xk] with lex order, x1 strongest.
+
+    A monomial is packed into one int, a 16-bit field per variable with x1
+    in the most significant. An exponent is at most ``EXPONENT_LIMIT``, so
+    the top bit of every field, its guard, stays clear: lex comparison is
+    int comparison, a product is a sum whose guard bits must stay clear,
+    and m1 divides m2 when m2 - m1 has no guard bit set.
+    """
+
+    __slots__ = ("variables", "guard")
 
     def __init__(self, variables):
         variables = tuple(variables)
@@ -41,6 +75,7 @@ class PolyRing:
             if not re.fullmatch(r"[A-Za-z]", v):
                 raise SideConditionError(f"variables must be single letters, got {v!r}")
         self.variables = variables
+        self.guard = sum(1 << (_FIELD_BITS * k + _FIELD_BITS - 1) for k in range(len(variables)))
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.variables == other.variables
@@ -55,19 +90,48 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.variables)
 
+    def pack(self, m) -> int:
+        """The packed key of an exponent tuple."""
+        if len(m) != self.nvars:
+            raise DimensionError("monomial arity does not match the ring")
+        key = 0
+        for e in m:
+            if not 0 <= e <= EXPONENT_LIMIT:
+                raise _exponent_error()
+            key = key << _FIELD_BITS | e
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        mask = (1 << _FIELD_BITS) - 1
+        return tuple(key >> (_FIELD_BITS * k) & mask for k in range(self.nvars - 1, -1, -1))
+
+    def mul(self, m1: int, m2: int) -> int:
+        key = m1 + m2
+        if key & self.guard:
+            raise _exponent_error()
+        return key
+
+    def divides(self, m1: int, m2: int) -> bool:
+        return not (m2 - m1) & self.guard
+
+    def lcm(self, m1: int, m2: int) -> int:
+        ge = ((m1 | self.guard) - m2) & self.guard  # the guard bits of the fields where m1 >= m2
+        ge -= ge >> (_FIELD_BITS - 1)  # widened to those fields' exponent bits
+        return m1 & ge | m2 & ~ge
+
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
 
     def one(self) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * self.nvars: Fraction(1)})
+        return self.constant(1)
 
     def constant(self, c) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * self.nvars: Fraction(c)})
+        return MultiPoly._of(self, {0: c})
 
     def var(self, name: str) -> "MultiPoly":
         idx = self.variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(self.nvars))
-        return MultiPoly(self, {exps: Fraction(1)})
+        return MultiPoly(self, {exps: 1})
 
     def parse(self, text: str) -> "MultiPoly":
         """Parse the textual term format; single-letter variables may be
@@ -117,56 +181,55 @@ class PolyRing:
         return MultiPoly(self, terms)
 
 
-def _monomial_mul(m1, m2):
-    return tuple(map(operator.add, m1, m2))
-
-
-def _monomial_divides(m1, m2) -> bool:
-    return all(map(operator.le, m1, m2))
-
-
-def _monomial_div(m1, m2):
-    return tuple(map(operator.sub, m1, m2))
-
-
-def _monomial_lcm(m1, m2):
-    return tuple(map(max, m1, m2))
-
-
 class MultiPoly:
-    """A multivariate polynomial with rational coefficients."""
+    """A multivariate polynomial with rational coefficients.
 
-    __slots__ = ("ring", "terms")
+    Built from a dict of exponent tuples, each exponent at most
+    ``EXPONENT_LIMIT``, to coefficients. ``_terms`` holds (packed monomial,
+    coefficient) pairs, leading term first, each coefficient an int when it
+    is integral; ``terms`` gives them back as exponent tuples with Fraction
+    coefficients.
+    """
+
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        cleaned = {m: c if type(c) is Fraction else Fraction(c)
-                   for m, c in terms.items() if c != 0}
-        self.terms = tuple(sorted(cleaned.items(), key=lambda t: t[0], reverse=True))
+        self._terms = _sorted_terms({ring.pack(m): c for m, c in terms.items()})
+
+    @classmethod
+    def _of(cls, ring: PolyRing, packed: dict) -> "MultiPoly":
+        """The polynomial of a dict keyed by packed monomials."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly._terms = _sorted_terms(packed)
+        return poly
+
+    @property
+    def terms(self) -> tuple:
+        unpack = self.ring.unpack
+        return tuple((unpack(m), Fraction(c)) for m, c in self._terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def lm(self) -> tuple[int, ...]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.ring.unpack(self._terms[0][0])
 
     def lc(self) -> Fraction:
-        return self.terms[0][1]
-
-    def _as_dict(self) -> dict:
-        return dict(self.terms)
+        return Fraction(self._terms[0][1])
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = self._as_dict()
-        for m, c in other.terms:
-            out[m] = out.get(m, Fraction(0)) + c
-        return MultiPoly(self.ring, out)
+        out = dict(self._terms)
+        for m, c in other._terms:
+            out[m] = out.get(m, 0) + c
+        return MultiPoly._of(self.ring, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ring, {m: -c for m, c in self.terms})
+        return MultiPoly._of(self.ring, {m: -c for m, c in self._terms})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -174,27 +237,28 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             out: dict = {}
-            for m1, c1 in self.terms:
-                for m2, c2 in other.terms:
-                    key = _monomial_mul(m1, m2)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return MultiPoly(self.ring, out)
-        return MultiPoly(self.ring, {m: c * Fraction(other) for m, c in self.terms})
+            for m1, c1 in self._terms:
+                for m2, c2 in other._terms:
+                    key = self.ring.mul(m1, m2)
+                    out[key] = out.get(key, 0) + c1 * c2
+            return MultiPoly._of(self.ring, out)
+        k = _exact(other)
+        return MultiPoly._of(self.ring, {m: c * k for m, c in self._terms})
 
     __rmul__ = __mul__
 
     def monic(self) -> "MultiPoly":
-        if self.is_zero or self.lc() == 1:
+        if self.is_zero or self._terms[0][1] == 1:
             return self
-        inv = 1 / self.lc()
-        return MultiPoly(self.ring, {m: c * inv for m, c in self.terms})
+        lc = self._terms[0][1]
+        return MultiPoly._of(self.ring, {m: Fraction(c, lc) for m, c in self._terms})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiPoly) and self.ring == other.ring
-                and self.terms == other.terms)
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash(self._terms)
 
     def evaluate(self, field: Field, values) -> Scalar:
         """Exact evaluation at a point; values align with the ring variables."""
@@ -202,9 +266,9 @@ class MultiPoly:
         if len(values) != self.ring.nvars:
             raise DimensionError("point arity does not match the ring")
         acc = field.zero()
-        for m, c in self.terms:
+        for m, c in self._terms:
             term = field.scalar(c)
-            for v, e in zip(values, m):
+            for v, e in zip(values, self.ring.unpack(m)):
                 if e:
                     term = term * v ** e
             acc = acc + term
@@ -212,7 +276,7 @@ class MultiPoly:
 
     def _term_str(self, m, c) -> str:
         factors = []
-        for name, e in zip(self.ring.variables, m):
+        for name, e in zip(self.ring.variables, self.ring.unpack(m)):
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -227,7 +291,7 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for idx, (m, c) in enumerate(self.terms):
+        for idx, (m, c) in enumerate(self._terms):
             piece = self._term_str(m, c)
             if idx == 0:
                 parts.append(piece if c > 0 else f"-{piece}")
@@ -239,51 +303,65 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+def _sorted_terms(packed: dict) -> tuple:
+    return tuple(sorted(((m, _exact(c)) for m, c in packed.items() if c),
+                        key=operator.itemgetter(0), reverse=True))
+
+
+def _lead(g: MultiPoly) -> int:
+    return g._terms[0][0]
+
+
 def normal_form(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     """Remainder of multivariate division of p by the basis, in basis order.
 
-    The running polynomial is a dict of terms; a heap of negated monomials
-    yields its leading monomial next. Every key of the dict has exactly one
-    heap entry, and a monomial once taken never reappears, because each
-    reduction step only adds terms below the one it removes.
+    The running polynomial is a dict of terms; a heap of negated packed
+    monomials yields its leading monomial next. Every key of the dict has
+    exactly one heap entry, and a monomial once taken never reappears,
+    because each reduction step only adds terms below the one it removes.
     """
-    divisors = [(g.terms[0][0], g.terms[0][1], g.terms[1:]) for g in basis if g.terms]
-    work = dict(p.terms)
-    pending = [tuple(map(operator.neg, m)) for m in work]
+    guard = p.ring.guard
+    divisors = [(g._terms[0][0], g._terms[0][1], g._terms) for g in basis if g._terms]
+    work = dict(p._terms)
+    pending = [-m for m in work]
     heapq.heapify(pending)
     rem = {}
     while pending:
-        m = tuple(map(operator.neg, heapq.heappop(pending)))
+        m = -heapq.heappop(pending)
         c = work.pop(m)
         if not c:
             continue
-        for lm, lc, tail in divisors:
-            if all(map(operator.le, lm, m)):  # _monomial_divides, inlined
-                q = c / lc
-                shift = _monomial_div(m, lm)
-                for tm, tc in tail:
-                    t = _monomial_mul(tm, shift)
+        for lm, lc, terms in divisors:
+            shift = m - lm
+            if not shift & guard:  # lm divides m
+                q = c if lc == 1 else _exact(Fraction(c, lc))
+                for tm, tc in terms[1:]:
+                    t = tm + shift
+                    if t & guard:
+                        raise _exponent_error()
                     old = work.get(t)
                     if old is None:
                         work[t] = -q * tc
-                        heapq.heappush(pending, tuple(map(operator.neg, t)))
+                        heapq.heappush(pending, -t)
                     else:
                         work[t] = old - q * tc
                 break
         else:
             rem[m] = c
-    return MultiPoly(p.ring, rem)
+    return MultiPoly._of(p.ring, rem)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    lcm = _monomial_lcm(f.lm(), g.lm())
+    ring = f.ring
+    lcm = ring.lcm(f._terms[0][0], g._terms[0][0])
     out: dict = {}
-    for poly, scale in ((f, 1 / f.lc()), (g, -1 / g.lc())):
-        shift = _monomial_div(lcm, poly.lm())
-        for m, c in poly.terms:
-            t = _monomial_mul(m, shift)
+    for poly, sign in ((f, 1), (g, -1)):
+        lm, lc = poly._terms[0]
+        scale = sign if lc == 1 else _exact(Fraction(sign, lc))
+        for m, c in poly._terms:
+            t = ring.mul(m, lcm - lm)
             out[t] = out.get(t, 0) + scale * c
-    return MultiPoly(f.ring, out)
+    return MultiPoly._of(ring, out)
 
 
 def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
@@ -296,12 +374,12 @@ def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     work = [g.monic() for g in basis if not g.is_zero]
     # minimality: drop any element whose leading monomial another one divides
     minimal: list[MultiPoly] = []
-    for g in sorted(work, key=lambda q: q.lm()):
-        if not any(_monomial_divides(h.lm(), g.lm()) for h in minimal):
+    for g in sorted(work, key=_lead):
+        if not any(g.ring.divides(_lead(h), _lead(g)) for h in minimal):
             minimal.append(g)
     for idx, g in enumerate(minimal):
         minimal[idx] = normal_form(g, minimal[:idx] + minimal[idx + 1:])
-    return sorted(minimal, key=lambda q: q.lm(), reverse=True)
+    return sorted(minimal, key=_lead, reverse=True)
 
 
 def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly]:
@@ -323,29 +401,28 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly
     the update drops never count.
     """
     basis: list[MultiPoly] = []
-    leads: list[tuple[int, ...]] = []
+    leads: list[int] = []  # packed leading monomials
     queue: list = []  # heap of (lcm degree, lcm, i, j)
 
     def update(h: MultiPoly) -> None:
-        new = len(basis)
-        lh = h.lm()
+        new, ring, lh = len(basis), h.ring, _lead(h)
+        divides, lcm_of = ring.divides, ring.lcm
         # new pairs: keep one per minimal lcm; a product-criterion pair is
         # dropped but still prunes the pairs whose lcm its own divides
-        cand = [(_monomial_lcm(lk, lh), k) for k, lk in enumerate(leads)]
+        cand = [(lcm_of(lk, lh), k) for k, lk in enumerate(leads)]
         kept = []
         for pos, (lcm, k) in enumerate(cand):
-            if lcm == _monomial_mul(leads[k], lh):
+            if lcm == leads[k] + lh:  # coprime leads; the sum is only compared
                 kept.append((lcm, None))
-            elif not any(_monomial_divides(other, lcm)
-                         for other, _ in cand[pos + 1:] + kept):
+            elif not any(divides(other, lcm) for other, _ in cand[pos + 1:] + kept):
                 kept.append((lcm, k))
         # a queued pair (i, j) with lcm L is redundant when lh divides L and
         # neither lcm(lm_i, lh) nor lcm(lm_j, lh) equals L
         queue[:] = [e for e in queue
-                    if not (_monomial_divides(lh, e[1])
-                            and _monomial_lcm(leads[e[2]], lh) != e[1]
-                            and _monomial_lcm(leads[e[3]], lh) != e[1])]
-        queue.extend((sum(lcm), lcm, k, new) for lcm, k in kept if k is not None)
+                    if not (divides(lh, e[1])
+                            and lcm_of(leads[e[2]], lh) != e[1]
+                            and lcm_of(leads[e[3]], lh) != e[1])]
+        queue.extend((sum(ring.unpack(lcm)), lcm, k, new) for lcm, k in kept if k is not None)
         heapq.heapify(queue)
         basis.append(h)
         leads.append(lh)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yangbaxter.errors import PairCapError, ParseError, SideConditionError
+from yangbaxter.errors import DimensionError
 from yangbaxter.groebner import (
+    EXPONENT_LIMIT,
     MultiPoly,
     PolyRing,
     buchberger,
@@ -300,3 +302,79 @@ def test_buchberger_matches_naive_reference(ideal):
         assert normal_form(s_polynomial(f, g), basis).is_zero
     for g in polys:
         assert normal_form(g, basis).is_zero
+
+
+# -- packed monomials against exponent tuples ----------------------------------------
+
+EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_LIMIT),
+                      st.sampled_from([EXPONENT_LIMIT - 1, EXPONENT_LIMIT]))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two exponent vectors; half the time the second is the first plus a
+    nonnegative offset, clipped at the limit, so that divisibility occurs."""
+    nvars = draw(st.integers(1, 12))
+    m1 = tuple(draw(st.lists(EXPONENTS, min_size=nvars, max_size=nvars)))
+    if draw(st.booleans()):
+        m2 = tuple(min(e + draw(st.integers(0, 3)), EXPONENT_LIMIT) for e in m1)
+    else:
+        m2 = tuple(draw(st.lists(EXPONENTS, min_size=nvars, max_size=nvars)))
+    return PolyRing("abcdefghijkl"[:nvars]), m1, m2
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs())
+def test_packed_monomials_match_exponent_tuples(case):
+    """Int order is lex order, and divisibility, lcm and product agree with
+    the exponent-tuple definitions; a product past the limit raises."""
+    ring, m1, m2 = case
+    k1, k2 = ring.pack(m1), ring.pack(m2)
+    assert (ring.unpack(k1), ring.unpack(k2)) == (m1, m2)
+    assert ((k1 < k2), (k1 == k2)) == ((m1 < m2), (m1 == m2))
+    assert ring.divides(k1, k2) == all(a <= b for a, b in zip(m1, m2))
+    assert ring.divides(k2, k1) == all(b <= a for a, b in zip(m1, m2))
+    assert ring.unpack(ring.lcm(k1, k2)) == tuple(map(max, m1, m2))
+    product = tuple(a + b for a, b in zip(m1, m2))
+    if max(product) <= EXPONENT_LIMIT:
+        assert ring.unpack(ring.mul(k1, k2)) == product
+    else:
+        with pytest.raises(SideConditionError, match=f"0..{EXPONENT_LIMIT}"):
+            ring.mul(k1, k2)
+
+
+def test_pack_refuses_exponents_outside_a_field():
+    ring = PolyRing(tuple("xy"))
+    assert ring.unpack(ring.pack((EXPONENT_LIMIT, 0))) == (EXPONENT_LIMIT, 0)
+    for bad in ((EXPONENT_LIMIT + 1, 0), (0, -1)):
+        with pytest.raises(SideConditionError, match=f"0..{EXPONENT_LIMIT}"):
+            ring.pack(bad)
+    with pytest.raises(DimensionError):
+        ring.pack((1,))
+
+
+def test_products_past_the_exponent_limit_raise():
+    """Every place a product of monomials is formed checks the guard bits:
+    polynomial products, S-polynomials and reduction steps."""
+    ring = PolyRing(tuple("xy"))
+    f = ring.parse(f"x + y^{EXPONENT_LIMIT - 767}")
+    g = ring.parse("x*y^5000")
+    for compute in (lambda: f * f, lambda: s_polynomial(f, g),
+                    lambda: normal_form(g, [f]), lambda: ring.parse("x^20000*x^20000")):
+        with pytest.raises(SideConditionError, match=f"0..{EXPONENT_LIMIT}"):
+            compute()
+    assert normal_form(ring.parse("x*y^767"), [f]) == ring.parse(f"-y^{EXPONENT_LIMIT}")
+
+
+def test_integral_coefficients_stay_ints(rat):
+    """Coefficients are ints until a division by a leading coefficient makes
+    a fraction; the public terms are Fractions either way."""
+    ring = PolyRing(tuple("xy"))
+    f = ring.parse("2*x - 4*y + 6")
+    assert all(type(c) is int for _, c in f._terms)
+    monic = f.monic()
+    assert [type(c) for _, c in monic._terms] == [int, int, int]
+    assert [type(c) for _, c in ring.parse("2*x - 3").monic()._terms] == [int, Fraction]
+    assert all(type(c) is Fraction for _, c in f.terms)
+    basis = buchberger(ybe_ideal(nilpotent_block(rat, 3), 3))
+    assert all(type(c) is int for g in basis for _, c in g._terms)

@@ -3,7 +3,9 @@
 Every constructor checks the residual of what it built before returning
 it; a failure raises :class:`~yangbaxter.errors.ConstructionError` and is
 never silently returned. Parameter constraints that the caller got wrong
-raise :class:`~yangbaxter.errors.SideConditionError` instead.
+raise :class:`~yangbaxter.errors.SideConditionError` instead. The
+single-block constructors build through a private assembler that checks
+only the side conditions, for callers that hold a verified solution.
 
 The catalog at the bottom is the machine-readable family listing served
 by the command line.
@@ -27,19 +29,12 @@ def _verified(a: Matrix, x: Matrix, what: str) -> Matrix:
     return x
 
 
-def family_2x2_invertible(lam: Scalar, branch: str, a: Scalar | None = None) -> Matrix:
-    """Solutions for the 2x2 Jordan block with nonzero eigenvalue.
-
-    ``toeplitz`` returns the coefficient matrix itself. ``plus`` and
-    ``minus`` return the two conjugate forms built from a square root of
-    ``a``; they coincide in characteristic 2, where the two roots are equal.
-    """
+def _assemble_2x2_invertible(lam: Scalar, branch: str, a: Scalar | None = None) -> Matrix:
     field = lam.field
     if lam.is_zero:
         raise SideConditionError("eigenvalue must be nonzero")
-    coeff = jordan_block(field, lam, 2)
     if branch == "toeplitz":
-        return _verified(coeff, coeff, "2x2 invertible family")
+        return jordan_block(field, lam, 2)
     if branch not in ("plus", "minus"):
         raise SideConditionError(f"unknown branch {branch!r}")
     if a is None:
@@ -52,45 +47,57 @@ def family_2x2_invertible(lam: Scalar, branch: str, a: Scalar | None = None) -> 
         )
     if branch == "minus":
         root = -root
-    x = Matrix.from_rows(field, [
+    return Matrix.from_rows(field, [
         [lam + lam * root, a],
         [-(lam * lam), lam - lam * root],
     ])
-    return _verified(coeff, x, "2x2 invertible family")
+
+
+def family_2x2_invertible(lam: Scalar, branch: str, a: Scalar | None = None) -> Matrix:
+    """Solutions for the 2x2 Jordan block with nonzero eigenvalue.
+
+    ``toeplitz`` returns the coefficient matrix itself. ``plus`` and
+    ``minus`` return the two conjugate forms built from a square root of
+    ``a``; they coincide in characteristic 2, where the two roots are equal.
+    """
+    x = _assemble_2x2_invertible(lam, branch, a)
+    return _verified(jordan_block(lam.field, lam, 2), x, "2x2 invertible family")
+
+
+def _assemble_2x2_nilpotent(a: Scalar, b: Scalar, alpha: Scalar) -> Matrix:
+    field = a.field
+    a, b, alpha = field.scalar(a), field.scalar(b), field.scalar(alpha)
+    if not (a * b).is_zero:
+        raise SideConditionError("ab=0 violated")
+    return Matrix.from_rows(field, [[a, alpha], [field.zero(), b]])
 
 
 def family_2x2_nilpotent(a: Scalar, b: Scalar, alpha: Scalar) -> Matrix:
     """Upper-triangular solutions [[a, alpha], [0, b]] of the 2x2 shift block;
     the side condition is a*b = 0."""
-    field = a.field
-    a, b, alpha = field.scalar(a), field.scalar(b), field.scalar(alpha)
-    if not (a * b).is_zero:
-        raise SideConditionError("ab=0 violated")
-    x = Matrix.from_rows(field, [[a, alpha], [field.zero(), b]])
-    return _verified(nilpotent_block(field, 2), x, "2x2 nilpotent family")
+    x = _assemble_2x2_nilpotent(a, b, alpha)
+    return _verified(nilpotent_block(x.field, 2), x, "2x2 nilpotent family")
 
 
-def family_3x3_nilpotent(a: Scalar, b: Scalar, c: Scalar,
-                         f: Scalar, i: Scalar) -> Matrix:
-    """Solutions [[a,b,c],[0,0,f],[0,0,i]] of the 3x3 shift block;
-    the side condition is a*f + b*i = 0."""
+def _assemble_3x3_nilpotent(a: Scalar, b: Scalar, c: Scalar, f: Scalar, i: Scalar) -> Matrix:
     field = a.field
     a, b, c = field.scalar(a), field.scalar(b), field.scalar(c)
     f, i = field.scalar(f), field.scalar(i)
     if not (a * f + b * i).is_zero:
         raise SideConditionError("af+bi=0 violated")
     z = field.zero()
-    x = Matrix.from_rows(field, [[a, b, c], [z, z, f], [z, z, i]])
-    return _verified(nilpotent_block(field, 3), x, "3x3 nilpotent family")
+    return Matrix.from_rows(field, [[a, b, c], [z, z, f], [z, z, i]])
 
 
-def family_nilpotent_general(n: int, a, b, alpha: Scalar) -> Matrix:
-    """The strictly upper solution pattern for the size-n shift block, n >= 4.
+def family_3x3_nilpotent(a: Scalar, b: Scalar, c: Scalar,
+                         f: Scalar, i: Scalar) -> Matrix:
+    """Solutions [[a,b,c],[0,0,f],[0,0,i]] of the 3x3 shift block;
+    the side condition is a*f + b*i = 0."""
+    x = _assemble_3x3_nilpotent(a, b, c, f, i)
+    return _verified(nilpotent_block(x.field, 3), x, "3x3 nilpotent family")
 
-    Sound but not complete: for n > 3 it does not exhaust the solution set.
-    Rows carry the two parameter lists along the first row and last column,
-    coupled through the single interior entry sum(a_i * b_{i+1}).
-    """
+
+def _assemble_nilpotent_general(n: int, a, b, alpha: Scalar) -> Matrix:
     if n < 4:
         raise SideConditionError("general nilpotent pattern needs n >= 4")
     field = alpha.field
@@ -110,8 +117,18 @@ def family_nilpotent_general(n: int, a, b, alpha: Scalar) -> Matrix:
     rows[1][n - 1] = b[0]
     for r in range(2, n - 1):
         rows[r][n - 1] = b[r - 1]
-    x = Matrix.from_rows(field, rows)
-    return _verified(nilpotent_block(field, n), x, "general nilpotent family")
+    return Matrix.from_rows(field, rows)
+
+
+def family_nilpotent_general(n: int, a, b, alpha: Scalar) -> Matrix:
+    """The strictly upper solution pattern for the size-n shift block, n >= 4.
+
+    Sound but not complete: for n > 3 it does not exhaust the solution set.
+    Rows carry the two parameter lists along the first row and last column,
+    coupled through the single interior entry sum(a_i * b_{i+1}).
+    """
+    x = _assemble_nilpotent_general(n, a, b, alpha)
+    return _verified(nilpotent_block(x.field, n), x, "general nilpotent family")
 
 
 def commuting_nilpotent(n: int, variant: str, alpha: Scalar, beta: Scalar) -> Matrix:

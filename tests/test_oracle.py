@@ -327,6 +327,19 @@ def test_classification_tags_reproduce_members(gf3):
         assert tag.startswith("jordan2-nilpotent")
 
 
+def test_classification_checks_no_family_residual(monkeypatch, gf2, gf3):
+    """The census verified every solution, so a family member rebuilt only
+    to be compared with one needs no residual of its own."""
+    from yangbaxter import families
+    reports = [census(gf3, "1^2"), census(gf3, "0^2"), census(gf3, "0^3"),
+               census(gf2, "0^4")]
+    calls = []
+    monkeypatch.setattr(families, "residual", lambda a, x: calls.append(x) or residual(a, x))
+    tagged = [oracle.classify_against_families(rep) for rep in reports]
+    assert calls == []
+    assert all(rep.family_tallies["unmatched"] < rep.total for rep in tagged)
+
+
 @pytest.mark.parametrize("spec, shorthand, commuting", [
     ("gf:2", "1^2,1^2", False), ("gf:3", "1^2,1^2", True), ("gf:5", "1^1,1^1", False),
 ])

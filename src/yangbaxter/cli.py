@@ -320,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("census", "enumerate"):
         p = sub.add_parser(name, help="exhaustive solution census over GF(p)")
-        p.add_argument("--A", help="coefficient matrix file")
-        p.add_argument("--jordan", help="Jordan shorthand, e.g. 0^3 or 1^2,1^2")
+        coefficient = p.add_mutually_exclusive_group()
+        coefficient.add_argument("--A", help="coefficient matrix file")
+        coefficient.add_argument("--jordan", help="Jordan shorthand, e.g. 0^3 or 1^2,1^2")
         p.add_argument("--commuting", action="store_true",
                        help="restrict to commuting solutions")
         p.add_argument("--budget", type=_int_at_least(1), default=oracle.DEFAULT_BUDGET,
@@ -339,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sylvester)
 
     p = sub.add_parser("groebner", help="reduced Groebner basis and normal forms")
-    p.add_argument("--ideal", choices=("ybe",), help="built-in ideal family")
+    ideal = p.add_mutually_exclusive_group()
+    ideal.add_argument("--ideal", choices=("ybe",), help="built-in ideal family")
     p.add_argument("--jordan", help="coefficient for the built-in ideal, e.g. 0^3")
-    p.add_argument("--gens", help="JSON file with variables and generators")
+    ideal.add_argument("--gens", help="JSON file with variables and generators")
     p.add_argument("--order", help="monomial order override, e.g. lex:a..i")
     p.add_argument("--probe", action="append", default=[],
                    help="polynomial whose normal form is reported")

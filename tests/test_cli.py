@@ -12,7 +12,10 @@ from yangbaxter.matrices import Matrix, jordan_block, jordan_matrix, nilpotent_b
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on a usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -71,13 +74,22 @@ FILE_ERRORS = {
     "out-coefficient-missing-directory": ("construct", "--family", "ex2", "--param", "a=0",
                                           "--param", "b=1", "--param", "alpha=1",
                                           "--out-coefficient", "{tmp}/nowhere/a.json"),
+    "gens-beside-ideal": ("groebner", "--ideal", "ybe", "--jordan", "0^3",
+                          "--gens", "{tmp}/gens.json"),
+    "matrix-beside-jordan": ("census", "--field", "gf:2", "--jordan", "0^2",
+                             "--A", "{tmp}/a.json"),
 }
 
 
 @pytest.mark.parametrize("case", FILE_ERRORS)
 def test_file_errors_exit_two(tmp_path, capsys, case):
-    """Unreadable, malformed or unwritable files are bad invocations, not tracebacks."""
+    """Unreadable, malformed or unwritable files are bad invocations, not
+    tracebacks, and so is a well-formed file given beside the option it
+    would conflict with."""
     (tmp_path / "invalid.json").write_text('{\n  "variables": ["x"],\n')
+    (tmp_path / "gens.json").write_text(json.dumps({"variables": ["x"], "generators": ["x"]}))
+    (tmp_path / "a.json").write_text(json.dumps({"field": "gf:2", "rows": [["1", "1"],
+                                                                         ["0", "1"]]}))
     (tmp_path / "no_generators.json").write_text(json.dumps({"variables": ["x"]}))
     (tmp_path / "list.json").write_text(json.dumps(["x - 1"]))
     (tmp_path / "latin1.json").write_bytes('{"field": "rat", "rows": [["\u00e9"]]}'.encode("latin-1"))
@@ -86,6 +98,8 @@ def test_file_errors_exit_two(tmp_path, capsys, case):
     assert code == 2 and "error:" in err
     if case == "gens-invalid-json":
         assert "(line 3, column 1)" in err
+    if "-beside-" in case:
+        assert "not allowed with argument" in err
 
 
 def test_construct_family_and_alias(capsys):
@@ -434,6 +448,22 @@ def test_groebner_output_is_pinned(tmp_path, capsys, argv, digest):
         paths[name].write_text(json.dumps(doc))
     code, out, err = run(capsys, "groebner", *(arg.format(**paths) for arg in argv))
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+
+@pytest.mark.parametrize("generators, code, expected", [
+    (["x^32767 - y"], 0, "reduced basis:\n  x^32767 - y\n"),
+    (["x^32768 - y"], 2, "error: exponents must lie in 0..32767\n"),
+    (["x^20000*x^20000"], 2, "error: exponents must lie in 0..32767\n"),
+    (["x + y^30000", "x*y^5000"], 2, "error: exponents must lie in 0..32767\n"),
+])
+def test_groebner_exponent_limit(tmp_path, capsys, generators, code, expected):
+    """An exponent may reach 32767, the most a packed field holds; one past
+    it, in the input or in an S-polynomial's product (y^5000 times
+    y^30000), exits 2 with the limit named."""
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"variables": ["x", "y"], "generators": generators}))
+    got_code, out, err = run(capsys, "groebner", "--gens", str(gens))
+    assert (got_code, out if code == 0 else err) == (code, expected)
 
 
 @pytest.mark.parametrize("field, extra, golden", [

@@ -123,10 +123,10 @@ class PolyRing:
         return MultiPoly(self, {})
 
     def one(self) -> "MultiPoly":
-        return self.constant(1)
+        return MultiPoly(self, {(0,) * self.nvars: Fraction(1)})
 
     def constant(self, c) -> "MultiPoly":
-        return MultiPoly._of(self, {0: c})
+        return MultiPoly(self, {(0,) * self.nvars: Fraction(c)})
 
     def var(self, name: str) -> "MultiPoly":
         idx = self.variables.index(name)

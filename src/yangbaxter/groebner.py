@@ -131,7 +131,7 @@ class PolyRing:
     def var(self, name: str) -> "MultiPoly":
         idx = self.variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(self.nvars))
-        return MultiPoly(self, {exps: 1})
+        return MultiPoly(self, {exps: Fraction(1)})
 
     def parse(self, text: str) -> "MultiPoly":
         """Parse the textual term format; single-letter variables may be

@@ -75,7 +75,7 @@ from .sylvester import (
     sylvester_solve,
     sylvester_unique,
 )
-from .unipoly import UniPoly, char_poly, min_poly
+from .unipoly import UniPoly, char_poly
 
 __version__ = "0.1.0"
 
@@ -127,7 +127,6 @@ __all__ = [
     "jordan_matrix",
     "load_matrix",
     "loads_matrix",
-    "min_poly",
     "nilpotent_block",
     "normal_form",
     "offdiag_solution_space",

@@ -204,6 +204,8 @@ def cmd_groebner(args) -> int:
         gens = ybe_ideal(a, a.nrows)
         ring = ybe_ring(a.nrows)
     elif args.gens:
+        if args.jordan:
+            raise PreconditionError("--jordan belongs to --ideal ybe, not to --gens")
         doc = matio.load_json(args.gens)
         if not (isinstance(doc, dict) and all(
                 isinstance(doc.get(key), list) and all(isinstance(v, str) for v in doc[key])

@@ -71,12 +71,14 @@ def is_solution(a: Matrix, x: Matrix) -> bool:
 
 
 class Facts:
-    """A square matrix with its derived facts, each computed on first use and
-    kept only as long as the record. A record with a ``coefficient`` is a
-    solution for that coefficient record, checked by :func:`solution_facts`."""
+    """A square matrix with its derived facts, each computed on first use unless
+    given, and kept as long as the record. A record with a ``coefficient`` is
+    a solution for it, checked by :func:`solution_facts` or the census batch."""
 
-    def __init__(self, matrix: Matrix, coefficient: Facts | None = None):
+    def __init__(self, matrix: Matrix, coefficient: Facts | None = None, kernel=None):
         self.matrix, self.coefficient = matrix, coefficient
+        if kernel is not None:  # fills the cached property
+            self.kernel = kernel
 
     @cached_property
     def charpoly(self) -> UniPoly:
@@ -96,9 +98,9 @@ def facts(m: Matrix | Facts) -> Facts:
 
 
 def solution_facts(a: Matrix | Facts, x: Matrix | Facts, who: str) -> Facts:
-    """The solution record of ``x`` for ``a``. Its residual is checked
-    exactly here, and only here: a record already made for this very
-    coefficient record is returned as it is."""
+    """The solution record of ``x`` for ``a``, its residual checked exactly
+    here; a record already made for this very coefficient record is
+    returned as it is."""
     a = facts(a)
     if isinstance(x, Facts) and x.coefficient is a:
         return x

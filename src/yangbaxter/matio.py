@@ -160,6 +160,8 @@ def census_from_json(obj) -> CensusReport:
     if missing := [key for key in _CENSUS_KEYS if key not in obj]:
         raise ParseError(f"census document needs {missing[0]!r}")
     field = Field.from_spec(obj["field"])
+    if field.p is None:  # a census is only ever taken over GF(p)
+        raise ParseError(f"census field must be gf:<p>, got {obj['field']!r}")
     jordan = parse_jordan(field, obj["jordan"]) if obj.get("jordan") else None
     report = CensusReport(
         field=field,

@@ -5,7 +5,7 @@ are validated against. Candidates are searched depth first over the
 coordinates of a basis, each residual entry screened mod p with vectorized
 integer arithmetic at the stage whose coordinates fix it, so a failing
 partial matrix is dropped with every extension; every survivor is then
-re-verified with the exact scalar arithmetic of the rest of the package.
+verified exactly in one batch over GF(p), which also takes its kernel.
 
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
@@ -37,7 +37,7 @@ from . import core
 from .errors import BudgetError, PreconditionError, SideConditionError
 from .families import (_assemble_2x2_invertible, _assemble_2x2_nilpotent,
                        _assemble_3x3_nilpotent, _assemble_nilpotent_general)
-from .fields import Field, power
+from .fields import Field, Scalar, power
 from .matrices import (JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator,
                        jordan_matrix)
 
@@ -118,23 +118,51 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries) -> np.ndarray:
     return np.bincount(alive, minlength=len(xs)) > 0
 
 
-def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
-    """det(lam I - X) mod p for each X of an (S, n, n) stack of residues, by
-    elimination on the first nonzero pivot of each column: a sign flip per
-    row swap, each pivot inverted as v^(p-2). A column without one gives 0."""
+def _gauss_jordan(m: np.ndarray, p: int):
+    """Gauss-Jordan mod p, in place, on an (S, n, k) int64 stack of residues,
+    as Matrix._eliminate over GF(p): the first nonzero pivot at or below the
+    current row, scaled by v^(p-2), clears its column. Returns the reduced
+    stack, the (S, k) pivot-column mask and, for k = n, the determinants: a
+    sign per row swap times the pivots, 0 when a column has no pivot."""
     import numpy as np
 
-    m = (lam * np.eye(xs.shape[-1], dtype=np.int64) - xs) % p
-    det, each = np.ones(len(xs), dtype=np.int64), np.arange(len(xs))
-    for c in range(m.shape[-1]):
-        r = c + (m[:, c:, c] != 0).argmax(axis=1)
+    s, n, k = m.shape
+    each, row = np.arange(s), np.zeros(s, dtype=np.int64)
+    det, pivots = np.ones(s, dtype=np.int64), np.zeros((s, k), dtype=bool)
+    for c in range(k):
+        here = np.minimum(row, n - 1)  # the current row; none is left once row = n
+        below = (m[:, :, c] != 0) & (np.arange(n) >= row[:, None])
+        found = pivots[:, c] = below.any(axis=1)
+        r = np.where(found, below.argmax(axis=1), here)
         top = m[each, r]
-        m[each, r], m[:, c] = m[:, c], top
-        det = np.where(r == c, det, p - det) * top[:, c] % p
-        inverse = power(top[:, c, None], p - 2, 1, lambda u, v: u * v % p)
-        m[:, c + 1:] -= (m[:, c + 1:, c] * inverse % p)[:, :, None] * top[:, None]
-        m %= p
-    return det
+        m[each, r], m[each, here] = m[each, here], top
+        det = np.where(found, np.where(r == here, det, p - det) * top[:, c] % p, 0)
+        top = top * power(top[:, c, None], p - 2, 1, lambda u, v: u * v % p) % p
+        clear = np.where(found[:, None], m[:, :, c], 0)
+        clear[each, here] -= found  # the pivot row, v times top, becomes top
+        m[:] = (m - clear[:, :, None] * top[:, None]) % p
+        row += found
+    return m, pivots, det
+
+
+def _kernels(field: Field, xs: np.ndarray) -> list[list]:
+    """The kernel basis of each matrix of an (S, n, n) stack, eliminated in
+    place, as Matrix.kernel_basis reads it off: with row j of ``at`` the pivot
+    row of pivot column j, else 0, each free column of I - at is a vector."""
+    import numpy as np
+
+    rref, pivots, _ = _gauss_jordan(xs, field.p)
+    at = pivots[:, :, None] * rref[np.arange(len(xs))[:, None], pivots.cumsum(axis=1) - 1]
+    basis = (np.eye(xs.shape[-1], dtype=np.int64) - at).transpose(0, 2, 1) % field.p
+    return [[tuple(Scalar(field, v) for v in vec) for vec, pivot in zip(vecs, pivs) if not pivot]
+            for vecs, pivs in zip(basis.tolist(), pivots.tolist())]
+
+
+def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
+    """det(lam I - X) mod p for each X of an (S, n, n) stack of residues."""
+    import numpy as np
+
+    return _gauss_jordan((lam * np.eye(xs.shape[-1], dtype=np.int64) - xs) % p, p)[2]
 
 
 def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec | None = None):
@@ -192,24 +220,40 @@ def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec
             {lam: values.tolist() for lam, values in chars.items()})
 
 
-def _records(a: Matrix, solutions, kept, who: str):
+def _records(a: Matrix, solutions, kept, who: str, commuting: bool = False):
     """One record of ``a`` and the verified record of each solution, in order.
     A kept record stands only for the matrix it was made for, verified against
-    that record of ``a``; every other solution's residual is checked here once."""
+    that record of ``a``. Every other one is verified here once, in one int64
+    batch mod p: (AX)A - X(AX) = 0, AX = XA when ``commuting``, and its kernel."""
+    import numpy as np
+
+    p, n = a.field.p, a.nrows
+    if p is None or not a.is_square:
+        raise PreconditionError(f"{who}: a census has a square coefficient over GF(p)")
     coeff = kept[0].coefficient if kept and kept[0].coefficient.matrix == a else core.Facts(a)
     by_matrix = {r.matrix: r for r in kept or () if r.coefficient is coeff}
-    return coeff, [core.solution_facts(coeff, by_matrix.get(x, x), who) for x in solutions]
+    records = [by_matrix.get(x) for x in solutions]
+    fresh = [x for x, r in zip(solutions, records) if r is None]
+    _check_int64(p, n, len(fresh))
+    a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
+    xs = np.array([x.raw for x in fresh if (x.field, x.nrows, x.ncols) == (a.field, n, n)],
+                  dtype=np.int64).reshape(-1, n, n)
+    ax = a_int @ xs % p
+    if len(xs) < len(fresh) or ((ax @ a_int - xs @ ax) % p).any():
+        raise PreconditionError(f"{who}: candidate is not a solution")
+    if commuting and (ax != xs @ a_int % p).any():
+        raise AssertionError("screened candidate fails exact commutation")
+    kernels = iter(_kernels(a.field, xs))
+    return coeff, [r or core.Facts(x, coeff, next(kernels)) for x, r in zip(solutions, records)]
 
 
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                           commuting: bool, jordan: JordanSpec | None) -> CensusReport:
     solutions = sorted(mats, key=lambda m: m.raw)
-    try:  # the one exact residual of each solution
-        _, records = _records(a, solutions, None, "census")
+    try:  # the one exact residual and kernel of each solution
+        _, records = _records(a, solutions, None, "census", commuting)
     except PreconditionError as err:
         raise AssertionError("screened candidate fails the exact residual") from err
-    if commuting and any(a * x != x * a for x in solutions):
-        raise AssertionError("screened candidate fails exact commutation")
     by_rank: dict[int, int] = {}
     by_kernel: dict[str, int] = {}
     ranges = jordan.block_ranges() if jordan is not None else None
@@ -402,22 +446,20 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     census and those of each solution once, its residual and kernel from
     the census's records when the report keeps them.
 
-    Over GF(p) the power identities, charpoly annihilation and kernel
-    invariance of all solutions are batched mod p first, and only a flagged
-    solution meets the exact check. When A is the Jordan matrix of the
-    report's block structure, the batch also takes char_X(lam) = det(lam I
-    - X) at each eigenvalue lam of A and screens eigenvalue transfer and
-    spectrum inclusion. char(A) splits over those lam, so the values decide
-    spectral disjointness and the kernel-eigenspace filters exactly, and a
-    solution the batch clears needs no char(X).
+    The power identities, charpoly annihilation and kernel invariance of all
+    solutions are batched mod p first, and only a flagged solution meets the
+    exact check. When A is the Jordan matrix of the report's block structure,
+    the batch also takes char_X(lam) = det(lam I - X) at each eigenvalue lam
+    of A and screens eigenvalue transfer and spectrum inclusion. char(A)
+    splits over those lam, so the values decide spectral disjointness and the
+    kernel-eigenspace filters exactly, and a solution the batch clears needs
+    no char(X).
     """
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
     coeff, sols = _records(a, report.solutions, report.facts, "theorem sweep")
-    masks, chars = {}, {}  # no batch outside GF(p)
-    if a.field.kind == "gf":
-        split = jordan is not None and a == jordan_matrix(a.field, jordan)
-        masks, chars = _product_masks(coeff, sols, jordan if split else None)
+    split = jordan is not None and a == jordan_matrix(a.field, jordan)
+    masks, chars = _product_masks(coeff, sols, jordan if split else None)
     blocks = jordan.blocks if jordan is not None else ()
     lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)
     two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero

@@ -1,4 +1,4 @@
-"""Exact univariate polynomials, characteristic and minimal polynomials.
+"""Exact univariate polynomials and characteristic polynomials.
 
 The characteristic polynomial det(xI - M) comes from a Hessenberg form
 of M and the recurrence over its leading blocks, for every field: O(n^3)
@@ -215,23 +215,6 @@ def char_poly(m: Matrix) -> UniPoly:
             pk[:i + 1] = f.sub_scaled(pk[:i + 1], f.mul(t, h[i][k]), polys[i])
         polys.append(pk)
     return UniPoly._make(f, polys[n])
-
-
-def min_poly(m: Matrix) -> UniPoly:
-    """Monic minimal polynomial, from one elimination on the columns
-    vec(I), vec(M), ..., vec(M^n): the first non-pivot column is M^d for
-    d the number of pivots, and its reduced entries write M^d in the
-    lower powers."""
-    if not m.is_square:
-        raise DimensionError("minimal polynomial needs a square matrix")
-    field, n = m.field, m.nrows
-    powers = [Matrix.identity(field, n)]
-    for _ in range(n):
-        powers.append(powers[-1] * m)
-    rows, pivots = Matrix._make(field, n * n, n + 1,
-                                [v for row in zip(*(p.raw for p in powers)) for v in row])._rref()
-    d = len(pivots)
-    return UniPoly._make(field, [field.neg(row[d]) for row in rows[:d]] + [field.ONE])
 
 
 def unsplit_part(p: UniPoly, roots) -> UniPoly:

@@ -1,12 +1,12 @@
 """References that only the tests use: the rank-profile similarity test,
-the trace, span membership and the unit-vector search for a Jordan chain,
-each checked against the package's own answers or used as an oracle for
-them."""
+the trace, span membership, the unit-vector search for a Jordan chain and
+the minimal polynomial, each checked against the package's own answers or
+used as an oracle for them."""
 
 from yangbaxter.errors import AlgebraError, DimensionError, FieldMismatchError
 from yangbaxter.fields import Scalar
 from yangbaxter.matrices import Matrix
-from yangbaxter.unipoly import char_poly, unsplit_part
+from yangbaxter.unipoly import UniPoly, char_poly, unsplit_part
 
 
 class InconclusiveError(AlgebraError):
@@ -86,3 +86,20 @@ def jordan_chain_search(x: Matrix, lam) -> Matrix | None:
             if s.is_invertible():
                 return s
     return None
+
+
+def min_poly(m: Matrix) -> UniPoly:
+    """Monic minimal polynomial, from one elimination on the columns
+    vec(I), vec(M), ..., vec(M^n): the first non-pivot column is M^d for
+    d the number of pivots, and its reduced entries write M^d in the
+    lower powers."""
+    if not m.is_square:
+        raise DimensionError("minimal polynomial needs a square matrix")
+    field, n = m.field, m.nrows
+    powers = [Matrix.identity(field, n)]
+    for _ in range(n):
+        powers.append(powers[-1] * m)
+    rows, pivots = Matrix._make(field, n * n, n + 1,
+                                [v for row in zip(*(p.raw for p in powers)) for v in row])._rref()
+    d = len(pivots)
+    return UniPoly._make(field, [field.neg(row[d]) for row in rows[:d]] + [field.ONE])

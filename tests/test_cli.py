@@ -111,6 +111,15 @@ def test_conflicting_options_exit_two(tmp_path, capsys, case):
     assert "not allowed with argument" in captured.err
 
 
+def test_groebner_gens_beside_jordan_exits_two(tmp_path, capsys):
+    """--jordan belongs to --ideal ybe; beside --gens it would be ignored,
+    so the pair is a bad invocation, refused before any basis is printed."""
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"variables": ["x"], "generators": ["x"]}))
+    code, out, err = run(capsys, "groebner", "--gens", str(gens), "--jordan", "0^3")
+    assert code == 2 and out == "" and "--jordan" in err
+
+
 def test_construct_family_and_alias(capsys):
     code, out, _ = run(capsys, "construct", "--family", "ex1",
                        "--param", "lam=1", "--param", "branch=plus",

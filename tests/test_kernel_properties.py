@@ -26,7 +26,7 @@ from itertools import permutations, zip_longest
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
-from references import is_similar, jordan_chain_search, span_contains
+from references import is_similar, jordan_chain_search, min_poly, span_contains
 
 from yangbaxter.fields import Field
 from yangbaxter.matrices import (
@@ -41,7 +41,7 @@ from yangbaxter.sylvester import (
     sylvester_solve,
     sylvester_unique,
 )
-from yangbaxter.unipoly import UniPoly, char_poly, min_poly, unsplit_part
+from yangbaxter.unipoly import UniPoly, char_poly, unsplit_part
 
 SPECS = ["rat", "gf:2", "gf:3", "gf:5", "gf:7", "gf:1000000007",
          "quad:2", "quad:-1", "quad:1/2"]

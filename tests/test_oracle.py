@@ -11,9 +11,9 @@ from test_kernel_properties import quick
 
 from yangbaxter import oracle
 from yangbaxter.core import is_solution, residual
-from yangbaxter.errors import BudgetError, PreconditionError
+from yangbaxter.errors import BudgetError, ParseError, PreconditionError
 from yangbaxter.fields import Field
-from yangbaxter.matio import parse_jordan
+from yangbaxter.matio import census_from_json, census_to_json, parse_jordan
 from yangbaxter.matrices import (Matrix, centralizer_basis, jordan_block, jordan_matrix,
                                  nilpotent_block)
 from yangbaxter.sylvester import offdiag_solution_space
@@ -300,6 +300,42 @@ def test_screen_reduces_ax_before_the_second_product():
 def test_enumeration_needs_prime_field(rat):
     with pytest.raises(PreconditionError):
         oracle.enumerate_solutions(nilpotent_block(rat, 2))
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_census_refuses_candidates_the_screen_lets_through(monkeypatch, gf2, commuting):
+    """With a screen that keeps every candidate, the census's exact batch
+    alone meets the non-solutions among them, and must refuse them."""
+    monkeypatch.setattr(oracle, "_screen_batch",
+                        lambda a, xs, p, entries: np.ones(len(xs), dtype=bool))
+    with pytest.raises(AssertionError, match="fails the exact residual"):
+        census(gf2, "0^2", commuting)
+
+
+def test_commuting_census_refuses_a_solution_that_does_not_commute(gf2):
+    """The exact batch of a --commuting census also checks AX = XA: a
+    solution outside the centralizer is an internal error there, and a
+    census member anywhere else."""
+    a = nilpotent_block(gf2, 2)
+    x = Matrix.from_rows(gf2, [[1, 0], [0, 0]])
+    assert is_solution(a, x) and a * x != x * a
+    assert oracle._census_from_matrices(gf2, a, [x], False, None).solutions == (x,)
+    with pytest.raises(AssertionError, match="fails exact commutation"):
+        oracle._census_from_matrices(gf2, a, [x], True, None)
+
+
+def test_a_census_is_only_taken_over_a_prime_field(rat):
+    """A report over Q is refused by the one records gate, so classification
+    and the sweep refuse it alike, and a census document over Q does not load."""
+    spec = parse_jordan(rat, "0^2")
+    a = jordan_matrix(rat, spec)
+    report = oracle.CensusReport(rat, a, False, (Matrix.zero(rat, 2), a),
+                                 {0: 1, 1: 1}, {"P1+P2": 1, "P1": 1}, jordan=spec)
+    for gate in (oracle.classify_against_families, oracle.verify_theorems_on_census):
+        with pytest.raises(PreconditionError, match=r"over GF\(p\)"):
+            gate(report)
+    with pytest.raises(ParseError, match="census field must be gf:<p>"):
+        census_from_json(census_to_json(report))
 
 
 def test_classification_completeness_small_blocks(gf2, gf3):

@@ -324,6 +324,47 @@ def test_char_values_match_char_poly(data):
     assert values.tolist() == [char_poly(x)(lam).v for x in xs]
 
 
+@quick
+@given(data=st.data())
+def test_batched_elimination_matches_matrix_reductions(data):
+    """The batched Gauss-Jordan elimination that verifies census solutions
+    gives every matrix of a stack the reduced echelon form, rank, kernel
+    basis and determinant Matrix computes, and char(X) at lam through
+    _char_values. Stacks hold 0 to 4 matrices, zero, identity,
+    rank-deficient (the last row a combination of the others) or drawn."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 4))
+    field, entry = Field.gf(p), st.one_of(st.just(0), st.integers(0, p - 1))
+    mats = []
+    for kind in data.draw(st.lists(st.sampled_from(["zero", "identity", "deficient", "drawn"]),
+                                   max_size=4)):
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        if kind == "deficient":
+            coefs = data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+            rows[-1] = [sum(c * r[j] for c, r in zip(coefs, rows)) % p for j in range(n)]
+        mats.append(Matrix.zero(field, n) if kind == "zero" else Matrix.identity(field, n)
+                    if kind == "identity" else Matrix.from_rows(field, rows))
+    stack = np.array([m.raw for m in mats], dtype=np.int64).reshape(-1, n, n)
+    rref, pivots, det = oracle._gauss_jordan(stack.copy(), p)
+    assert [tuple(r.ravel().tolist()) for r in rref] == [m.rref()[0].raw for m in mats]
+    assert pivots.sum(axis=1).tolist() == [m.rank() for m in mats]
+    assert det.tolist() == [m.det().v for m in mats]
+    assert oracle._kernels(field, stack.copy()) == [m.kernel_basis() for m in mats]
+    lam = data.draw(st.integers(0, p - 1))
+    assert oracle._char_values(stack, lam, p).tolist() == [char_poly(m)(lam).v for m in mats]
+
+
+def test_a_report_whose_records_are_all_kept_passes_an_empty_batch(monkeypatch):
+    """The gate returns a census's own records for its own solutions, with
+    no solution in its exact batch."""
+    report = census("gf:3", "1^2")
+    batches = count_batch_rows(monkeypatch)
+    coeff, records = oracle._records(report.coefficient, report.solutions, report.facts, "sweep")
+    assert batches == [0]
+    assert coeff is report.facts[0].coefficient and records == list(report.facts)
+
+
 @pytest.mark.parametrize("p, lam, rows", [
     (2, 0, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),  # a cycle: a swap at every column
     (3, 0, [[2, 2, 0], [2, 2, 0], [0, 0, 2]]),  # column 1 has no pivot left: char 0
@@ -382,11 +423,27 @@ def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
             oracle.verify_theorems_on_census(report)
 
 
+def count_batch_rows(monkeypatch):
+    """The number of solutions in each exact batch of ``oracle._records``,
+    in call order: each is verified there, and its kernel taken, once."""
+    batches = []
+    kernels = oracle._kernels
+
+    def counting(field, xs):
+        batches.append(len(xs))
+        return kernels(field, xs)
+
+    monkeypatch.setattr(oracle, "_kernels", counting)
+    return batches
+
+
 def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch):
     """The census keeps each solution's verified record, so census and
-    sweep together take one exact residual and one kernel per solution,
-    plus the kernel of A; a report read back from JSON keeps no records
-    and is verified again in full."""
+    sweep together pass each solution once through the exact batch, which
+    checks its residual and takes its kernel, and take no boxed residual
+    and no boxed kernel but the kernel of A; a report read back from JSON
+    keeps no records and is verified again in full."""
+    batches = count_batch_rows(monkeypatch)
     calls = {"residual": 0, "kernel_basis": 0}
     residual, kernel_basis = core.residual, Matrix.kernel_basis
 
@@ -403,13 +460,15 @@ def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch
     report = census("gf:3", "1^2,2^1")
     verdicts = oracle.verify_theorems_on_census(report)
     assert report.total == 30 and verdicts
-    assert calls == {"residual": report.total, "kernel_basis": report.total + 1}
+    assert batches == [report.total, 0]  # the census's batch, then the sweep's
+    assert calls == {"residual": 0, "kernel_basis": 1}
     bare = replace(report, facts=None)
     assert bare == report and repr(bare) == repr(report)
     again = census_from_json(census_to_json(report))
     assert again == report and again.facts is None
     assert rows(oracle.verify_theorems_on_census(again)) == rows(verdicts)
-    assert calls["residual"] == 2 * report.total
+    assert batches == [report.total, 0, report.total]
+    assert calls == {"residual": 0, "kernel_basis": 2}
 
 
 def test_records_stand_only_for_their_own_solution(gf2):
@@ -430,25 +489,29 @@ def test_records_stand_only_for_their_own_solution(gf2):
         oracle.verify_theorems_on_census(moved)
 
 
+def test_records_refuse_a_matrix_of_another_field_or_shape(gf2):
+    """A zero matrix over another field, or of another shape whose entries
+    would fill the same int64 stack, is not a solution of the census: the
+    gate refuses it, as it does a smuggled non-solution."""
+    report = census("gf:2", "1^1,1^1")
+    for intruder in (Matrix.zero(Field.gf(3), 2), Matrix.zero(gf2, 4, 1), Matrix.zero(gf2, 1)):
+        forged = replace(report, solutions=report.solutions + (intruder,))
+        with pytest.raises(PreconditionError, match="not a solution"):
+            oracle.verify_theorems_on_census(forged)
+
+
 def test_reordered_solutions_keep_their_records(monkeypatch):
     """Reversing the solution list of a census that keeps its records gives
     the tags and verdict rows of the same list verified afresh, in the new
-    order, and takes no exact residual: each record follows its matrix."""
+    order, and verifies no solution again: each record follows its matrix."""
     report = census("gf:2", "1^1,1^1")
     flipped = replace(report, solutions=tuple(reversed(report.solutions)))
     bare = replace(flipped, facts=None)
-    calls = {"residual": 0}
-    residual = core.residual
-
-    def counting_residual(*args):
-        calls["residual"] += 1
-        return residual(*args)
-
-    monkeypatch.setattr(core, "residual", counting_residual)
+    batches = count_batch_rows(monkeypatch)
     tags = oracle.classify_against_families(flipped).family_tags
     verdicts = rows(oracle.verify_theorems_on_census(flipped))
-    assert calls["residual"] == 0
+    assert batches == [0, 0]
     assert tags == oracle.classify_against_families(bare).family_tags
     assert verdicts == rows(oracle.verify_theorems_on_census(bare))
     assert tags == tuple(reversed(oracle.classify_against_families(report).family_tags))
-    assert calls["residual"] == 2 * report.total
+    assert batches == [0, 0, report.total, report.total, 0]

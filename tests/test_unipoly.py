@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from references import InconclusiveError, is_similar, trace
+from references import InconclusiveError, is_similar, min_poly, trace
 from test_kernel_properties import leibniz_char_poly
 
 from yangbaxter.fields import Field
 from yangbaxter.matrices import Matrix, jordan_block, jordan_matrix, nilpotent_block
-from yangbaxter.unipoly import UniPoly, char_poly, min_poly
+from yangbaxter.unipoly import UniPoly, char_poly
 
 
 def M(field, rows):

@@ -125,7 +125,7 @@ def cmd_families(args) -> int:
 
 def cmd_census(args) -> int:
     field = _field_of(args)
-    if field.kind != "gf":
+    if field.p is None:
         raise PreconditionError("census needs --field gf:<p>")
     jordan = None
     if args.jordan:

@@ -29,10 +29,6 @@ from fractions import Fraction
 
 from .errors import DegenerateExtensionError, FieldError, FieldMismatchError, ParseError
 
-RAT = "rat"
-GF = "gf"
-QUAD = "quad"
-
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 # c0 +/- c1*s, with either part optional but not both absent; c0 is only
@@ -98,8 +94,9 @@ def _rational_sqrt(a: Fraction) -> Fraction | None:
 
 class Field:
     """A coefficient field: rationals, GF(p) or a quadratic extension of Q,
-    built by :meth:`rationals`, :meth:`gf`, :meth:`quadratic` or :meth:`from_spec`.
-    Its methods on raw values (``add``, ``mul``, ...) check nothing."""
+    built by :meth:`rationals`, :meth:`gf`, :meth:`quadratic` or :meth:`from_spec`,
+    told apart by ``p`` (GF(p) only) and ``radicand`` (Q(s) only). Its
+    methods on raw values (``add``, ``mul``, ...) check nothing."""
 
     __slots__ = ("p", "radicand", "_spec")
 
@@ -110,7 +107,7 @@ class Field:
 
     @classmethod
     def rationals(cls) -> "Field":
-        return _intern(RAT, lambda: _Rationals(RAT))
+        return _intern("rat", lambda: _Rationals("rat"))
 
     @classmethod
     def gf(cls, p: int) -> "Field":
@@ -226,7 +223,6 @@ class Field:
 
 class _Rationals(Field):
     __slots__ = ()
-    kind = RAT
     ZERO, ONE = Fraction(0), Fraction(1)
     _noun = "rational"
     add, sub, mul, div = operator.add, operator.sub, operator.mul, operator.truediv
@@ -288,7 +284,6 @@ class _Rationals(Field):
 
 class _PrimeField(Field):
     __slots__ = ()
-    kind = GF
     ZERO, ONE = WORK_ZERO, WORK_ONE = 0, 1
     _noun = "residue"
 
@@ -380,7 +375,6 @@ class _PrimeField(Field):
 
 class _QuadraticField(Field):
     __slots__ = ()
-    kind = QUAD
     ZERO, ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
     _noun = "quadratic scalar"
 

@@ -410,22 +410,20 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly
     def update(h: MultiPoly) -> None:
         new, ring, lh = len(basis), h.ring, _lead(h)
         divides, lcm_of = ring.divides, ring.lcm
-        # new pairs: keep one per minimal lcm; a product-criterion pair is
-        # dropped but still prunes the pairs whose lcm its own divides
-        cand = [(lcm_of(lk, lh), k) for k, lk in enumerate(leads)]
-        kept = []
-        for pos, (lcm, k) in enumerate(cand):
-            if lcm == leads[k] + lh:  # coprime leads; the sum is only compared
-                kept.append((lcm, None))
-            elif not any(divides(other, lcm) for other, _ in cand[pos + 1:] + kept):
-                kept.append((lcm, k))
         # a queued pair (i, j) with lcm L is redundant when lh divides L and
         # neither lcm(lm_i, lh) nor lcm(lm_j, lh) equals L
         queue[:] = [e for e in queue
                     if not (divides(lh, e[1])
                             and lcm_of(leads[e[2]], lh) != e[1]
                             and lcm_of(leads[e[3]], lh) != e[1])]
-        queue.extend((sum(ring.unpack(lcm)), lcm, k, new) for lcm, k in kept if k is not None)
+        # new pairs: the last of each lcm class, unless one in it has coprime
+        # leads (the sum is only compared) or another class's lcm properly
+        # divides its own
+        lcms = [lcm_of(lk, lh) for lk in leads]
+        last = {lcm: k for k, lcm in enumerate(lcms)}
+        coprime = {lcm for lcm, lk in zip(lcms, leads) if lcm == lk + lh}
+        queue.extend((sum(ring.unpack(lcm)), lcm, k, new) for lcm, k in last.items()
+                     if lcm not in coprime and not any(divides(m, lcm) for m in last if m != lcm))
         heapq.heapify(queue)
         basis.append(h)
         leads.append(lh)
@@ -465,7 +463,7 @@ def ybe_ideal(a: Matrix, n: int) -> list[MultiPoly]:
     The coefficient matrix must be rational and small (n*n <= 16); the
     unknowns are named row-major a, b, c, ...
     """
-    if a.field.kind != "rat":
+    if a.field is not Field.rationals():
         raise SideConditionError("equation ideal is generated over the rationals")
     if not a.is_square or a.nrows != n:
         raise DimensionError("coefficient matrix must be n x n")

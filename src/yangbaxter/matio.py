@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .fields import Field
 from .matrices import JordanSpec, Matrix
 from .oracle import CensusReport
@@ -155,27 +155,27 @@ def census_to_json(report: CensusReport) -> dict:
 
 
 def census_from_json(obj) -> CensusReport:
+    """The report in a census/1 document, whose tallies must be its tags'."""
     if not isinstance(obj, dict) or obj.get("schema") != "census/1":
         raise ParseError("not a census/1 document")
     if missing := [key for key in _CENSUS_KEYS if key not in obj]:
         raise ParseError(f"census document needs {missing[0]!r}")
     field = Field.from_spec(obj["field"])
-    if field.p is None:  # a census is only ever taken over GF(p)
-        raise ParseError(f"census field must be gf:<p>, got {obj['field']!r}")
-    jordan = parse_jordan(field, obj["jordan"]) if obj.get("jordan") else None
-    report = CensusReport(
-        field=field,
-        coefficient=matrix_from_json(obj["coefficient"]),
-        commuting_only=bool(obj["commuting_only"]),
-        solutions=tuple(matrix_from_json(s) for s in obj["solutions"]),
-        by_rank={int(k): v for k, v in obj["by_rank"].items()},
-        by_kernel=dict(obj["by_kernel"]),
-        jordan=jordan,
-        family_tags=tuple(obj["family_tags"]) if "family_tags" in obj else None,
-        family_tallies=dict(obj["family_tallies"]) if "family_tallies" in obj else None,
-    )
+    try:
+        report = CensusReport(
+            field=field,
+            coefficient=matrix_from_json(obj["coefficient"]),
+            commuting_only=bool(obj["commuting_only"]),
+            solutions=tuple(matrix_from_json(s) for s in obj["solutions"]),
+            by_rank={int(k): v for k, v in obj["by_rank"].items()},
+            by_kernel=dict(obj["by_kernel"]),
+            jordan=parse_jordan(field, obj["jordan"]) if obj.get("jordan") else None,
+            family_tags=tuple(obj["family_tags"]) if "family_tags" in obj else None,
+        )
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
     if report.total != obj["total"]:
         raise ParseError("census total does not match its solution list")
-    if report.family_tags is not None and len(report.family_tags) != report.total:
-        raise ParseError("census family_tags do not match its solution list")
+    if report.family_tallies != obj.get("family_tallies"):
+        raise ParseError("census family_tallies do not match its family_tags")
     return report

@@ -10,6 +10,10 @@ verified exactly in one batch over GF(p), which also takes its kernel.
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
 
+One helper, which the search and CensusReport call, decides what a census
+is: a square coefficient over GF(p) and the Jordan matrix of the report's
+block structure, if it has one. No other report is ever built.
+
 Classification against the single-block families holds no formula of its
 own: it reads a solution's free entries, calls the family constructor on
 them and compares what comes back, so a broken constructor shows up in
@@ -17,8 +21,8 @@ the census tallies. For two equal blocks the tag is the block shape of a
 verified solution, which of its four blocks vanish. Any other block
 structure comes back untagged.
 
-The theorem sweep checks product identities, kernel invariance and, for a
-Jordan coefficient, the spectral checks mod p on one stack of all
+The theorem sweep checks product identities, kernel invariance and, with
+a block structure, the spectral checks mod p on one stack of all
 solutions, the spectral ones through char_X(lam) at the eigenvalues lam
 of A by batched elimination; only a solution that batch flags meets the
 exact check, the one source of failing verdicts.
@@ -46,9 +50,20 @@ _CHUNK = 1 << 13
 _INT64_MAX = 2**63 - 1
 
 
+def _check_census(field: Field, a: Matrix, jordan: JordanSpec | None) -> None:
+    """Refuse a field without a p, a coefficient that is not square over it,
+    and a block structure whose Jordan matrix is not the coefficient."""
+    if field.p is None or a.field is not field or not a.is_square:
+        raise PreconditionError("a census has a square coefficient over GF(p)")
+    if jordan is not None and a != jordan_matrix(field, jordan):
+        raise PreconditionError("coefficient is not the Jordan matrix of its block structure")
+
+
 @dataclass(frozen=True)
 class CensusReport:
-    """Exhaustive census of the solution set of one coefficient matrix."""
+    """Exhaustive census of the solution set of one coefficient matrix, valid
+    by construction (``_check_census``), with one family tag per solution
+    when tagged; its solutions are verified where a report is read."""
 
     field: Field
     coefficient: Matrix
@@ -58,13 +73,22 @@ class CensusReport:
     by_kernel: dict[str, int]
     jordan: JordanSpec | None = None
     family_tags: tuple[str, ...] | None = None
-    family_tallies: dict[str, int] | None = None
     # the census's verified record of each solution, in order; none when read from a file
     facts: tuple[core.Facts, ...] | None = dataclass_field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        _check_census(self.field, self.coefficient, self.jordan)
+        if self.family_tags is not None and len(self.family_tags) != len(self.solutions):
+            raise PreconditionError("census family_tags do not match its solution list")
 
     @property
     def total(self) -> int:
         return len(self.solutions)
+
+    @property
+    def family_tallies(self) -> dict[str, int] | None:  # per tag, up to its parameters
+        tags = self.family_tags
+        return None if tags is None else {"unmatched": 0, **Counter(t.split("[")[0] for t in tags)}
 
     @property
     def unmatched(self) -> int:
@@ -165,13 +189,13 @@ def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
     return _gauss_jordan((lam * np.eye(xs.shape[-1], dtype=np.int64) - xs) % p, p)[2]
 
 
-def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec | None = None):
+def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec | None):
     """Masks over solution records ``sols`` over GF(p), keyed by verdict name,
     of the solutions that satisfy: AXA^k = X^k AX and A^k XA = XA X^k for
     k = 1 .. 2n; XA phi(X) = 0 = phi(X) AX for phi = char(A), by Horner from
     lead * I; with A invertible, X A K = 0 for the kernel basis K of X.
 
-    With the block structure ``jordan`` of A, also char_X(lam) mod p for each
+    With A the Jordan matrix of ``jordan``, also char_X(lam) mod p for each
     eigenvalue lam of A, returned beside the masks, and the masks of
     eigenvalue transfer (A X e_lo = 0 or char_X(lam) = 0 at each block start
     lo) and spectrum inclusion (Q^n = 0 for Q the product of X - mu I over
@@ -228,8 +252,6 @@ def _records(a: Matrix, solutions, kept, who: str, commuting: bool = False):
     import numpy as np
 
     p, n = a.field.p, a.nrows
-    if p is None or not a.is_square:
-        raise PreconditionError(f"{who}: a census has a square coefficient over GF(p)")
     coeff = kept[0].coefficient if kept and kept[0].coefficient.matrix == a else core.Facts(a)
     by_matrix = {r.matrix: r for r in kept or () if r.coefficient is coeff}
     records = [by_matrix.get(x) for x in solutions]
@@ -254,18 +276,12 @@ def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
         _, records = _records(a, solutions, None, "census", commuting)
     except PreconditionError as err:
         raise AssertionError("screened candidate fails the exact residual") from err
-    by_rank: dict[int, int] = {}
-    by_kernel: dict[str, int] = {}
     ranges = jordan.block_ranges() if jordan is not None else None
-    for x in records:
-        kernel = x.kernel
-        r = a.ncols - len(kernel)
-        by_rank[r] = by_rank.get(r, 0) + 1
-        label = (core.kernel_block_label(kernel, ranges) if ranges is not None
-                 else f"dim={len(kernel)}")
-        by_kernel[label] = by_kernel.get(label, 0) + 1
+    by_rank = Counter(a.ncols - len(x.kernel) for x in records)
+    by_kernel = Counter(core.kernel_block_label(x.kernel, ranges) if ranges is not None
+                        else f"dim={len(x.kernel)}" for x in records)
     return CensusReport(field, a, commuting, tuple(solutions),
-                        by_rank, by_kernel, jordan=jordan, facts=tuple(records))
+                        dict(by_rank), dict(by_kernel), jordan=jordan, facts=tuple(records))
 
 
 def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
@@ -277,14 +293,11 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     import numpy as np
 
     field = a.field
-    if field.kind != "gf":
-        raise PreconditionError("census enumeration needs a prime field")
+    _check_census(field, a, jordan)
     p, n = field.p, a.nrows
     if commuting:
         basis, noun = [b.raw for b in centralizer_basis(a)], "centralizer candidates"
     else:
-        if not a.is_square:
-            raise PreconditionError("coefficient must be square")
         # cross order: row s from the diagonal on, then column s below it
         cross = sorted(range(n * n), key=lambda c: (min(divmod(c, n)), c))
         basis, noun = np.eye(n * n, dtype=np.int64)[cross], "candidates"
@@ -390,19 +403,16 @@ def classify_against_families(report: CensusReport) -> CensusReport:
 
     Every solution is verified first, by its census record where one stands
     for it, so an untrusted report raises even when no family covers it.
-    The coefficient must be the Jordan matrix of the report's block structure.
+    The coefficient is the Jordan matrix of the block structure the tags read.
     """
     jordan = report.jordan
     if jordan is None:
         raise PreconditionError("classification needs the coefficient's block structure")
-    a = report.coefficient
-    if a != jordan_matrix(a.field, jordan):
-        raise PreconditionError("coefficient is not the Jordan matrix of its block structure")
-    _, records = _records(a, report.solutions, report.facts, "classification")
+    _, records = _records(report.coefficient, report.solutions, report.facts, "classification")
     (lam, n), *rest = jordan.blocks
     two_equal = rest == [(lam, n)] and not lam.is_zero
     if not (two_equal or not rest and (n == 2 or n >= 3 and lam.is_zero)):
-        return replace(report, family_tags=None, family_tallies=None)
+        return replace(report, family_tags=None)
 
     def tag_of(x: Matrix) -> str | None:
         if two_equal:
@@ -430,9 +440,7 @@ def classify_against_families(report: CensusReport) -> CensusReport:
             return "nilpotent-general"
         return None
 
-    tags = tuple(tag_of(record.matrix) or "unmatched" for record in records)
-    tallies = {"unmatched": 0, **Counter(tag.split("[", 1)[0] for tag in tags)}
-    return replace(report, family_tags=tags, family_tallies=tallies)
+    return replace(report, family_tags=tuple(tag_of(r.matrix) or "unmatched" for r in records))
 
 
 # -- theorem sweep -----------------------------------------------------------------
@@ -448,18 +456,17 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
 
     The power identities, charpoly annihilation and kernel invariance of all
     solutions are batched mod p first, and only a flagged solution meets the
-    exact check. When A is the Jordan matrix of the report's block structure,
-    the batch also takes char_X(lam) = det(lam I - X) at each eigenvalue lam
-    of A and screens eigenvalue transfer and spectrum inclusion. char(A)
-    splits over those lam, so the values decide spectral disjointness and the
-    kernel-eigenspace filters exactly, and a solution the batch clears needs
-    no char(X).
+    exact check. With a block structure, A is its Jordan matrix, and the
+    batch also takes char_X(lam) = det(lam I - X) at each eigenvalue lam of
+    A and screens eigenvalue transfer and spectrum inclusion. char(A) splits
+    over those lam, so the values decide spectral disjointness (else the
+    exact gcd does) and the kernel-eigenspace filters, and a solution the
+    batch clears needs no char(X).
     """
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
     coeff, sols = _records(a, report.solutions, report.facts, "theorem sweep")
-    split = jordan is not None and a == jordan_matrix(a.field, jordan)
-    masks, chars = _product_masks(coeff, sols, jordan if split else None)
+    masks, chars = _product_masks(coeff, sols, jordan)
     blocks = jordan.blocks if jordan is not None else ()
     lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)
     two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
@@ -491,7 +498,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
                                                       core.check_spectrum_inclusion,
                                                       coeff, sol, eigenvalues))
         if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
-            verdicts.append(_single_block_classification(a, lams[0], sol))
+            verdicts.append(_single_block_classification(lams[0], sol))
         if two_block and not x.is_zero and not sol.invertible:
             verdicts.append(core.check_kernel_classification_two_blocks(coeff, sol, sizes))
         if jordan is not None:
@@ -515,7 +522,7 @@ def _exact_unless_cleared(masks, i: int, name: str, check, *args) -> core.Proper
     return verdict
 
 
-def _single_block_classification(a: Matrix, lam, x) -> core.PropertyVerdict:
+def _single_block_classification(lam, x) -> core.PropertyVerdict:
     """For a single Jordan block: with a nonzero eigenvalue every solution is
     zero or similar to the block, which a Jordan chain of the solution
     certifies; with eigenvalue zero and size 2 or more no solution is
@@ -544,14 +551,13 @@ def _kernel_eigenspace_filters(sol: core.Facts, simple_blocks, absent_at):
     ``simple_blocks`` lists (eigenvalue, eigenvector, lo, hi) for the Jordan
     blocks of the coefficient whose eigenvalue labels no other block. The
     kernel basis is canonical, so a kernel equal to the span of the
-    eigenvector e_lo has exactly e_lo as its basis. ``absent_at`` maps an
-    eigenvalue to whether char(X) is nonzero there, as the mod-p batch found;
-    for an eigenvalue it lacks, char(X) is computed.
+    eigenvector e_lo has exactly e_lo as its basis. ``absent_at`` maps each
+    eigenvalue to whether char(X) is nonzero there, as the mod-p batch found.
     """
     x, n = sol.matrix, sol.matrix.nrows
     out = []
     for lam, eigenvector, lo, hi in simple_blocks:
-        absent = absent_at[lam] if lam in absent_at else not sol.charpoly(lam).is_zero
+        absent = absent_at[lam]
         if sol.kernel == [eigenvector]:
             out.append(core.PropertyVerdict(
                 "kernel-eigenvalue-exclusion",

@@ -55,7 +55,7 @@ def dense(field, n, m, salt=0):
     """A fixed n-by-m matrix with small fractional entries."""
     def entry(i, j):
         v = Fraction((3 * i - 2 * j + salt) % 7 - 3, 1 + (i + 2 * j + salt) % 4)
-        if field.kind == "quad" and (i + j + salt) % 2:
+        if field.radicand is not None and (i + j + salt) % 2:
             return (v, Fraction(1 - 2 * (i % 2), 1 + j % 3))
         return v
     return Matrix.from_rows(field, [[entry(i, j) for j in range(m)] for i in range(n)])
@@ -68,7 +68,7 @@ def eigenvalues(field, count, shift):
     """``count`` distinct eigenvalues, positive in their rational part;
     irrational ones in a quadratic field."""
     out = [Fraction(2 * k + 1 + shift, 2) for k in range(count)]
-    if field.kind == "quad":
+    if field.radicand is not None:
         return [field.scalar((v, (-1) ** k)) for k, v in enumerate(out)]
     return [field.scalar(v) for v in out]
 
@@ -158,7 +158,7 @@ def family_cases(spec):
     powers of the shift block and quotients by lam and by sqrt(a) - 1,
     each checked by its residual before it is printed."""
     field = Field.from_spec(spec)
-    quad = field.kind == "quad"
+    quad = field.radicand is not None
     # a square whose root is irrational in a quadratic field: (1 + s)^2
     root_of = {"rat": "49/81", "quad:2": "3+2*s", "quad:1/2": "3/2+2*s"}[spec]
     lam = "7/9-2/3*s" if quad else "7/9"

@@ -150,3 +150,27 @@ def test_census_family_tags_must_match_the_solutions(gf2):
     doc["family_tags"] = doc["family_tags"][:-1]
     with pytest.raises(ParseError, match="family_tags"):
         census_from_json(doc)
+
+
+def test_census_family_tallies_must_match_the_tags(gf2):
+    """A report's family tallies are derived from its tags, so a document
+    whose tallies say otherwise would be written back with other tallies;
+    it is refused instead, and so is one with tallies but no tags."""
+    spec = parse_jordan(gf2, "0^2")
+    rep = oracle.enumerate_solutions(jordan_matrix(gf2, spec), jordan=spec)
+    doc = census_to_json(oracle.classify_against_families(rep))
+    assert census_from_json(doc).family_tallies == doc["family_tallies"]
+    for forged in (dict(doc, family_tallies={"jordan2-nilpotent": 99}),
+                   {k: v for k, v in doc.items() if k != "family_tags"}):
+        with pytest.raises(ParseError, match="family_tallies"):
+            census_from_json(forged)
+
+
+def test_census_coefficient_must_lie_over_the_census_field(gf2, gf3):
+    """A gf:2 document whose coefficient is over gf:3 is not a census: it
+    is refused on loading, before any sweep could call its solutions
+    non-solutions."""
+    rep = oracle.enumerate_solutions(jordan_matrix(gf2, parse_jordan(gf2, "0^2")))
+    doc = dict(census_to_json(rep), coefficient=matrix_to_json(Matrix.zero(gf3, 2)))
+    with pytest.raises(ParseError, match=r"square coefficient over GF\(p\)"):
+        census_from_json(doc)

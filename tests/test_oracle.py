@@ -324,18 +324,17 @@ def test_commuting_census_refuses_a_solution_that_does_not_commute(gf2):
         oracle._census_from_matrices(gf2, a, [x], True, None)
 
 
-def test_a_census_is_only_taken_over_a_prime_field(rat):
-    """A report over Q is refused by the one records gate, so classification
-    and the sweep refuse it alike, and a census document over Q does not load."""
+def test_a_census_is_only_taken_over_a_prime_field(rat, gf2):
+    """A report over Q is never built, so neither classification nor the
+    sweep meets one, and a census document over Q does not load."""
     spec = parse_jordan(rat, "0^2")
     a = jordan_matrix(rat, spec)
-    report = oracle.CensusReport(rat, a, False, (Matrix.zero(rat, 2), a),
-                                 {0: 1, 1: 1}, {"P1+P2": 1, "P1": 1}, jordan=spec)
-    for gate in (oracle.classify_against_families, oracle.verify_theorems_on_census):
-        with pytest.raises(PreconditionError, match=r"over GF\(p\)"):
-            gate(report)
-    with pytest.raises(ParseError, match="census field must be gf:<p>"):
-        census_from_json(census_to_json(report))
+    with pytest.raises(PreconditionError, match=r"over GF\(p\)"):
+        oracle.CensusReport(rat, a, False, (Matrix.zero(rat, 2), a),
+                            {0: 1, 1: 1}, {"P1+P2": 1, "P1": 1}, jordan=spec)
+    doc = dict(census_to_json(census(gf2, "0^2")), field="rat")
+    with pytest.raises(ParseError, match=r"over GF\(p\)"):
+        census_from_json(doc)
 
 
 def test_classification_completeness_small_blocks(gf2, gf3):
@@ -417,11 +416,15 @@ def test_two_block_tags_hold_by_the_block_equations(spec, shorthand, commuting):
 
 def test_classification_refuses_a_coefficient_other_than_its_jordan_matrix(gf3):
     """The transposed Jordan block is similar to the block but is not its
-    Jordan matrix, so tags read off the spec would not describe it."""
+    Jordan matrix, so tags read off the spec would not describe it: no
+    report pairs the two, so classification never meets one."""
     spec = parse_jordan(gf3, "1^2")
-    rep = oracle.enumerate_solutions(jordan_matrix(gf3, spec).transpose(), jordan=spec)
+    transposed = jordan_matrix(gf3, spec).transpose()
     with pytest.raises(PreconditionError, match="not the Jordan matrix"):
-        oracle.classify_against_families(rep)
+        oracle.enumerate_solutions(transposed, jordan=spec)
+    rep = census(gf3, "1^2")
+    with pytest.raises(PreconditionError, match="not the Jordan matrix"):
+        replace(rep, coefficient=transposed)
 
 
 def test_classification_verifies_a_report_without_records(gf2):
@@ -535,13 +538,13 @@ def test_nonzero_solutions_similar_to_block(gf2, gf3):
 def test_single_block_classification_refutes_a_foreign_spectrum(gf5):
     """A nonzero candidate with an eigenvalue outside {lam, 0} is refuted
     with itself as the witness instead of raising InconclusiveError."""
-    a, one = jordan_block(gf5, 1, 2), gf5.one()
+    one = gf5.one()  # the eigenvalue of the block J_2(1)
     x = Matrix.from_rows(gf5, [[2, 0], [0, 3]])
-    verdict = oracle._single_block_classification(a, one, x)
+    verdict = oracle._single_block_classification(one, x)
     assert not verdict.holds and verdict.witness == x
-    assert not oracle._single_block_classification(a, one, Matrix.identity(gf5, 2)).holds
+    assert not oracle._single_block_classification(one, Matrix.identity(gf5, 2)).holds
     member = Matrix.from_rows(gf5, [[3, 4], [4, 4]])
-    assert oracle._single_block_classification(a, one, member).holds
+    assert oracle._single_block_classification(one, member).holds
 
 
 def test_nilpotent_blocks_have_no_invertible_solution(gf2, gf3):

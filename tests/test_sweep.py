@@ -149,12 +149,21 @@ def test_sweep_matches_reference_on_random_censuses(data):
     assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
 
 
-def test_sweep_off_the_block_structure_decides_disjointness_exactly(gf3):
-    """A coefficient that is not the Jordan matrix of the report's block
-    structure gets no spectral batch: char(A) need not split over the
-    listed eigenvalues, so only the exact gcd decides disjointness."""
-    a = Matrix.from_rows(gf3, [[1, 0], [0, 2]])
-    report = oracle.enumerate_solutions(a, jordan=parse_jordan(gf3, "1^2"))
+def test_a_coefficient_off_its_block_structure_is_refused(monkeypatch, gf3):
+    """diag(1, 2) is not the Jordan matrix of 1^2, whose single-block and
+    spectral results would not hold for its solutions: both searches refuse
+    the pair before they screen a candidate, and so does a report built by
+    hand. Without a block structure the exact gcd decides disjointness."""
+    a, jordan = Matrix.from_rows(gf3, [[1, 0], [0, 2]]), parse_jordan(gf3, "1^2")
+    report = oracle.enumerate_solutions(a)
+    assert report.total == 8
+    monkeypatch.setattr(oracle, "_screen_batch", None)  # a screen would raise TypeError
+    for enum in (oracle.enumerate_solutions, oracle.enumerate_commuting_solutions):
+        with pytest.raises(PreconditionError, match="not the Jordan matrix"):
+            enum(a, jordan=jordan)
+    with pytest.raises(PreconditionError, match="not the Jordan matrix"):
+        oracle.CensusReport(gf3, a, False, report.solutions, report.by_rank,
+                            report.by_kernel, jordan=jordan)
     assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
 
 
@@ -484,7 +493,8 @@ def test_records_stand_only_for_their_own_solution(gf2):
         oracle.classify_against_families(forged)
     with pytest.raises(PreconditionError, match="not a solution"):
         oracle.verify_theorems_on_census(forged)
-    moved = replace(report, coefficient=Matrix.from_rows(gf2, [[1, 1], [0, 1]]))
+    moved = replace(report, coefficient=Matrix.from_rows(gf2, [[1, 1], [0, 1]]),
+                    jordan=parse_jordan(gf2, "1^2"))
     with pytest.raises(PreconditionError, match="not a solution"):
         oracle.verify_theorems_on_census(moved)
 

@@ -86,7 +86,7 @@ class CensusReport:
         return len(self.solutions)
 
     @property
-    def family_tallies(self) -> dict[str, int] | None:  # per tag, up to its parameters
+    def family_tallies(self) -> dict[str, int] | None:  # tags counted up to their [params]
         tags = self.family_tags
         return None if tags is None else {"unmatched": 0, **Counter(t.split("[")[0] for t in tags)}
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import families as fam
@@ -30,7 +29,7 @@ OK = 0
 
 
 def _emit(args, text: str, payload: dict | None) -> None:
-    out = json.dumps(payload, indent=2) + "\n" if args.json else text
+    out = matio.dumps_json(payload) + "\n" if args.json else text
     if getattr(args, "out", None):
         matio.save_text(args.out, out)
     else:

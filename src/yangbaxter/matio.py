@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import ParseError, PreconditionError
 from .fields import Field
 from .matrices import JordanSpec, Matrix
-from .oracle import CensusReport
+from .oracle import CensusReport, _records, _tallies
 
 _MATRIX_KEYS = {"field", "rows"}
 _CENSUS_KEYS = "field coefficient commuting_only solutions by_rank by_kernel total".split()
@@ -76,7 +78,62 @@ def loads_matrix(text: str) -> Matrix:
 
 
 def dumps_matrix(m: Matrix) -> str:
-    return json.dumps(matrix_to_json(m), indent=2) + "\n"
+    return dumps_json(matrix_to_json(m)) + "\n"
+
+
+def dumps_json(value) -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, for dicts with str keys,
+    lists, tuples, strings, ints, floats, bools and None. The stdlib falls
+    back to its pure-Python encoder whenever ``indent`` is set; this writer
+    collects the pieces in one list and joins them once."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+_FLOAT_WORDS = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _write_json(v, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``v``; ``newline`` is a line break plus the
+    indent of the line ``v`` starts on. A list of strings is one join."""
+    if isinstance(v, str):
+        out.append(_quote(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(item, str) for item in v):
+            out.append("[" + inner + ("," + inner).join(map(_quote, v)) + newline + "]")
+            return
+        sep = "["
+        for item in v:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{"
+        for key, item in v.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + inner + _quote(key) + ": ")
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif v is None or v is True or v is False:
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append("NaN" if v != v else _FLOAT_WORDS.get(v) or float.__repr__(v))
+    else:
+        raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _read_text(path: str) -> str:
@@ -155,7 +212,10 @@ def census_to_json(report: CensusReport) -> dict:
 
 
 def census_from_json(obj) -> CensusReport:
-    """The report in a census/1 document, whose tallies must be its tags'."""
+    """The report in a census/1 document, whose solutions must verify, whose
+    rank and kernel tallies must be theirs and whose family tallies must be
+    its tags'. The report keeps the records the load verified; the tags
+    themselves are taken on trust."""
     if not isinstance(obj, dict) or obj.get("schema") != "census/1":
         raise ParseError("not a census/1 document")
     if missing := [key for key in _CENSUS_KEYS if key not in obj]:
@@ -172,10 +232,13 @@ def census_from_json(obj) -> CensusReport:
             jordan=parse_jordan(field, obj["jordan"]) if obj.get("jordan") else None,
             family_tags=tuple(obj["family_tags"]) if "family_tags" in obj else None,
         )
+        _, records = _records(report.coefficient, report.solutions, None, "census document")
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
     if report.total != obj["total"]:
         raise ParseError("census total does not match its solution list")
+    if (report.by_rank, report.by_kernel) != _tallies(report.coefficient, records, report.jordan):
+        raise ParseError("census by_rank or by_kernel do not match its solutions")
     if report.family_tallies != obj.get("family_tallies"):
         raise ParseError("census family_tallies do not match its family_tags")
-    return report
+    return replace(report, facts=tuple(records))

@@ -73,7 +73,7 @@ class CensusReport:
     by_kernel: dict[str, int]
     jordan: JordanSpec | None = None
     family_tags: tuple[str, ...] | None = None
-    # the census's verified record of each solution, in order; none when read from a file
+    # the verified record of each solution, in order, from the census or the file's load
     facts: tuple[core.Facts, ...] | None = dataclass_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -102,11 +102,21 @@ def _check_int64(p: int, terms: int, total: int) -> None:
 
     The invariant every formula of the search keeps: each sum adds at most
     ``terms`` products of two residues below p, or two residues, and is
-    reduced mod p before it becomes a factor again. Place values, digits
+    reduced mod p before it becomes a factor again. A stage's table of
+    combinations sums one product per coordinate of the basis, in int64;
+    the descent and the screen sum at most n, in ``_search_dtype``. Digits
     and the number of partial matrices in a stage stay below ``total``.
     """
     if terms * (p - 1) ** 2 > _INT64_MAX or total > _INT64_MAX:
         raise BudgetError(f"GF({p}) screen of {total} candidates would overflow int64")
+
+
+def _search_dtype(p: int, n: int):
+    """The least signed integer dtype holding +-n (p - 1)^2, the widest sum
+    of the screen of an n x n coefficient; its type for -v - 1 holds +v too."""
+    import numpy as np
+
+    return np.min_scalar_type(-n * (p - 1) ** 2 - 1)
 
 
 def _combine(coefs: list[int], rows) -> np.ndarray:
@@ -276,20 +286,46 @@ def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
         _, records = _records(a, solutions, None, "census", commuting)
     except PreconditionError as err:
         raise AssertionError("screened candidate fails the exact residual") from err
+    return CensusReport(field, a, commuting, tuple(solutions), *_tallies(a, records, jordan),
+                        jordan=jordan, facts=tuple(records))
+
+
+def _tallies(a: Matrix, records, jordan: JordanSpec | None):
+    """``by_rank`` and ``by_kernel`` of verified solution records: each
+    solution's rank, and its kernel's block label under ``jordan``, else
+    the kernel's dimension."""
     ranges = jordan.block_ranges() if jordan is not None else None
     by_rank = Counter(a.ncols - len(x.kernel) for x in records)
     by_kernel = Counter(core.kernel_block_label(x.kernel, ranges) if ranges is not None
                         else f"dim={len(x.kernel)}" for x in records)
-    return CensusReport(field, a, commuting, tuple(solutions),
-                        dict(by_rank), dict(by_kernel), jordan=jordan, facts=tuple(records))
+    return dict(by_rank), dict(by_kernel)
+
+
+def _combinations(run: np.ndarray, lo: int, hi: int, p: int, dtype) -> np.ndarray:
+    """The combinations of a run of basis elements, the rows of ``run``, one
+    column each, reduced mod p once and cast to ``dtype``: the first
+    element's digit is the most significant and runs over lo .. hi - 1, each
+    later one's over 0 .. p - 1. Built by broadcasting from the last element
+    to the first, each new element the leading digit."""
+    import numpy as np
+
+    out = np.zeros((run.shape[1], 1), dtype=np.int64)
+    for k in reversed(range(len(run))):
+        digits = np.arange(lo, hi) if k == 0 else np.arange(p)
+        out = (np.outer(run[k], digits)[:, :, None] + out[:, None, :]).reshape(len(out), -1)
+    return (out % p).astype(dtype)
 
 
 def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
                commuting: bool) -> CensusReport:
     """Search every matrix, or only the centralizer of A, depth first over
-    the coordinates of a basis, in pieces of at most ``_CHUNK``. A stage sets
-    the coordinates up to the next one that fixes a residual entry, the first
-    stage at least those one piece holds, and screens the entries they fix."""
+    the coordinates of a basis, in pieces of at most ``_CHUNK``. A run of
+    coordinates ends where one fixes a residual entry, the first run no
+    sooner than ``head``, the most coordinates one piece holds. A stage is a
+    run, or ``head`` coordinates of a longer one, and screens the entries
+    its last coordinate fixes. Each stage's table of combinations is built
+    once, before the descent, save a single coordinate with p > ``_CHUNK``,
+    whose table is built a piece at a time on each visit."""
     import numpy as np
 
     field = a.field
@@ -306,6 +342,7 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     if total > budget:
         raise BudgetError(f"{total} {noun} exceed the budget of {budget}")
     _check_int64(p, dim, total)
+    dtype = _search_dtype(p, n)
     a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
     last = np.where(basis != 0, np.arange(dim)[:, None, None], -1).max(axis=0)
     head = max((t for t in range(1, dim + 1) if p ** t <= _CHUNK), default=min(dim, 1))
@@ -315,7 +352,16 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
         reads[i], reads[:, j] = True, True  # row i and column j of X
         if (t := last[reads].max()) >= 0:  # else X is zero on every read
             fixed.setdefault(max(t + 1, head), []).append((i, j))
-    ends = sorted({head, dim, *fixed})
+    runs = sorted({head, dim, *fixed})
+    cuts = (t for s, e in zip([0, *runs], runs) for t in range(s + head, e, head))
+    ends = sorted({*runs, *cuts})
+
+    stages = {}  # start -> stop, the entries the run sets, whether X is set there, tables
+    for start, stop in zip([0, *ends], ends):
+        on = (basis[start:stop] != 0).any(axis=0)
+        run = basis[start:stop, on]
+        whole = (_combinations(run, 0, p, p, dtype),) if p ** (stop - start) <= _CHUNK else ()
+        stages[start] = stop, on, (basis[:start, on] != 0).any(), run, whole
     found: list[Matrix] = []
 
     def descend(x: np.ndarray, start: int) -> None:  # x: (n, n, S), coordinates < start set
@@ -323,15 +369,10 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
             # residues below p already: no coercion, the census re-verifies each one
             return found.extend(Matrix._make(field, n, n, m)
                                 for m in x.transpose(2, 0, 1).reshape(-1, n * n).tolist())
-        stop = next(e for e in ends if e > start)
-        span, on = p ** (stop - start), (basis[start:stop] != 0).any(axis=0)
-        step, place = max(1, _CHUNK // span), p ** np.arange(stop - start)[::-1, None]
-        wraps = (basis[:start, on] != 0).any()  # else X is zero where the run adds
-        for d in range(0, span, _CHUNK):
-            # the run's combinations d, d + 1, ... as base-p digits, times its elements
-            add = basis[start:stop, on].T @ (np.arange(d, min(d + _CHUNK, span)) // place % p)
-            add %= p  # in place, then kept through the descent in the least signed dtype
-            add = add.astype(np.min_scalar_type(1 - p))  # that holds a residue
+        stop, on, wraps, run, whole = stages[start]
+        for add in whole or (_combinations(run, d, min(d + _CHUNK, p), p, dtype)
+                             for d in range(0, p, _CHUNK)):
+            step = max(1, _CHUNK // add.shape[1])
             for lo in range(0, x.shape[2], step):
                 ext = np.repeat(x[:, :, lo:lo + step, None], add.shape[1], axis=3)
                 ext[on] = (ext[on] + add[:, None]) % p if wraps else add[:, None]
@@ -340,7 +381,7 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
                     ext = ext[:, :, _screen_batch(a_int, ext.transpose(2, 0, 1), p, entries)]
                 descend(ext, stop)
 
-    descend(np.zeros((n, n, 1), dtype=np.int64), 0)
+    descend(np.zeros((n, n, 1), dtype=dtype), 0)
     return _census_from_matrices(field, a, found, commuting, jordan)
 
 

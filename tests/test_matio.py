@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangbaxter import oracle
 from yangbaxter.errors import ParseError
 from yangbaxter.matio import (
     census_from_json,
     census_to_json,
+    dumps_json,
     dumps_matrix,
     format_jordan,
     load_matrix,
@@ -18,6 +21,29 @@ from yangbaxter.matio import (
 )
 from yangbaxter.fields import Field
 from yangbaxter.matrices import Matrix, jordan_matrix
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=JSON_VALUES)
+def test_dumps_json_is_the_stdlib_indented_encoding(value):
+    """Nested dicts with str keys, lists, tuples, empty containers, strings
+    with non-ASCII and escaped characters, ints, floats (nan and infinities
+    included), bools and None come out as json.dumps(indent=2) writes them."""
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_json_refuses_what_it_cannot_write():
+    with pytest.raises(TypeError):
+        dumps_json({1: "int key"})
+    with pytest.raises(TypeError):
+        dumps_json([{1, 2}])
 
 
 def test_matrix_round_trip_all_fields(rat, gf5, quad2):
@@ -174,3 +200,25 @@ def test_census_coefficient_must_lie_over_the_census_field(gf2, gf3):
     doc = dict(census_to_json(rep), coefficient=matrix_to_json(Matrix.zero(gf3, 2)))
     with pytest.raises(ParseError, match=r"square coefficient over GF\(p\)"):
         census_from_json(doc)
+
+
+def test_census_rank_and_kernel_tallies_must_be_the_solutions(gf2):
+    """A gf:2 0^2 document whose by_rank and by_kernel were forged, with
+    every tag set to zero and its family tallies adjusted to match, would
+    be written back with the forged tallies; it is refused instead. So is
+    a document listing a non-solution."""
+    spec = parse_jordan(gf2, "0^2")
+    rep = oracle.enumerate_solutions(jordan_matrix(gf2, spec), jordan=spec)
+    doc = census_to_json(oracle.classify_against_families(rep))
+    assert census_from_json(doc).by_rank == rep.by_rank
+    forged = dict(doc, by_rank={"0": 99}, by_kernel={"other": 7},
+                  family_tags=["zero"] * doc["total"],
+                  family_tallies={"unmatched": 0, "zero": doc["total"]})
+    with pytest.raises(ParseError, match="by_rank or by_kernel"):
+        census_from_json(forged)
+    for key, value in (("by_rank", {"0": 99}), ("by_kernel", {"other": 7})):
+        with pytest.raises(ParseError, match="by_rank or by_kernel"):
+            census_from_json(dict(doc, **{key: value}))
+    identity = matrix_to_json(Matrix.identity(gf2, 2))
+    with pytest.raises(ParseError, match="not a solution"):
+        census_from_json(dict(doc, solutions=[identity, *doc["solutions"][1:]]))

@@ -252,6 +252,46 @@ def test_screen_calls_stay_within_the_chunk(p, shorthand, commuting, chunk):
     assert sizes and max(sizes) <= chunk
 
 
+def tabled_widths(a, commuting, chunk):
+    """The number of combinations in each table the census of ``a`` builds."""
+    widths = []
+    combinations = oracle._combinations
+
+    def spy(*args):
+        table = combinations(*args)
+        widths.append(table.shape[1])
+        return table
+
+    enum = oracle.enumerate_commuting_solutions if commuting else oracle.enumerate_solutions
+    with mock.patch.object(oracle, "_combinations", spy), \
+            mock.patch.object(oracle, "_CHUNK", chunk):
+        enum(a)
+    return widths
+
+
+@pytest.mark.parametrize("p, rows, commuting, chunk", [
+    # every residual entry reads all nine coordinates: in pieces of 16 the
+    # run after the first stage's four is five long and is cut after four
+    (2, [[1, 1, 1], [1, 1, 1], [1, 1, 1]], False, 16),
+    # p = 7 above pieces of 5: each coordinate's table is built in slices
+    (7, [[3, 5], [6, 2]], False, 5),
+    (7, [[3, 5], [6, 2]], True, 5),
+    (5, [[1, 1, 0], [0, 1, 0], [0, 0, 2]], False, 1 << 13),
+])
+def test_tables_stay_within_the_chunk(p, rows, commuting, chunk):
+    widths = tabled_widths(Matrix.from_rows(Field.gf(p), rows), commuting, chunk)
+    assert widths and max(widths) <= chunk
+
+
+def test_tables_are_built_once_per_census(gf5):
+    """In pieces of 64 the 3x3 block over GF(5) visits its stages over a
+    thousand times, yet builds one table per stage, at most one per
+    coordinate."""
+    a = jordan_matrix(gf5, parse_jordan(gf5, "1^3"))
+    assert len(tabled_widths(a, False, 64)) <= 9
+    assert len(screened_states(a, False, 64)) > 1000
+
+
 @pytest.mark.parametrize("chunk", [5, 49])
 def test_overlapping_basis_elements_are_reduced(chunk):
     """The centralizer basis of a dense coefficient, I and A, overlaps: in
@@ -295,6 +335,68 @@ def test_screen_reduces_ax_before_the_second_product():
     a_int = np.array(a.raw, dtype=np.int64).reshape(2, 2)
     entries = itertools.product(range(2), repeat=2)
     assert oracle._screen_batch(a_int, xs, field.p, entries).tolist() == expected
+
+
+SIGNED = [np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)]
+
+
+def test_search_dtype_is_the_least_that_holds_the_widest_screen_sum():
+    """For every prime p < 2^16 and n <= 6 the search dtype holds both
+    +n (p - 1)^2 and -n (p - 1)^2, and the next narrower one does not:
+    int8 holds -128 but not +128, so the sign of the bound matters."""
+    sieve = np.ones(1 << 16, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, 256):
+        if sieve[k]:
+            sieve[k * k::k] = False
+    for p in np.flatnonzero(sieve).tolist():
+        for n in range(1, 7):
+            v, dtype = n * (p - 1) ** 2, oracle._search_dtype(p, n)
+            assert np.iinfo(dtype).min <= -v and v <= np.iinfo(dtype).max, (p, n)
+            if dtype != SIGNED[0]:
+                narrower = np.iinfo(SIGNED[SIGNED.index(dtype) - 1])
+                assert not (narrower.min <= -v and v <= narrower.max), (p, n)
+
+
+def screened_dtypes(a, commuting):
+    """The dtypes of the stacks the census of ``a`` hands its screen."""
+    seen = set()
+    screen = oracle._screen_batch
+
+    def spy(a_int, xs, p, entries):
+        seen.add(xs.dtype)
+        return screen(a_int, xs, p, entries)
+
+    enum = oracle.enumerate_commuting_solutions if commuting else oracle.enumerate_solutions
+    with mock.patch.object(oracle, "_screen_batch", spy):
+        found = enum(a).solutions
+    return seen, found
+
+
+@pytest.mark.parametrize("p, shorthand, commuting", [
+    (2, "1^2,1^2", False), (2, "0^4", False), (3, "1^2,1^2", True),
+    (5, "1^3", False), (5, "1^2,2^1", False),
+])
+def test_benchmark_censuses_screen_int8_stacks(p, shorthand, commuting):
+    """The censuses of the census-sweep and census-screen workloads keep
+    every screen sum within +-127, so the search runs on int8 stacks."""
+    field = Field.gf(p)
+    seen, _ = screened_dtypes(jordan_matrix(field, parse_jordan(field, shorthand)), commuting)
+    assert seen == {np.dtype(np.int8)}
+
+
+@pytest.mark.parametrize("a", [
+    Matrix.from_rows(Field.gf(13), [[1, 1], [0, 1]]),
+    Matrix.from_rows(Field.gf(13), [[12, 7], [5, 11]]),
+    Matrix.from_rows(Field.gf(17), [[16, 0], [0, 2]]),
+], ids=["gf13-jordan", "gf13-dense", "gf17-diagonal"])
+@pytest.mark.parametrize("commuting", [False, True])
+def test_int16_census_matches_reference(a, commuting):
+    """Over GF(13) and GF(17) a 2x2 screen sums up to 2 (p - 1)^2, beyond
+    int8: the search runs on int16 and finds what the int64 reference finds."""
+    seen, found = screened_dtypes(a, commuting)
+    assert seen == {np.dtype(np.int16)}
+    assert list(found) == reference_screen(a, commuting)
 
 
 def test_enumeration_needs_prime_field(rat):

@@ -451,7 +451,7 @@ def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch
     sweep together pass each solution once through the exact batch, which
     checks its residual and takes its kernel, and take no boxed residual
     and no boxed kernel but the kernel of A; a report read back from JSON
-    keeps no records and is verified again in full."""
+    is verified again in full when it is loaded, and keeps those records."""
     batches = count_batch_rows(monkeypatch)
     calls = {"residual": 0, "kernel_basis": 0}
     residual, kernel_basis = core.residual, Matrix.kernel_basis
@@ -474,9 +474,10 @@ def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch
     bare = replace(report, facts=None)
     assert bare == report and repr(bare) == repr(report)
     again = census_from_json(census_to_json(report))
-    assert again == report and again.facts is None
+    assert again == report and len(again.facts) == report.total
+    assert batches == [report.total, 0, report.total]  # the load's batch
     assert rows(oracle.verify_theorems_on_census(again)) == rows(verdicts)
-    assert batches == [report.total, 0, report.total]
+    assert batches == [report.total, 0, report.total, 0]
     assert calls == {"residual": 0, "kernel_basis": 2}
 
 

@@ -6,6 +6,9 @@ coordinates of a basis, each residual entry screened mod p with vectorized
 integer arithmetic at the stage whose coordinates fix it, so a failing
 partial matrix is dropped with every extension; every survivor is then
 verified exactly in one batch over GF(p), which also takes its kernel.
+Each stage's table of coordinate combinations is built once per census,
+and the search runs in the least signed integer dtype that holds the
+widest sum of its screen, int8 for small p and n.
 
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
@@ -131,7 +134,7 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries) -> np.ndarray:
     at ``entries``, an iterable of (i, j).
 
     ``xs`` is an (N, n, n) view whose entries are contiguous rows over the
-    N candidates. The entries are tested one at a time, each on the
+    N candidates, in a signed dtype that holds +-n (p - 1)^2. The entries are tested one at a time, each on the
     survivors of the entries before it: entry (i, j) takes row i and
     column j of AX, reduced mod p before the second product.
     """
@@ -356,7 +359,9 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     cuts = (t for s, e in zip([0, *runs], runs) for t in range(s + head, e, head))
     ends = sorted({*runs, *cuts})
 
-    stages = {}  # start -> stop, the entries the run sets, whether X is set there, tables
+    # start -> stop, the entries the run sets, whether earlier coordinates set any
+    # of them (else X is zero there), the run, and its table unless built per visit
+    stages = {}
     for start, stop in zip([0, *ends], ends):
         on = (basis[start:stop] != 0).any(axis=0)
         run = basis[start:stop, on]

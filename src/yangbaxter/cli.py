@@ -141,28 +141,27 @@ def cmd_census(args) -> int:
                                                       budget=args.budget)
     else:
         report = oracle.enumerate_solutions(a, jordan=jordan, budget=args.budget)
-    classified = oracle.classify_against_families(report) if jordan is not None else report
-    verdicts = oracle.verify_theorems_on_census(classified)
+    verdicts = oracle.verify_theorems_on_census(report)
     failures = [v for v in verdicts if not v.holds]
     lines = [
         f"field: {field.spec()}",
         f"coefficient: {a}",
         f"commuting_only: {args.commuting}",
-        f"total: {classified.total}",
-        f"by_rank: {dict(sorted(classified.by_rank.items()))}",
-        f"by_kernel: {dict(sorted(classified.by_kernel.items()))}",
+        f"total: {report.total}",
+        f"by_rank: {dict(sorted(report.by_rank.items()))}",
+        f"by_kernel: {dict(sorted(report.by_kernel.items()))}",
     ]
-    if classified.family_tallies is not None:
-        lines.append(f"family_tallies: {dict(sorted(classified.family_tallies.items()))}")
+    if report.family_tallies is not None:
+        lines.append(f"family_tallies: {dict(sorted(report.family_tallies.items()))}")
     lines.append(f"theorem_checks: {len(verdicts)} run, {len(failures)} failed")
     for v in failures:
         lines.append(f"  FAIL {v.name}: {v.note}")
     if args.solutions:
-        for x in classified.solutions:
+        for x in report.solutions:
             lines.append(str(x))
     payload = None  # the text output never reads it
     if args.json:
-        payload = matio.census_to_json(classified)
+        payload = matio.census_to_json(report)
         payload["theorem_checks"] = {
             "run": len(verdicts),
             "failed": len(failures),

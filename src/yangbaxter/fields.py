@@ -121,6 +121,8 @@ class Field:
 
     @classmethod
     def from_spec(cls, text: str) -> "Field":
+        if not isinstance(text, str):
+            raise ParseError(f"field spec must be a string, not {text!r}")
         text = text.strip()
         if text == "rat":
             return cls.rationals()

@@ -4,8 +4,9 @@ This is the ground truth the closed-form families and the theorem checks
 are validated against. Candidates are searched depth first over the
 coordinates of a basis, each residual entry screened mod p with vectorized
 integer arithmetic at the stage whose coordinates fix it, so a failing
-partial matrix is dropped with every extension; every survivor is then
-verified exactly in one batch over GF(p), which also takes its kernel.
+partial matrix is dropped with every extension; the report built from the
+survivors verifies each exactly in one batch over GF(p), which also takes
+its kernel.
 Each stage's table of coordinate combinations is built once per census,
 and the search runs in the least signed integer dtype that holds the
 widest sum of its screen, int8 for small p and n.
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import core
 from .errors import BudgetError, PreconditionError, SideConditionError
@@ -64,31 +66,43 @@ def _check_census(field: Field, a: Matrix, jordan: JordanSpec | None) -> None:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Exhaustive census of the solution set of one coefficient matrix, valid
-    by construction (``_check_census``), with one family tag per solution
-    when tagged; its solutions are verified where a report is read."""
+    """Exhaustive census of the solution set of one coefficient matrix: its
+    inputs, valid by construction. ``_check_census`` holds the rules of a
+    census and one batch of ``_records`` verifies every solution, AX = XA
+    too when ``commuting_only``; its records are ``facts``, and every tally
+    and tag is derived from them on first use."""
 
     field: Field
     coefficient: Matrix
     commuting_only: bool
     solutions: tuple[Matrix, ...]
-    by_rank: dict[int, int]
-    by_kernel: dict[str, int]
     jordan: JordanSpec | None = None
-    family_tags: tuple[str, ...] | None = None
-    # the verified record of each solution, in order, from the census or the file's load
-    facts: tuple[core.Facts, ...] | None = dataclass_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_census(self.field, self.coefficient, self.jordan)
-        if self.family_tags is not None and len(self.family_tags) != len(self.solutions):
-            raise PreconditionError("census family_tags do not match its solution list")
+        object.__setattr__(self, "facts",
+                           _records(self.coefficient, self.solutions, self.commuting_only))
 
     @property
     def total(self) -> int:
         return len(self.solutions)
 
-    @property
+    @cached_property
+    def by_rank(self) -> dict[int, int]:
+        return dict(Counter(self.coefficient.ncols - len(x.kernel) for x in self.facts))
+
+    @cached_property
+    def by_kernel(self) -> dict[str, int]:
+        """Each kernel's block label under ``jordan``, else its dimension."""
+        ranges = self.jordan.block_ranges() if self.jordan is not None else None
+        return dict(Counter(core.kernel_block_label(x.kernel, ranges) if ranges is not None
+                            else f"dim={len(x.kernel)}" for x in self.facts))
+
+    @cached_property
+    def family_tags(self) -> tuple[str, ...] | None:
+        return classify_against_families(self)
+
+    @cached_property
     def family_tallies(self) -> dict[str, int] | None:  # tags counted up to their [params]
         tags = self.family_tags
         return None if tags is None else {"unmatched": 0, **Counter(t.split("[")[0] for t in tags)}
@@ -96,8 +110,8 @@ class CensusReport:
     @property
     def unmatched(self) -> int:
         if self.family_tallies is None:
-            raise PreconditionError("census has not been classified")
-        return self.family_tallies.get("unmatched", 0)
+            raise PreconditionError("no family covers the census")
+        return self.family_tallies["unmatched"]
 
 
 def _check_int64(p: int, terms: int, total: int) -> None:
@@ -257,51 +271,32 @@ def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec
             {lam: values.tolist() for lam, values in chars.items()})
 
 
-def _records(a: Matrix, solutions, kept, who: str, commuting: bool = False):
-    """One record of ``a`` and the verified record of each solution, in order.
-    A kept record stands only for the matrix it was made for, verified against
-    that record of ``a``. Every other one is verified here once, in one int64
-    batch mod p: (AX)A - X(AX) = 0, AX = XA when ``commuting``, and its kernel."""
+def _records(a: Matrix, solutions, commuting: bool) -> tuple[core.Facts, ...]:
+    """The verified record of each solution of ``a``, in order, from one
+    int64 batch mod p: (AX)A - X(AX) = 0, AX = XA when ``commuting``, and
+    its kernel."""
     import numpy as np
 
     p, n = a.field.p, a.nrows
-    coeff = kept[0].coefficient if kept and kept[0].coefficient.matrix == a else core.Facts(a)
-    by_matrix = {r.matrix: r for r in kept or () if r.coefficient is coeff}
-    records = [by_matrix.get(x) for x in solutions]
-    fresh = [x for x, r in zip(solutions, records) if r is None]
-    _check_int64(p, n, len(fresh))
+    _check_int64(p, n, len(solutions))
     a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
-    xs = np.array([x.raw for x in fresh if (x.field, x.nrows, x.ncols) == (a.field, n, n)],
+    xs = np.array([x.raw for x in solutions if (x.field, x.nrows, x.ncols) == (a.field, n, n)],
                   dtype=np.int64).reshape(-1, n, n)
     ax = a_int @ xs % p
-    if len(xs) < len(fresh) or ((ax @ a_int - xs @ ax) % p).any():
-        raise PreconditionError(f"{who}: candidate is not a solution")
+    if len(xs) < len(solutions) or ((ax @ a_int - xs @ ax) % p).any():
+        raise PreconditionError("candidate is not a solution: it fails the exact residual")
     if commuting and (ax != xs @ a_int % p).any():
-        raise AssertionError("screened candidate fails exact commutation")
-    kernels = iter(_kernels(a.field, xs))
-    return coeff, [r or core.Facts(x, coeff, next(kernels)) for x, r in zip(solutions, records)]
+        raise PreconditionError("candidate does not commute with A: it fails exact commutation")
+    coeff = core.Facts(a)
+    return tuple(core.Facts(x, coeff, k) for x, k in zip(solutions, _kernels(a.field, xs)))
 
 
 def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
                           commuting: bool, jordan: JordanSpec | None) -> CensusReport:
-    solutions = sorted(mats, key=lambda m: m.raw)
     try:  # the one exact residual and kernel of each solution
-        _, records = _records(a, solutions, None, "census", commuting)
+        return CensusReport(field, a, commuting, tuple(sorted(mats, key=lambda m: m.raw)), jordan)
     except PreconditionError as err:
-        raise AssertionError("screened candidate fails the exact residual") from err
-    return CensusReport(field, a, commuting, tuple(solutions), *_tallies(a, records, jordan),
-                        jordan=jordan, facts=tuple(records))
-
-
-def _tallies(a: Matrix, records, jordan: JordanSpec | None):
-    """``by_rank`` and ``by_kernel`` of verified solution records: each
-    solution's rank, and its kernel's block label under ``jordan``, else
-    the kernel's dimension."""
-    ranges = jordan.block_ranges() if jordan is not None else None
-    by_rank = Counter(a.ncols - len(x.kernel) for x in records)
-    by_kernel = Counter(core.kernel_block_label(x.kernel, ranges) if ranges is not None
-                        else f"dim={len(x.kernel)}" for x in records)
-    return dict(by_rank), dict(by_kernel)
+        raise AssertionError(f"screened {err}") from err
 
 
 def _combinations(run: np.ndarray, lo: int, hi: int, p: int, dtype) -> np.ndarray:
@@ -334,12 +329,17 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     field = a.field
     _check_census(field, a, jordan)
     p, n = field.p, a.nrows
+    noun = "centralizer candidates" if commuting else "candidates"
+    # refused before a basis is built: n^2 coordinates in full, dim C(A) >= n
+    if (least := p ** (n if commuting else n * n)) > budget:
+        at_least = "at least " if commuting else ""
+        raise BudgetError(f"{at_least}{least} {noun} exceed the budget of {budget}")
     if commuting:
-        basis, noun = [b.raw for b in centralizer_basis(a)], "centralizer candidates"
+        basis = [b.raw for b in centralizer_basis(a)]
     else:
         # cross order: row s from the diagonal on, then column s below it
         cross = sorted(range(n * n), key=lambda c: (min(divmod(c, n)), c))
-        basis, noun = np.eye(n * n, dtype=np.int64)[cross], "candidates"
+        basis = np.eye(n * n, dtype=np.int64)[cross]
     basis = np.array(basis, dtype=np.int64).reshape(-1, n, n)
     dim, total = len(basis), p ** len(basis)
     if total > budget:
@@ -438,27 +438,24 @@ def _two_block_tag(x: Matrix, k: int) -> str | None:
     return None
 
 
-def classify_against_families(report: CensusReport) -> CensusReport:
-    """Tag every census solution with the closed-form family producing it.
+def classify_against_families(report: CensusReport) -> tuple[str, ...] | None:
+    """The tag of every census solution: the closed-form family producing it.
 
     Covered: one Jordan block of size 2, one nilpotent block of size 3 or
-    more, and two equal blocks with nonzero eigenvalue; any other block
-    structure comes back untagged. Solutions outside every family are
-    tagged "unmatched", as expected for nilpotent blocks of size 4 and
-    more, whose closed form is sound but not complete.
-
-    Every solution is verified first, by its census record where one stands
-    for it, so an untrusted report raises even when no family covers it.
-    The coefficient is the Jordan matrix of the block structure the tags read.
+    more, and two equal blocks with nonzero eigenvalue; for any other block
+    structure, or none, there are no tags. Solutions outside every family
+    are tagged "unmatched", as expected for nilpotent blocks of size 4 and
+    more, whose closed form is sound but not complete. The report verified
+    its solutions when it was built, and its coefficient is the Jordan
+    matrix of the block structure the tags read.
     """
     jordan = report.jordan
     if jordan is None:
-        raise PreconditionError("classification needs the coefficient's block structure")
-    _, records = _records(report.coefficient, report.solutions, report.facts, "classification")
+        return None
     (lam, n), *rest = jordan.blocks
     two_equal = rest == [(lam, n)] and not lam.is_zero
     if not (two_equal or not rest and (n == 2 or n >= 3 and lam.is_zero)):
-        return replace(report, family_tags=None)
+        return None
 
     def tag_of(x: Matrix) -> str | None:
         if two_equal:
@@ -486,7 +483,7 @@ def classify_against_families(report: CensusReport) -> CensusReport:
             return "nilpotent-general"
         return None
 
-    return replace(report, family_tags=tuple(tag_of(r.matrix) or "unmatched" for r in records))
+    return tuple(tag_of(x) or "unmatched" for x in report.solutions)
 
 
 # -- theorem sweep -----------------------------------------------------------------
@@ -498,7 +495,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     Failures are findings, not errors; the list carries one verdict per
     (solution, applicable property). The facts of A are derived once per
     census and those of each solution once, its residual and kernel from
-    the census's records when the report keeps them.
+    the report's records.
 
     The power identities, charpoly annihilation and kernel invariance of all
     solutions are batched mod p first, and only a flagged solution meets the
@@ -511,7 +508,8 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     """
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
-    coeff, sols = _records(a, report.solutions, report.facts, "theorem sweep")
+    sols = report.facts
+    coeff = sols[0].coefficient if sols else core.Facts(a)
     masks, chars = _product_masks(coeff, sols, jordan)
     blocks = jordan.blocks if jordan is not None else ()
     lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)

@@ -268,6 +268,41 @@ def test_census_golden_beyond_the_default_budget(capsys, field, jordan, code, to
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("spec, rows, extra, digest", [
+    ("gf:3", [[1, 0], [0, 2]], (),
+     "fc63ca67d11ac78a83d2597096337c46106d924ff15f7fd5a276314120e8607e"),
+    ("gf:3", [[1, 0], [0, 2]], ("--json",),
+     "6e2a8b3e49783b0ef3e1ba9208ea5bacdcbbba9c5c173f0d04fd3f51c9d2678b"),
+    ("gf:2", [[1, 1], [0, 0]], (),
+     "beeaca385ca023cccadb9cfd8be2a9076d1fcef247e40132ecfedd802ffd8c16"),
+    ("gf:2", [[1, 1], [0, 0]], ("--json",),
+     "38f4d8567c98eb965623c9114638c3bce872eb86c56ac22198743ba7341e8578"),
+])
+def test_census_of_a_coefficient_file_is_pinned(capsys, write_matrix, spec, rows, extra, digest):
+    """A census of --A has no block structure: no family tags, kernels
+    labelled by dimension, and a sweep without the spectral batch. Exit
+    code and the sha256 of stdout are pinned."""
+    a = write_matrix(Matrix.from_rows(Field.from_spec(spec), rows))
+    code, out, err = run(capsys, "census", "--field", spec, "--A", a, *extra)
+    assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", digest)
+    assert "family_tallies" not in out and "dim=" in out
+
+
+def test_census_refuses_the_budget_before_building_a_basis(capsys, monkeypatch):
+    """Every basis has at least n elements, n^2 in full and dim C(A) >= n
+    for a centralizer, so p^n above the budget refuses a census before its
+    basis is built: no centralizer basis for a 64 x 64 block."""
+    from yangbaxter import oracle
+
+    monkeypatch.setattr(oracle, "centralizer_basis", None)  # a call would raise TypeError
+    code, out, err = run(capsys, "census", "--field", "gf:2", "--jordan", "0^64", "--commuting")
+    assert (code, out) == (2, "")
+    assert err == f"error: at least {2 ** 64} centralizer candidates exceed the budget of {10 ** 7}\n"
+    code, out, err = run(capsys, "census", "--field", "gf:2", "--jordan", "0^64")
+    assert (code, out) == (2, "")
+    assert err == f"error: {2 ** 4096} candidates exceed the budget of {10 ** 7}\n"
+
+
 def test_census_json_round_trips(capsys):
     from yangbaxter.matio import census_from_json
 

@@ -2,7 +2,7 @@
 
 The sweep derives every fact once: char(A) and the invertibility of A per
 census, and per solution one exact residual, char(X) and the kernel, the
-residual and kernel kept from the census itself. These tests pin its
+residual and kernel from the report's own batch. These tests pin its
 verdict lists to ones recorded when every check recomputed its own facts,
 compare it with that loop on random censuses, count the characteristic
 polynomials, residuals and kernels it computes, and make sure a
@@ -162,8 +162,7 @@ def test_a_coefficient_off_its_block_structure_is_refused(monkeypatch, gf3):
         with pytest.raises(PreconditionError, match="not the Jordan matrix"):
             enum(a, jordan=jordan)
     with pytest.raises(PreconditionError, match="not the Jordan matrix"):
-        oracle.CensusReport(gf3, a, False, report.solutions, report.by_rank,
-                            report.by_kernel, jordan=jordan)
+        oracle.CensusReport(gf3, a, False, report.solutions, jordan)
     assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
 
 
@@ -198,15 +197,15 @@ def test_sweep_derives_each_fact_once(monkeypatch):
 
 def test_sweep_refuses_a_smuggled_non_solution(gf2):
     """A report whose solution list holds a non-solution is refused: each
-    solution's residual is verified once by the sweep, never skipped."""
+    solution's residual is verified once, when the report is built, so the
+    sweep never meets one."""
     report = census("gf:2", "1^2")
     intruder = Matrix.identity(gf2, 2)
     assert not core.is_solution(report.coefficient, intruder)
-    forged = oracle.CensusReport(gf2, report.coefficient, False,
-                                 report.solutions[:2] + (intruder,) + report.solutions[2:],
-                                 report.by_rank, report.by_kernel, jordan=report.jordan)
     with pytest.raises(PreconditionError, match="not a solution"):
-        oracle.verify_theorems_on_census(forged)
+        oracle.CensusReport(gf2, report.coefficient, False,
+                            report.solutions[:2] + (intruder,) + report.solutions[2:],
+                            report.jordan)
 
 
 def test_solution_record_is_reverified_for_another_coefficient(gf2):
@@ -364,16 +363,6 @@ def test_batched_elimination_matches_matrix_reductions(data):
     assert oracle._char_values(stack, lam, p).tolist() == [char_poly(m)(lam).v for m in mats]
 
 
-def test_a_report_whose_records_are_all_kept_passes_an_empty_batch(monkeypatch):
-    """The gate returns a census's own records for its own solutions, with
-    no solution in its exact batch."""
-    report = census("gf:3", "1^2")
-    batches = count_batch_rows(monkeypatch)
-    coeff, records = oracle._records(report.coefficient, report.solutions, report.facts, "sweep")
-    assert batches == [0]
-    assert coeff is report.facts[0].coefficient and records == list(report.facts)
-
-
 @pytest.mark.parametrize("p, lam, rows", [
     (2, 0, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),  # a cycle: a swap at every column
     (3, 0, [[2, 2, 0], [2, 2, 0], [0, 0, 2]]),  # column 1 has no pivot left: char 0
@@ -447,11 +436,11 @@ def count_batch_rows(monkeypatch):
 
 
 def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch):
-    """The census keeps each solution's verified record, so census and
-    sweep together pass each solution once through the exact batch, which
-    checks its residual and takes its kernel, and take no boxed residual
-    and no boxed kernel but the kernel of A; a report read back from JSON
-    is verified again in full when it is loaded, and keeps those records."""
+    """A report verifies its solutions once, when it is built, in one exact
+    batch that checks each residual and takes each kernel; the sweep reads
+    those records, so census and sweep take no boxed residual and no boxed
+    kernel but the kernel of A. A report read back from JSON is built, and
+    so verified, again in one batch, which its sweep reads too."""
     batches = count_batch_rows(monkeypatch)
     calls = {"residual": 0, "kernel_basis": 0}
     residual, kernel_basis = core.residual, Matrix.kernel_basis
@@ -469,60 +458,50 @@ def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch
     report = census("gf:3", "1^2,2^1")
     verdicts = oracle.verify_theorems_on_census(report)
     assert report.total == 30 and verdicts
-    assert batches == [report.total, 0]  # the census's batch, then the sweep's
+    assert batches == [report.total]  # the census's batch, and none in the sweep
     assert calls == {"residual": 0, "kernel_basis": 1}
-    bare = replace(report, facts=None)
-    assert bare == report and repr(bare) == repr(report)
     again = census_from_json(census_to_json(report))
     assert again == report and len(again.facts) == report.total
-    assert batches == [report.total, 0, report.total]  # the load's batch
+    assert batches == [report.total, report.total]  # the load's batch
     assert rows(oracle.verify_theorems_on_census(again)) == rows(verdicts)
-    assert batches == [report.total, 0, report.total, 0]
+    assert batches == [report.total, report.total]
     assert calls == {"residual": 0, "kernel_basis": 2}
 
 
 def test_records_stand_only_for_their_own_solution(gf2):
-    """A census record vouches for the one matrix it was made for, and for
-    the coefficient it was verified against: a non-solution appended to a
-    census that keeps its records is refused by classification and by the
-    sweep alike, and so are the records under another coefficient."""
+    """A report's records are made for its own solutions and coefficient,
+    so a report is never built with a non-solution appended to a census,
+    nor with the census's solutions under another coefficient."""
     report = census("gf:2", "1^1,1^1")
     intruder = Matrix.unit(gf2, 2, 2, 0, 1)
     assert report.total == 8 and not core.is_solution(report.coefficient, intruder)
-    forged = replace(report, solutions=report.solutions + (intruder,))
     with pytest.raises(PreconditionError, match="not a solution"):
-        oracle.classify_against_families(forged)
+        replace(report, solutions=report.solutions + (intruder,))
     with pytest.raises(PreconditionError, match="not a solution"):
-        oracle.verify_theorems_on_census(forged)
-    moved = replace(report, coefficient=Matrix.from_rows(gf2, [[1, 1], [0, 1]]),
-                    jordan=parse_jordan(gf2, "1^2"))
-    with pytest.raises(PreconditionError, match="not a solution"):
-        oracle.verify_theorems_on_census(moved)
+        replace(report, coefficient=Matrix.from_rows(gf2, [[1, 1], [0, 1]]),
+                jordan=parse_jordan(gf2, "1^2"))
 
 
 def test_records_refuse_a_matrix_of_another_field_or_shape(gf2):
     """A zero matrix over another field, or of another shape whose entries
     would fill the same int64 stack, is not a solution of the census: the
-    gate refuses it, as it does a smuggled non-solution."""
+    report's batch refuses it, as it does a smuggled non-solution."""
     report = census("gf:2", "1^1,1^1")
     for intruder in (Matrix.zero(Field.gf(3), 2), Matrix.zero(gf2, 4, 1), Matrix.zero(gf2, 1)):
-        forged = replace(report, solutions=report.solutions + (intruder,))
         with pytest.raises(PreconditionError, match="not a solution"):
-            oracle.verify_theorems_on_census(forged)
+            replace(report, solutions=report.solutions + (intruder,))
 
 
 def test_reordered_solutions_keep_their_records(monkeypatch):
-    """Reversing the solution list of a census that keeps its records gives
-    the tags and verdict rows of the same list verified afresh, in the new
-    order, and verifies no solution again: each record follows its matrix."""
+    """Reversing the solution list of a census gives a report whose records
+    and tags are the census's, reversed, and whose verdict rows are the
+    reference loop's in the new order: each record follows its matrix, and
+    the new report verifies each solution once."""
     report = census("gf:2", "1^1,1^1")
-    flipped = replace(report, solutions=tuple(reversed(report.solutions)))
-    bare = replace(flipped, facts=None)
     batches = count_batch_rows(monkeypatch)
-    tags = oracle.classify_against_families(flipped).family_tags
-    verdicts = rows(oracle.verify_theorems_on_census(flipped))
-    assert batches == [0, 0]
-    assert tags == oracle.classify_against_families(bare).family_tags
-    assert verdicts == rows(oracle.verify_theorems_on_census(bare))
-    assert tags == tuple(reversed(oracle.classify_against_families(report).family_tags))
-    assert batches == [0, 0, report.total, report.total, 0]
+    flipped = replace(report, solutions=tuple(reversed(report.solutions)))
+    assert batches == [report.total]
+    assert [r.matrix for r in flipped.facts] == list(flipped.solutions)
+    assert flipped.family_tags == tuple(reversed(report.family_tags))
+    assert rows(oracle.verify_theorems_on_census(flipped)) == rows(reference_sweep(flipped))
+    assert batches == [report.total]

@@ -129,6 +129,7 @@ def cmd_census(args) -> int:
     jordan = None
     if args.jordan:
         jordan = matio.parse_jordan(field, args.jordan)
+        oracle.check_budget(field.p, jordan.dimension, args.budget, args.commuting)
         a = jordan_matrix(field, jordan)
     elif args.A:
         a = matio.load_matrix(args.A)
@@ -198,9 +199,8 @@ def cmd_groebner(args) -> int:
             raise PreconditionError("--ideal ybe needs --jordan")
         field = Field.rationals()
         jordan = matio.parse_jordan(field, args.jordan)
-        a = jordan_matrix(field, jordan)
-        gens = ybe_ideal(a, a.nrows)
-        ring = ybe_ring(a.nrows)
+        ring = ybe_ring(jordan.dimension)
+        gens = ybe_ideal(jordan_matrix(field, jordan), jordan.dimension)
     elif args.gens:
         if args.jordan:
             raise PreconditionError("--jordan belongs to --ideal ybe, not to --gens")

@@ -454,21 +454,23 @@ def ybe_variables(n: int) -> tuple[str, ...]:
 
 
 def ybe_ring(n: int) -> PolyRing:
+    """The ring of the equation ideal of an n x n coefficient, refused
+    beyond the scale guard before any coefficient is built."""
+    if n * n > 16:
+        raise SideConditionError("scale guard: n*n must stay at or below 16")
     return PolyRing(ybe_variables(n))
 
 
 def ybe_ideal(a: Matrix, n: int) -> list[MultiPoly]:
     """The n*n entrywise polynomials of AXA - XAX in the unknown entries of X.
 
-    The coefficient matrix must be rational and small (n*n <= 16); the
-    unknowns are named row-major a, b, c, ...
+    The coefficient matrix must be rational and small (n*n <= 16, the guard
+    of ``ybe_ring``); the unknowns are named row-major a, b, c, ...
     """
     if a.field is not Field.rationals():
         raise SideConditionError("equation ideal is generated over the rationals")
     if not a.is_square or a.nrows != n:
         raise DimensionError("coefficient matrix must be n x n")
-    if n * n > 16:
-        raise SideConditionError("scale guard: n*n must stay at or below 16")
     ring = ybe_ring(n)
     consts = [[ring.constant(a[i, j].v) for j in range(n)] for i in range(n)]
     unknowns = [[ring.var(ring.variables[i * n + j]) for j in range(n)]

@@ -53,14 +53,15 @@ from .matrices import (JordanSpec, Matrix, centralizer_basis, jordan_chain_conju
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 13
 _INT64_MAX = 2**63 - 1
+_DECIMAL_BITS = 14_284  # no int of this many bits has more than the 4,300 digits str() allows
 
 
-def _check_census(field: Field, a: Matrix, jordan: JordanSpec | None) -> None:
-    """Refuse a field without a p, a coefficient that is not square over it,
-    and a block structure whose Jordan matrix is not the coefficient."""
-    if field.p is None or a.field is not field or not a.is_square:
+def _check_census(a: Matrix, jordan: JordanSpec | None) -> None:
+    """Refuse a coefficient that is not square over GF(p), and a block
+    structure of another dimension, or whose Jordan matrix is not it."""
+    if a.field.p is None or not a.is_square:
         raise PreconditionError("a census has a square coefficient over GF(p)")
-    if jordan is not None and a != jordan_matrix(field, jordan):
+    if jordan is not None and (jordan.dimension != a.nrows or a != jordan_matrix(a.field, jordan)):
         raise PreconditionError("coefficient is not the Jordan matrix of its block structure")
 
 
@@ -72,16 +73,19 @@ class CensusReport:
     too when ``commuting_only``; its records are ``facts``, and every tally
     and tag is derived from them on first use."""
 
-    field: Field
     coefficient: Matrix
     commuting_only: bool
     solutions: tuple[Matrix, ...]
     jordan: JordanSpec | None = None
 
     def __post_init__(self):
-        _check_census(self.field, self.coefficient, self.jordan)
+        _check_census(self.coefficient, self.jordan)
         object.__setattr__(self, "facts",
                            _records(self.coefficient, self.solutions, self.commuting_only))
+
+    @property
+    def field(self) -> Field:
+        return self.coefficient.field
 
     @property
     def total(self) -> int:
@@ -291,12 +295,31 @@ def _records(a: Matrix, solutions, commuting: bool) -> tuple[core.Facts, ...]:
     return tuple(core.Facts(x, coeff, k) for x, k in zip(solutions, _kernels(a.field, xs)))
 
 
-def _census_from_matrices(field: Field, a: Matrix, mats: list[Matrix],
-                          commuting: bool, jordan: JordanSpec | None) -> CensusReport:
+def _census_from_matrices(a: Matrix, mats: list[Matrix], commuting: bool,
+                          jordan: JordanSpec | None) -> CensusReport:
     try:  # the one exact residual and kernel of each solution
-        return CensusReport(field, a, commuting, tuple(sorted(mats, key=lambda m: m.raw)), jordan)
+        return CensusReport(a, commuting, tuple(sorted(mats, key=lambda m: m.raw)), jordan)
     except PreconditionError as err:
         raise AssertionError(f"screened {err}") from err
+
+
+def _refuse_above(p: int, k: int, budget: int, commuting: bool, at_least: str = "") -> None:
+    """Refuse p^k candidates above the budget. p^k >= 2^k > budget once k
+    reaches the budget's bit length, so p^k is built only below that; a
+    count of more than ``_DECIMAL_BITS`` bits is written p^k, not in decimal."""
+    if k < budget.bit_length() and p ** k <= budget:
+        return
+    count = p ** k if k * (p - 1).bit_length() <= _DECIMAL_BITS else f"{p}^{k}"
+    noun = "centralizer candidates" if commuting else "candidates"
+    raise BudgetError(f"{at_least}{count} {noun} exceed the budget of {budget}")
+
+
+def check_budget(p: int, n: int, budget: int, commuting: bool) -> None:
+    """Refuse a census of an n x n coefficient over GF(p) whose basis alone
+    exceeds the budget, before the coefficient or a basis is built: every
+    basis has at least n elements, n^2 in full and dim C(A) >= n."""
+    _refuse_above(p, n if commuting else n * n, budget, commuting,
+                  "at least " if commuting else "")
 
 
 def _combinations(run: np.ndarray, lo: int, hi: int, p: int, dtype) -> np.ndarray:
@@ -327,13 +350,9 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     import numpy as np
 
     field = a.field
-    _check_census(field, a, jordan)
+    _check_census(a, jordan)
     p, n = field.p, a.nrows
-    noun = "centralizer candidates" if commuting else "candidates"
-    # refused before a basis is built: n^2 coordinates in full, dim C(A) >= n
-    if (least := p ** (n if commuting else n * n)) > budget:
-        at_least = "at least " if commuting else ""
-        raise BudgetError(f"{at_least}{least} {noun} exceed the budget of {budget}")
+    check_budget(p, n, budget, commuting)
     if commuting:
         basis = [b.raw for b in centralizer_basis(a)]
     else:
@@ -341,10 +360,9 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
         cross = sorted(range(n * n), key=lambda c: (min(divmod(c, n)), c))
         basis = np.eye(n * n, dtype=np.int64)[cross]
     basis = np.array(basis, dtype=np.int64).reshape(-1, n, n)
-    dim, total = len(basis), p ** len(basis)
-    if total > budget:
-        raise BudgetError(f"{total} {noun} exceed the budget of {budget}")
-    _check_int64(p, dim, total)
+    dim = len(basis)
+    _refuse_above(p, dim, budget, commuting)
+    _check_int64(p, dim, p ** dim)
     dtype = _search_dtype(p, n)
     a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
     last = np.where(basis != 0, np.arange(dim)[:, None, None], -1).max(axis=0)
@@ -387,7 +405,7 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
                 descend(ext, stop)
 
     descend(np.zeros((n, n, 1), dtype=dtype), 0)
-    return _census_from_matrices(field, a, found, commuting, jordan)
+    return _census_from_matrices(a, found, commuting, jordan)
 
 
 def enumerate_solutions(a: Matrix, jordan: JordanSpec | None = None,

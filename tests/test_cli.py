@@ -291,16 +291,31 @@ def test_census_of_a_coefficient_file_is_pinned(capsys, write_matrix, spec, rows
 def test_census_refuses_the_budget_before_building_a_basis(capsys, monkeypatch):
     """Every basis has at least n elements, n^2 in full and dim C(A) >= n
     for a centralizer, so p^n above the budget refuses a census before its
-    basis is built: no centralizer basis for a 64 x 64 block."""
-    from yangbaxter import oracle
+    basis is built: no centralizer basis for a 64 x 64 block. The refusal is
+    decided from the block structure's dimension, before its Jordan matrix
+    is built, and without building p^(n^2): a count too long for decimal is
+    written p^k."""
+    from yangbaxter import cli, matrices, oracle
 
-    monkeypatch.setattr(oracle, "centralizer_basis", None)  # a call would raise TypeError
+    for module, name in ((oracle, "centralizer_basis"), (cli, "jordan_matrix"),
+                         (oracle, "jordan_matrix"), (matrices, "jordan_block")):
+        monkeypatch.setattr(module, name, None)  # a call would raise TypeError
     code, out, err = run(capsys, "census", "--field", "gf:2", "--jordan", "0^64", "--commuting")
     assert (code, out) == (2, "")
     assert err == f"error: at least {2 ** 64} centralizer candidates exceed the budget of {10 ** 7}\n"
     code, out, err = run(capsys, "census", "--field", "gf:2", "--jordan", "0^64")
     assert (code, out) == (2, "")
     assert err == f"error: {2 ** 4096} candidates exceed the budget of {10 ** 7}\n"
+    for argv, err_line in [
+        (["--jordan", "0^120"], "2^14400 candidates exceed the budget of 10000000"),
+        (["--jordan", "0^120", "--budget", "5"], "2^14400 candidates exceed the budget of 5"),
+        (["--jordan", "0^100000"], "2^10000000000 candidates exceed the budget of 10000000"),
+        (["--jordan", "0^100000", "--commuting"],
+         "at least 2^100000 centralizer candidates exceed the budget of 10000000"),
+    ]:
+        assert run(capsys, "census", "--field", "gf:2", *argv) == (2, "", f"error: {err_line}\n")
+    code, out, err = run(capsys, "groebner", "--ideal", "ybe", "--jordan", "0^100000")
+    assert (code, out, err) == (2, "", "error: scale guard: n*n must stay at or below 16\n")
 
 
 def test_census_json_round_trips(capsys):

@@ -1,11 +1,12 @@
 import functools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yangbaxter import oracle
+from yangbaxter import matrices, oracle
 from yangbaxter.errors import ParseError
 from yangbaxter.matio import (
     census_from_json,
@@ -144,6 +145,9 @@ def test_census_round_trip(gf2):
     assert again.by_kernel == rep.by_kernel
     assert again.family_tallies == rep.family_tallies
     assert again.commuting_only == rep.commuting_only
+    assert census_from_json(dict(doc, theorem_checks={"run": 0})) == rep
+    with pytest.raises(ParseError, match="census extra does not match"):
+        census_from_json(dict(doc, extra=1))
 
 
 def test_census_schema_is_stable(gf2):
@@ -160,10 +164,14 @@ def test_census_schema_is_stable(gf2):
 @pytest.mark.parametrize("key", ["field", "coefficient", "commuting_only", "solutions",
                                  "by_rank", "by_kernel", "total"])
 def test_census_missing_key_is_a_parse_error(gf2, key):
+    """A document without a key that the report writes is not what the
+    report writes; one without its coefficient has no census to search."""
     spec = parse_jordan(gf2, "0^2")
     doc = census_to_json(oracle.enumerate_solutions(jordan_matrix(gf2, spec), jordan=spec))
     del doc[key]
-    with pytest.raises(ParseError, match=f"'{key}'"):
+    message = {"coefficient": "matrix document must be a JSON object",
+               "commuting_only": "census commuting_only has the wrong JSON type"}
+    with pytest.raises(ParseError, match=message.get(key, f"census {key} does not match")):
         census_from_json(doc)
 
 
@@ -195,12 +203,15 @@ def test_census_family_tallies_must_match_the_tags(gf2):
 
 
 def test_census_coefficient_must_lie_over_the_census_field(gf2, gf3):
-    """A gf:2 document whose coefficient is over gf:3 is not a census: it
-    is refused on loading, before any sweep could call its solutions
-    non-solutions."""
-    rep = oracle.enumerate_solutions(jordan_matrix(gf2, parse_jordan(gf2, "0^2")))
-    doc = dict(census_to_json(rep), coefficient=matrix_to_json(Matrix.zero(gf3, 2)))
-    with pytest.raises(ParseError, match=r"square coefficient over GF\(p\)"):
+    """A gf:2 document whose coefficient is over gf:3 is not a census: its
+    block structure is read over the coefficient's field, so the census of
+    gf:3 is searched, and the document's field is not that census's."""
+    spec = parse_jordan(gf2, "0^2")
+    rep = oracle.enumerate_solutions(jordan_matrix(gf2, spec), jordan=spec)
+    coefficient = matrix_to_json(jordan_matrix(gf3, parse_jordan(gf3, "0^2")))
+    doc = dict(census_to_json(rep), coefficient=coefficient)
+    assert doc["jordan"] == "0^2"
+    with pytest.raises(ParseError, match="census field does not match"):
         census_from_json(doc)
 
 
@@ -208,7 +219,7 @@ def test_census_rank_and_kernel_tallies_must_be_the_solutions(gf2):
     """A gf:2 0^2 document whose by_rank and by_kernel were forged, with
     every tag set to zero and its family tallies adjusted to match, would
     be written back with the forged tallies; it is refused instead. So is
-    a document listing a non-solution."""
+    a document listing a non-solution in place of a solution."""
     spec = parse_jordan(gf2, "0^2")
     rep = oracle.enumerate_solutions(jordan_matrix(gf2, spec), jordan=spec)
     doc = census_to_json(rep)
@@ -222,7 +233,7 @@ def test_census_rank_and_kernel_tallies_must_be_the_solutions(gf2):
         with pytest.raises(ParseError, match=f"census {key} does not match"):
             census_from_json(dict(doc, **{key: value}))
     identity = matrix_to_json(Matrix.identity(gf2, 2))
-    with pytest.raises(ParseError, match="not a solution"):
+    with pytest.raises(ParseError, match="census solutions does not match"):
         census_from_json(dict(doc, solutions=[identity, *doc["solutions"][1:]]))
 
 
@@ -276,9 +287,12 @@ def forge(value):
 @given(rep=small_censuses(), data=st.data())
 def test_census_document_is_loaded_by_rederiving_it(rep, data):
     """A census document round-trips through JSON to an equal report, and a
-    document with any one derived key forged, two differing tags swapped,
-    or the commuting flag set on a census with a non-commuting solution is
-    refused; set on one whose solutions all commute, it is that census."""
+    document with any one derived key forged, two differing tags swapped, a
+    solution dropped or listed twice, or the commuting flag set on a census
+    with a non-commuting solution is refused; set on one whose solutions
+    all commute, it is that census. A 5 x 5 coefficient is refused by the
+    budget before any screen, and a block structure of another dimension
+    before its Jordan matrix is built."""
     doc = json.loads(json.dumps(census_to_json(rep)))
     assert census_from_json(doc) == rep
     key = data.draw(st.sampled_from(
@@ -291,6 +305,9 @@ def test_census_document_is_loaded_by_rederiving_it(rep, data):
         swapped = [tags[i], *tags[1:i], tags[0], *tags[i + 1:]]
         with pytest.raises(ParseError, match="census family_tags does not match"):
             census_from_json(dict(doc, family_tags=swapped))
+    for solutions in (rep.solutions[1:], rep.solutions + rep.solutions[-1:]):
+        with pytest.raises(ParseError, match="census total does not match"):
+            census_from_json(census_to_json(replace(rep, solutions=solutions)))
     if not rep.commuting_only:
         a = rep.coefficient
         flagged = dict(doc, commuting_only=True)
@@ -298,5 +315,14 @@ def test_census_document_is_loaded_by_rederiving_it(rep, data):
             assert census_from_json(flagged) == small_census(
                 rep.field.spec(), format_jordan(rep.jordan), True)
         else:
-            with pytest.raises(ParseError, match="exact commutation"):
+            with pytest.raises(ParseError, match="census total does not match"):
                 census_from_json(flagged)
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((oracle, "_screen_batch"), (oracle, "jordan_matrix"),
+                             (matrices, "jordan_block")):
+            patch.setattr(module, name, None)  # a call would raise TypeError
+        big = dict(doc, coefficient=matrix_to_json(Matrix.zero(rep.field, 5)), jordan=None)
+        with pytest.raises(ParseError, match=f"{rep.field.p ** 25} (centralizer )?candidates exceed"):
+            census_from_json(big)
+        with pytest.raises(ParseError, match="not the Jordan matrix"):
+            census_from_json(dict(doc, jordan="0^2000"))

@@ -13,7 +13,7 @@ from yangbaxter import oracle
 from yangbaxter.core import is_solution, residual
 from yangbaxter.errors import BudgetError, ParseError, PreconditionError
 from yangbaxter.fields import Field
-from yangbaxter.matio import census_from_json, census_to_json, parse_jordan
+from yangbaxter.matio import census_from_json, census_to_json, matrix_to_json, parse_jordan
 from yangbaxter.matrices import (Matrix, centralizer_basis, jordan_block, jordan_matrix,
                                  nilpotent_block)
 from yangbaxter.sylvester import offdiag_solution_space
@@ -421,9 +421,9 @@ def test_commuting_census_refuses_a_solution_that_does_not_commute(gf2):
     a = nilpotent_block(gf2, 2)
     x = Matrix.from_rows(gf2, [[1, 0], [0, 0]])
     assert is_solution(a, x) and a * x != x * a
-    assert oracle._census_from_matrices(gf2, a, [x], False, None).solutions == (x,)
+    assert oracle._census_from_matrices(a, [x], False, None).solutions == (x,)
     with pytest.raises(AssertionError, match="fails exact commutation"):
-        oracle._census_from_matrices(gf2, a, [x], True, None)
+        oracle._census_from_matrices(a, [x], True, None)
 
 
 def test_a_census_is_only_taken_over_a_prime_field(rat, gf2):
@@ -432,8 +432,8 @@ def test_a_census_is_only_taken_over_a_prime_field(rat, gf2):
     spec = parse_jordan(rat, "0^2")
     a = jordan_matrix(rat, spec)
     with pytest.raises(PreconditionError, match=r"over GF\(p\)"):
-        oracle.CensusReport(rat, a, False, (Matrix.zero(rat, 2), a), spec)
-    doc = dict(census_to_json(census(gf2, "0^2")), field="rat")
+        oracle.CensusReport(a, False, (Matrix.zero(rat, 2), a), spec)
+    doc = dict(census_to_json(census(gf2, "0^2")), field="rat", coefficient=matrix_to_json(a))
     with pytest.raises(ParseError, match=r"over GF\(p\)"):
         census_from_json(doc)
 

@@ -162,7 +162,7 @@ def test_a_coefficient_off_its_block_structure_is_refused(monkeypatch, gf3):
         with pytest.raises(PreconditionError, match="not the Jordan matrix"):
             enum(a, jordan=jordan)
     with pytest.raises(PreconditionError, match="not the Jordan matrix"):
-        oracle.CensusReport(gf3, a, False, report.solutions, jordan)
+        oracle.CensusReport(a, False, report.solutions, jordan)
     assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
 
 
@@ -203,7 +203,7 @@ def test_sweep_refuses_a_smuggled_non_solution(gf2):
     intruder = Matrix.identity(gf2, 2)
     assert not core.is_solution(report.coefficient, intruder)
     with pytest.raises(PreconditionError, match="not a solution"):
-        oracle.CensusReport(gf2, report.coefficient, False,
+        oracle.CensusReport(report.coefficient, False,
                             report.solutions[:2] + (intruder,) + report.solutions[2:],
                             report.jordan)
 

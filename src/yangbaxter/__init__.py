@@ -13,7 +13,6 @@ from .core import (
     PropertyVerdict,
     ResidualReport,
     check_charpoly_annihilation,
-    check_commuting_sylvester,
     check_conjugation_equivariance,
     check_disjoint_spectra_dichotomy,
     check_eigenvalue_transfer,
@@ -101,7 +100,6 @@ __all__ = [
     "centralizer_basis",
     "char_poly",
     "check_charpoly_annihilation",
-    "check_commuting_sylvester",
     "check_conjugation_equivariance",
     "check_disjoint_spectra_dichotomy",
     "check_eigenvalue_transfer",

@@ -28,12 +28,13 @@ CLAIM_FALSE = 1
 OK = 0
 
 
-def _emit(args, text: str, payload: dict | None) -> None:
-    out = matio.dumps_json(payload) + "\n" if args.json else text
+def _emit(args, text: str, payload: dict | str | None) -> None:  # payload: a value or JSON text
+    if args.json:
+        text = (payload if isinstance(payload, str) else matio.dumps_json(payload)) + "\n"
     if getattr(args, "out", None):
-        matio.save_text(args.out, out)
+        matio.save_text(args.out, text)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
 
 
 def _field_of(args) -> Field:
@@ -162,12 +163,9 @@ def cmd_census(args) -> int:
             lines.append(str(x))
     payload = None  # the text output never reads it
     if args.json:
-        payload = matio.census_to_json(report)
-        payload["theorem_checks"] = {
-            "run": len(verdicts),
-            "failed": len(failures),
-            "failures": [{"name": v.name, "note": v.note} for v in failures],
-        }
+        checks = {"run": len(verdicts), "failed": len(failures),
+                  "failures": [{"name": v.name, "note": v.note} for v in failures]}
+        payload = matio.dumps_census(report, theorem_checks=checks)
     _emit(args, "\n".join(lines) + "\n", payload)
     return OK if not failures else CLAIM_FALSE
 

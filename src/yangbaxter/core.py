@@ -71,14 +71,12 @@ def is_solution(a: Matrix, x: Matrix) -> bool:
 
 
 class Facts:
-    """A square matrix with its derived facts, each computed on first use unless
-    given, and kept as long as the record. A record with a ``coefficient`` is
-    a solution for it, checked by :func:`solution_facts` or the census batch."""
+    """A square matrix with its derived facts, each computed on first use and
+    kept as long as the record. A record with a ``coefficient`` is a
+    solution for it, checked by :func:`solution_facts` or the census batch."""
 
-    def __init__(self, matrix: Matrix, coefficient: Facts | None = None, kernel=None):
+    def __init__(self, matrix: Matrix, coefficient: Facts | None = None):
         self.matrix, self.coefficient = matrix, coefficient
-        if kernel is not None:  # fills the cached property
-            self.kernel = kernel
 
     @cached_property
     def charpoly(self) -> UniPoly:
@@ -88,7 +86,7 @@ class Facts:
     def kernel(self) -> list:
         return self.matrix.kernel_basis()
 
-    @property
+    @cached_property
     def invertible(self) -> bool:
         return self.matrix.is_square and not self.kernel
 
@@ -216,22 +214,6 @@ def check_disjoint_spectra_dichotomy(a: Matrix | Facts, x: Matrix | Facts,
     return PropertyVerdict("disjoint-spectra-dichotomy", holds,
                            witness=None if holds else (a.matrix, x.matrix),
                            note="" if holds else "neither branch of the dichotomy applies")
-
-
-def check_commuting_sylvester(a: Matrix, x: Matrix) -> PropertyVerdict:
-    """A commuting solution with A - X invertible satisfies AX = 0."""
-    solution_facts(a, x, "commuting-sylvester")
-    if a * x != x * a:
-        raise PreconditionError("commuting-sylvester: candidate does not commute with A")
-    if not (a - x).is_invertible():
-        raise PreconditionError("commuting-sylvester: A - X is singular")
-    prod = a * x
-    holds = prod.is_zero
-    return PropertyVerdict(
-        "commuting-sylvester", holds,
-        witness=None if holds else prod,
-        note="" if holds else "AX is nonzero",
-    )
 
 
 def kernel_block_label(basis, ranges) -> str:

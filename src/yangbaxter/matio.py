@@ -20,10 +20,10 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .errors import BudgetError, ParseError, PreconditionError
+from .errors import BudgetError, FieldError, ParseError, PreconditionError
 from .fields import Field
 from .matrices import JordanSpec, Matrix
-from .oracle import CensusReport, enumerate_commuting_solutions, enumerate_solutions
+from .oracle import CensusReport, _unique_rows, enumerate_commuting_solutions, enumerate_solutions
 
 _MATRIX_KEYS = {"field", "rows"}
 _CENSUS_INPUTS = {"commuting_only": bool, "jordan": (str, type(None))}
@@ -42,7 +42,10 @@ def matrix_from_json(obj) -> Matrix:
         raise ParseError(f"unknown matrix keys {sorted(extra)}")
     if "field" not in obj or "rows" not in obj:
         raise ParseError("matrix document needs 'field' and 'rows'")
-    field = Field.from_spec(obj["field"])
+    try:
+        field = Field.from_spec(obj["field"])
+    except FieldError as exc:
+        raise ParseError(str(exc)) from exc
     rows = obj["rows"]
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) or not r for r in rows)):
@@ -192,22 +195,40 @@ def format_jordan(spec: JordanSpec) -> str:
 # -- census serialization --------------------------------------------------------
 
 
-def census_to_json(report: CensusReport) -> dict:
+def dumps_census(report: CensusReport, **extra) -> str:
+    """``dumps_json`` of the census/1 document of a report and ``extra`` keys,
+    each distinct row of the residue stack formatted once, in a row table."""
+    import numpy as np
+
+    n, spec = report.coefficient.nrows, report.field.spec()
     doc = {
         "schema": "census/1",
-        "field": report.field.spec(),
+        "field": spec,
         "coefficient": matrix_to_json(report.coefficient),
         "commuting_only": report.commuting_only,
         "jordan": format_jordan(report.jordan) if report.jordan else None,
         "total": report.total,
         "by_rank": {str(k): v for k, v in sorted(report.by_rank.items())},
         "by_kernel": dict(sorted(report.by_kernel.items())),
-        "solutions": [matrix_to_json(x) for x in report.solutions],
+        "solutions": [],
     }
     if report.family_tallies is not None:
         doc["family_tallies"] = dict(sorted(report.family_tallies.items()))
         doc["family_tags"] = list(report.family_tags)
-    return doc
+    rows, keys = _unique_rows(report.stack.reshape(-1, n))
+    i1, i2, i3, i4 = ("\n" + "  " * k for k in range(2, 6))  # the solutions' indents
+    texts = np.array([i3 + "[" + i4 + ("," + i4).join(_quote(report.field.format(v)) for v in row)
+                      + i3 + "]" for row in rows.tolist()], dtype=object)
+    pieces = np.full((report.total, 2 * n + 1), ",", dtype=object)  # rows between commas
+    pieces[:, 0] = f',{i1}{{{i2}"field": {_quote(spec)},{i2}"rows": ['
+    pieces[:, 1::2] = texts[keys.reshape(-1, n)]
+    pieces[:, -1] = i2 + "]" + i1 + "}"
+    solutions = "[" + "".join(pieces.ravel().tolist())[1:] + "\n  ]" if report.total else "[]"
+    return dumps_json({**doc, **extra}).replace('"solutions": []', '"solutions": ' + solutions, 1)
+
+
+def census_to_json(report: CensusReport) -> dict:  # the census/1 document: its text, parsed
+    return json.loads(dumps_census(report))
 
 
 def census_from_json(obj) -> CensusReport:

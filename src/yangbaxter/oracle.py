@@ -4,12 +4,12 @@ This is the ground truth the closed-form families and the theorem checks
 are validated against. Candidates are searched depth first over the
 coordinates of a basis, each residual entry screened mod p with vectorized
 integer arithmetic at the stage whose coordinates fix it, so a failing
-partial matrix is dropped with every extension; the report built from the
-survivors verifies each exactly in one batch over GF(p), which also takes
-its kernel.
-Each stage's table of coordinate combinations is built once per census,
-and the search runs in the least signed integer dtype that holds the
-widest sum of its screen, int8 for small p and n.
+partial matrix is dropped with every extension. Each stage's table of
+coordinate combinations is built once per census, and the search runs in
+the least signed integer dtype that holds the widest sum of its screen,
+int8 for small p and n. The report built from the survivors verifies each
+exactly in one batch over GF(p), kept as arrays: residues, pivots and
+kernel bases, which the tallies and the sweep read.
 
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
@@ -70,8 +70,8 @@ class CensusReport:
     """Exhaustive census of the solution set of one coefficient matrix: its
     inputs, valid by construction. ``_check_census`` holds the rules of a
     census and one batch of ``_records`` verifies every solution, AX = XA
-    too when ``commuting_only``; its records are ``facts``, and every tally
-    and tag is derived from them on first use."""
+    too when ``commuting_only``, kept as its (S, n, n) residue ``stack``,
+    ``pivots`` and ``kernels``. Tallies and tags are derived on first use."""
 
     coefficient: Matrix
     commuting_only: bool
@@ -80,8 +80,8 @@ class CensusReport:
 
     def __post_init__(self):
         _check_census(self.coefficient, self.jordan)
-        object.__setattr__(self, "facts",
-                           _records(self.coefficient, self.solutions, self.commuting_only))
+        vars(self).update(zip(("stack", "pivots", "kernels"),
+                              _records(self.coefficient, self.solutions, self.commuting_only)))
 
     @property
     def field(self) -> Field:
@@ -93,14 +93,16 @@ class CensusReport:
 
     @cached_property
     def by_rank(self) -> dict[int, int]:
-        return dict(Counter(self.coefficient.ncols - len(x.kernel) for x in self.facts))
+        return dict(Counter(self.pivots.sum(axis=1).tolist()))
 
     @cached_property
-    def by_kernel(self) -> dict[str, int]:
-        """Each kernel's block label under ``jordan``, else its dimension."""
-        ranges = self.jordan.block_ranges() if self.jordan is not None else None
-        return dict(Counter(core.kernel_block_label(x.kernel, ranges) if ranges is not None
-                            else f"dim={len(x.kernel)}" for x in self.facts))
+    def kernel_labels(self) -> list[str] | None:  # under ``jordan``, if the report has one
+        return self.jordan and _kernel_labels(self, self.jordan.block_ranges())
+
+    @cached_property
+    def by_kernel(self) -> dict[str, int]:  # by block label, or without ``jordan`` by dimension
+        return (dict(Counter(self.kernel_labels)) if self.jordan is not None else
+                {f"dim={self.coefficient.ncols - r}": c for r, c in self.by_rank.items()})
 
     @cached_property
     def family_tags(self) -> tuple[str, ...] | None:
@@ -200,17 +202,38 @@ def _gauss_jordan(m: np.ndarray, p: int):
     return m, pivots, det
 
 
-def _kernels(field: Field, xs: np.ndarray) -> list[list]:
-    """The kernel basis of each matrix of an (S, n, n) stack, eliminated in
-    place, as Matrix.kernel_basis reads it off: with row j of ``at`` the pivot
-    row of pivot column j, else 0, each free column of I - at is a vector."""
+def _kernel_basis(xs: np.ndarray, p: int):
+    """The (S, n) pivot masks of an (S, n, n) stack, eliminated in place, and its
+    kernel bases as Matrix.kernel_basis reads them off: with row j of ``at`` the
+    pivot row of pivot column j, else 0, row j of a basis is column j of I - at."""
     import numpy as np
 
-    rref, pivots, _ = _gauss_jordan(xs, field.p)
+    rref, pivots, _ = _gauss_jordan(xs, p)
     at = pivots[:, :, None] * rref[np.arange(len(xs))[:, None], pivots.cumsum(axis=1) - 1]
-    basis = (np.eye(xs.shape[-1], dtype=np.int64) - at).transpose(0, 2, 1) % field.p
-    return [[tuple(Scalar(field, v) for v in vec) for vec, pivot in zip(vecs, pivs) if not pivot]
-            for vecs, pivs in zip(basis.tolist(), pivots.tolist())]
+    return pivots, (np.eye(xs.shape[-1], dtype=np.int64) - at).transpose(0, 2, 1) % p
+
+
+def _unique_rows(rows: np.ndarray):
+    """np.unique(rows, axis=0, return_inverse=True) on each row's bytes: faster."""
+    import numpy as np
+
+    width = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    found, which = np.unique(np.ascontiguousarray(rows).view(width).ravel(), return_inverse=True)
+    return found.view(rows.dtype).reshape(-1, rows.shape[1]), which.reshape(-1)
+
+
+def _kernel_labels(report: CensusReport, ranges) -> list[str]:
+    """core.kernel_block_label of each kernel of a report's batch: it meets the
+    blocks where a basis vector is nonzero, and spans them if it is as large."""
+    import numpy as np
+
+    touched = (report.kernels != 0).any(axis=1)
+    meets = np.stack([touched[:, lo:hi].any(axis=1) for lo, hi in ranges], axis=-1)
+    spans = meets @ np.array([hi - lo for lo, hi in ranges]) == (~report.pivots).sum(axis=1)
+    patterns, which = _unique_rows(np.column_stack([spans, meets]))
+    names = ["trivial" if not row[1:].any() else "other" if not row[0]
+             else "+".join(f"P{k + 1}" for k in np.flatnonzero(row[1:])) for row in patterns]
+    return np.array(names, dtype=object)[which].tolist()
 
 
 def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
@@ -220,11 +243,12 @@ def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
     return _gauss_jordan((lam * np.eye(xs.shape[-1], dtype=np.int64) - xs) % p, p)[2]
 
 
-def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec | None):
-    """Masks over solution records ``sols`` over GF(p), keyed by verdict name,
-    of the solutions that satisfy: AXA^k = X^k AX and A^k XA = XA X^k for
-    k = 1 .. 2n; XA phi(X) = 0 = phi(X) AX for phi = char(A), by Horner from
-    lead * I; with A invertible, X A K = 0 for the kernel basis K of X.
+def _product_masks(coeff: core.Facts, xs: np.ndarray, kernels: np.ndarray,
+                   jordan: JordanSpec | None):
+    """Masks over an (S, n, n) stack ``xs`` of residues over GF(p), keyed by
+    verdict name, of the matrices that satisfy: AXA^k = X^k AX and A^k XA =
+    XA X^k for k = 1 .. 2n; XA phi(X) = 0 = phi(X) AX for phi = char(A), by
+    Horner from lead * I; with A invertible, X A K = 0 for their ``kernels``.
 
     With A the Jordan matrix of ``jordan``, also char_X(lam) mod p for each
     eigenvalue lam of A, returned beside the masks, and the masks of
@@ -235,10 +259,8 @@ def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec
 
     a, phi = coeff.matrix, coeff.charpoly.raw
     p, n = a.field.p, a.nrows
-    _check_int64(p, n + 1, len(sols))
-    stack = np.array([m.raw for m in (a, *(s.matrix for s in sols))],
-                     dtype=np.int64).reshape(-1, n, n)
-    a, xs = stack[0], stack[1:]
+    _check_int64(p, n + 1, len(xs))
+    a = np.array(a.raw, dtype=np.int64).reshape(n, n)
     ident = np.eye(n, dtype=np.int64)
     ax, xa = a @ xs % p, xs @ a % p
     left, right, left2, right2 = ax, ax, xa, xa
@@ -253,11 +275,7 @@ def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec
     annihilated = ~((xa @ acc % p).any(axis=(1, 2)) | (acc @ ax % p).any(axis=(1, 2)))
     masks = {"power-identities": powers, "charpoly-annihilation": annihilated}
     if coeff.invertible:
-        kernels = np.zeros_like(xs)  # basis vectors as columns, zero columns after them
-        for k, s in enumerate(sols):
-            for j, v in enumerate(s.kernel):
-                kernels[k, :, j] = [c.v for c in v]
-        masks["kernel-invariance"] = ~(xa @ kernels % p).any(axis=(1, 2))
+        masks["kernel-invariance"] = ~(xa @ kernels.transpose(0, 2, 1) % p).any(axis=(1, 2))
     chars = {}
     if jordan is not None:
         chars = {lam: _char_values(xs, lam.v, p) for lam in jordan.eigenvalues()}
@@ -275,10 +293,9 @@ def _product_masks(coeff: core.Facts, sols: list[core.Facts], jordan: JordanSpec
             {lam: values.tolist() for lam, values in chars.items()})
 
 
-def _records(a: Matrix, solutions, commuting: bool) -> tuple[core.Facts, ...]:
-    """The verified record of each solution of ``a``, in order, from one
-    int64 batch mod p: (AX)A - X(AX) = 0, AX = XA when ``commuting``, and
-    its kernel."""
+def _records(a: Matrix, solutions, commuting: bool):
+    """The (S, n, n) int64 residues of the solutions of ``a``, verified in one
+    batch mod p (AXA = XAX, and AX = XA when ``commuting``), and their kernels."""
     import numpy as np
 
     p, n = a.field.p, a.nrows
@@ -291,8 +308,7 @@ def _records(a: Matrix, solutions, commuting: bool) -> tuple[core.Facts, ...]:
         raise PreconditionError("candidate is not a solution: it fails the exact residual")
     if commuting and (ax != xs @ a_int % p).any():
         raise PreconditionError("candidate does not commute with A: it fails exact commutation")
-    coeff = core.Facts(a)
-    return tuple(core.Facts(x, coeff, k) for x, k in zip(solutions, _kernels(a.field, xs)))
+    return (xs, *_kernel_basis(xs.copy(), p))
 
 
 def _census_from_matrices(a: Matrix, mats: list[Matrix], commuting: bool,
@@ -439,23 +455,6 @@ def _rebuilds(x: Matrix, assemble, *params) -> bool:
         return False
 
 
-def _two_block_tag(x: Matrix, k: int) -> str | None:
-    """The tag of a solution for diag(J, J), J of size k, by which of its
-    k x k blocks vanish: its residual is, block by block, the equations of
-    the family of that shape, so a verified solution needs no other check."""
-    n, zero = 2 * k, x.field.ZERO
-    rows = [x.raw[i:i + n] for i in range(0, n * n, n)]
-    z11, z12, z21, z22 = (all(v == zero for r in rows[h:h + k] for v in r[c:c + k])
-                          for h in (0, k) for c in (0, k))
-    if z12 and z21:
-        return "zero" if z11 and z22 else "block-diagonal"
-    if z11 and z21:
-        return "two-block-offdiag[upper]"
-    if z12 and z22:
-        return "two-block-offdiag[lower]"
-    return None
-
-
 def classify_against_families(report: CensusReport) -> tuple[str, ...] | None:
     """The tag of every census solution: the closed-form family producing it.
 
@@ -467,6 +466,8 @@ def classify_against_families(report: CensusReport) -> tuple[str, ...] | None:
     its solutions when it was built, and its coefficient is the Jordan
     matrix of the block structure the tags read.
     """
+    import numpy as np
+
     jordan = report.jordan
     if jordan is None:
         return None
@@ -474,10 +475,14 @@ def classify_against_families(report: CensusReport) -> tuple[str, ...] | None:
     two_equal = rest == [(lam, n)] and not lam.is_zero
     if not (two_equal or not rest and (n == 2 or n >= 3 and lam.is_zero)):
         return None
+    if two_equal:  # block by block, the residual is the equations of the shape's family
+        vanish = (report.stack.reshape(-1, 2, n, 2, n) == 0).all(axis=(2, 4))
+        z11, z12, z21, z22 = vanish.reshape(-1, 4).T
+        return tuple(np.select([z11 & z12 & z21 & z22, z12 & z21, z11 & z21, z12 & z22],
+                               ["zero", "block-diagonal", "two-block-offdiag[upper]",
+                                "two-block-offdiag[lower]"], "unmatched").tolist())
 
     def tag_of(x: Matrix) -> str | None:
-        if two_equal:
-            return _two_block_tag(x, n)
         if n == 2 and not lam.is_zero:
             if x.is_zero:
                 return "zero"
@@ -507,43 +512,64 @@ def classify_against_families(report: CensusReport) -> tuple[str, ...] | None:
 # -- theorem sweep -----------------------------------------------------------------
 
 
+class _Solution(core.Facts):
+    """The record of solution ``i`` of a report, whose invertibility and
+    kernel, boxed on first read, come from the batch: no second elimination."""
+
+    def __init__(self, report: CensusReport, coeff: core.Facts, i: int):
+        super().__init__(report.solutions[i], coeff)
+        self.i, self.pivots, self.vectors = i, report.pivots[i].tolist(), report.kernels[i]
+        self.invertible = all(self.pivots)
+
+    @cached_property
+    def kernel(self) -> list[tuple[Scalar, ...]]:  # the vectors of the free columns
+        return [tuple(Scalar(self.matrix.field, v) for v in vec)
+                for vec, pivot in zip(self.vectors.tolist(), self.pivots) if not pivot]
+
+
 def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict]:
     """Run every applicable solution property over every census entry.
 
     Failures are findings, not errors; the list carries one verdict per
     (solution, applicable property). The facts of A are derived once per
-    census and those of each solution once, its residual and kernel from
-    the report's records.
+    census and those of each solution once, from the report's batch.
 
     The power identities, charpoly annihilation and kernel invariance of all
     solutions are batched mod p first, and only a flagged solution meets the
     exact check. With a block structure, A is its Jordan matrix, and the
     batch also takes char_X(lam) = det(lam I - X) at each eigenvalue lam of
-    A and screens eigenvalue transfer and spectrum inclusion. char(A) splits
-    over those lam, so the values decide spectral disjointness (else the
-    exact gcd does) and the kernel-eigenspace filters, and a solution the
-    batch clears needs no char(X).
+    A and screens eigenvalue transfer and spectrum inclusion; the values
+    decide spectral disjointness (else the exact gcd does). The kernel labels
+    clear the two-block kernel classification, so only a kernel it returns as
+    a witness is boxed. With A invertible, for each block whose eigenvalue
+    labels no other, a kernel equal to span(e_lo) excludes the eigenvalue
+    from spec(X), which forces X to kill the generalized eigenspace.
     """
+    import numpy as np
+
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
-    sols = report.facts
-    coeff = sols[0].coefficient if sols else core.Facts(a)
-    masks, chars = _product_masks(coeff, sols, jordan)
+    coeff = core.Facts(a)
+    masks, chars = _product_masks(coeff, report.stack, report.kernels, jordan)
     blocks = jordan.blocks if jordan is not None else ()
     lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)
     two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
+    if two_block:  # a singular solution's kernel is a block span, else "other"
+        masks["two-block-kernel-classification"] = [b != "other" for b in report.kernel_labels]
+    simple_blocks = []
     if jordan is not None:
         eigenvalues, ranges = jordan.eigenvalues(), jordan.block_ranges()
-        z, o = a.field.zero(), a.field.one()
-        eigenpairs = [(lam, tuple(o if t == lo else z for t in range(n)))
-                      for lam, (lo, _) in zip(lams, ranges)]
-        # blocks whose eigenvalue has geometric multiplicity one
-        simple_blocks = [(lam, v, lo, hi) for (lam, v), (lo, hi) in zip(eigenpairs, ranges)
-                         if lams.count(lam) == 1]
+        units = Matrix.identity(a.field, n).entries
+        eigenpairs = [(lam, units[lo * n:lo * n + n]) for lam, (lo, _) in zip(lams, ranges)]
+        # each simple block, with whether each kernel is span(e_lo): e_lo its one vector
+        unit, single = np.eye(n, dtype=np.int64), (~report.pivots).sum(axis=1) == 1
+        simple_blocks = [(lam, lo, hi, single & (report.kernels[:, lo] == unit[lo]).all(axis=1))
+                         for lam, (lo, hi) in zip(lams, ranges)
+                         if lams.count(lam) == 1 and coeff.invertible]
 
     verdicts: list[core.PropertyVerdict] = []
-    for i, sol in enumerate(sols):
-        x = sol.matrix
+    for i, x in enumerate(report.solutions):
+        sol = _Solution(report, coeff, i)
         verdicts.append(_exact_unless_cleared(masks, i, "power-identities",
                                               core.check_power_identities, a, x, 2 * n))
         verdicts.append(_exact_unless_cleared(masks, i, "charpoly-annihilation",
@@ -562,22 +588,33 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
         if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
             verdicts.append(_single_block_classification(lams[0], sol))
         if two_block and not x.is_zero and not sol.invertible:
-            verdicts.append(core.check_kernel_classification_two_blocks(coeff, sol, sizes))
+            verdicts.append(_exact_unless_cleared(
+                masks, i, "two-block-kernel-classification",
+                core.check_kernel_classification_two_blocks, coeff, sol, sizes,
+                note=f"kernel is {report.kernel_labels[i]}"))
         if jordan is not None:
             verdicts.append(_exact_unless_cleared(masks, i, "eigenvalue-transfer",
                                                   core.check_eigenvalue_transfer,
                                                   coeff, sol, eigenpairs))
-            if coeff.invertible and simple_blocks:
-                verdicts.extend(_kernel_eigenspace_filters(sol, simple_blocks, absent))
+        for lam, lo, hi, eigenspace in simple_blocks:
+            if eigenspace[i]:
+                verdicts.append(core.PropertyVerdict(
+                    "kernel-eigenvalue-exclusion", absent[lam], witness=None if absent[lam] else x,
+                    note=f"kernel equals the eigenspace of {lam}"))
+            if absent[lam]:
+                killed = all(x[r, col].is_zero for col in range(lo, hi) for r in range(n))
+                verdicts.append(core.PropertyVerdict(
+                    "annihilates-generalized-eigenspace", killed, witness=None if killed else x,
+                    note=f"eigenvalue {lam} absent from the solution spectrum"))
     return verdicts
 
 
-def _exact_unless_cleared(masks, i: int, name: str, check, *args) -> core.PropertyVerdict:
+def _exact_unless_cleared(masks, i: int, name: str, check, *args, note="") -> core.PropertyVerdict:
     """The passing verdict when the batch cleared solution ``i`` under ``name``,
-    else the exact check's, which must fail if the batch ran for ``name``."""
+    else the exact check's, which must fail if the batch ran."""
     cleared = masks[name][i] if name in masks else None
     if cleared:
-        return core.PropertyVerdict(name, True)
+        return core.PropertyVerdict(name, True, note=note)
     verdict = check(*args)
     if verdict.holds and cleared is not None:
         raise AssertionError(f"{name}: exact check holds on a solution the mod-p batch flags")
@@ -598,41 +635,5 @@ def _single_block_classification(lam, x) -> core.PropertyVerdict:
     else:
         holds = jordan_chain_conjugator(x.matrix, lam) is not None
         note = "nonzero solution must be similar to the block"
-    return core.PropertyVerdict(
-        "single-block-classification", holds,
-        witness=None if holds else x.matrix, note=note,
-    )
-
-
-def _kernel_eigenspace_filters(sol: core.Facts, simple_blocks, absent_at):
-    """Census filters for the one-dimensional-eigenspace lemmas: a kernel
-    equal to such an eigenspace excludes its eigenvalue from the spectrum
-    of the solution, and an excluded eigenvalue forces the solution to
-    kill the whole generalized eigenspace.
-
-    ``simple_blocks`` lists (eigenvalue, eigenvector, lo, hi) for the Jordan
-    blocks of the coefficient whose eigenvalue labels no other block. The
-    kernel basis is canonical, so a kernel equal to the span of the
-    eigenvector e_lo has exactly e_lo as its basis. ``absent_at`` maps each
-    eigenvalue to whether char(X) is nonzero there, as the mod-p batch found.
-    """
-    x, n = sol.matrix, sol.matrix.nrows
-    out = []
-    for lam, eigenvector, lo, hi in simple_blocks:
-        absent = absent_at[lam]
-        if sol.kernel == [eigenvector]:
-            out.append(core.PropertyVerdict(
-                "kernel-eigenvalue-exclusion",
-                absent,
-                witness=None if absent else x,
-                note=f"kernel equals the eigenspace of {lam}",
-            ))
-        if absent:
-            killed = all(x[i, col].is_zero for col in range(lo, hi) for i in range(n))
-            out.append(core.PropertyVerdict(
-                "annihilates-generalized-eigenspace",
-                killed,
-                witness=None if killed else x,
-                note=f"eigenvalue {lam} absent from the solution spectrum",
-            ))
-    return out
+    return core.PropertyVerdict("single-block-classification", holds,
+                                witness=None if holds else x.matrix, note=note)

@@ -1,10 +1,15 @@
 """References that only the tests use: the rank-profile similarity test,
-the trace, span membership, the unit-vector search for a Jordan chain and
-the minimal polynomial, each checked against the package's own answers or
-used as an oracle for them."""
+the trace, span membership, the unit-vector search for a Jordan chain, the
+minimal polynomial, the commuting-Sylvester check and the census/1 writer
+that builds one matrix document per solution, each checked against the
+package's own answers or used as an oracle for them."""
 
-from yangbaxter.errors import AlgebraError, DimensionError, FieldMismatchError
+import json
+
+from yangbaxter.core import PropertyVerdict, solution_facts
+from yangbaxter.errors import AlgebraError, DimensionError, FieldMismatchError, PreconditionError
 from yangbaxter.fields import Scalar
+from yangbaxter.matio import format_jordan, matrix_to_json
 from yangbaxter.matrices import Matrix
 from yangbaxter.unipoly import UniPoly, char_poly, unsplit_part
 
@@ -103,3 +108,40 @@ def min_poly(m: Matrix) -> UniPoly:
                                 [v for row in zip(*(p.raw for p in powers)) for v in row])._rref()
     d = len(pivots)
     return UniPoly._make(field, [field.neg(row[d]) for row in rows[:d]] + [field.ONE])
+
+
+def check_commuting_sylvester(a: Matrix, x: Matrix) -> PropertyVerdict:
+    """A commuting solution with A - X invertible satisfies AX = 0."""
+    solution_facts(a, x, "commuting-sylvester")
+    if a * x != x * a:
+        raise PreconditionError("commuting-sylvester: candidate does not commute with A")
+    if not (a - x).is_invertible():
+        raise PreconditionError("commuting-sylvester: A - X is singular")
+    prod = a * x
+    holds = prod.is_zero
+    return PropertyVerdict(
+        "commuting-sylvester", holds,
+        witness=None if holds else prod,
+        note="" if holds else "AX is nonzero",
+    )
+
+
+def census_json(report, **extra) -> str:
+    """The census/1 text of a report as the stdlib writes it: json.dumps with
+    indent=2 of a dict holding one matrix_to_json document per solution,
+    and ``extra`` keys after the report's own."""
+    doc = {
+        "schema": "census/1",
+        "field": report.field.spec(),
+        "coefficient": matrix_to_json(report.coefficient),
+        "commuting_only": report.commuting_only,
+        "jordan": format_jordan(report.jordan) if report.jordan else None,
+        "total": report.total,
+        "by_rank": {str(k): v for k, v in sorted(report.by_rank.items())},
+        "by_kernel": dict(sorted(report.by_kernel.items())),
+        "solutions": [matrix_to_json(x) for x in report.solutions],
+    }
+    if report.family_tallies is not None:
+        doc["family_tallies"] = dict(sorted(report.family_tallies.items()))
+        doc["family_tags"] = list(report.family_tags)
+    return json.dumps({**doc, **extra}, indent=2)

@@ -63,6 +63,7 @@ FILE_ERRORS = {
     "gens-list": ("groebner", "--gens", "{tmp}/list.json"),
     "gens-not-utf8": ("groebner", "--gens", "{tmp}/latin1.json"),
     "matrix-not-utf8": ("verify", "--A", "{tmp}/latin1.json", "--X", "{tmp}/latin1.json"),
+    "matrix-field-not-a-field": ("verify", "--A", "{tmp}/gf6.json", "--X", "{tmp}/gf6.json"),
     "out-directory": ("families", "--out", "{tmp}"),
     "out-missing-directory": ("families", "--out", "{tmp}/nowhere/out.txt"),
     "out-coefficient-directory": ("construct", "--family", "ex2", "--param", "a=0",
@@ -80,6 +81,7 @@ def test_file_errors_exit_two(tmp_path, capsys, case):
     (tmp_path / "invalid.json").write_text('{\n  "variables": ["x"],\n')
     (tmp_path / "no_generators.json").write_text(json.dumps({"variables": ["x"]}))
     (tmp_path / "list.json").write_text(json.dumps(["x - 1"]))
+    (tmp_path / "gf6.json").write_text(json.dumps({"field": "gf:6", "rows": [["1"]]}))
     (tmp_path / "latin1.json").write_bytes('{"field": "rat", "rows": [["\u00e9"]]}'.encode("latin-1"))
     argv = [arg.format(tmp=tmp_path) for arg in FILE_ERRORS[case]]
     code, _, err = run(capsys, *argv)
@@ -336,8 +338,9 @@ def test_census_builds_its_payload_only_for_json(capsys, monkeypatch, extra, cal
     from yangbaxter import matio
 
     seen = []
-    build = matio.census_to_json
-    monkeypatch.setattr(matio, "census_to_json", lambda rep: seen.append(rep) or build(rep))
+    build = matio.dumps_census
+    monkeypatch.setattr(matio, "dumps_census", lambda rep, **extra: seen.append(rep)
+                        or build(rep, **extra))
     code, _, _ = run(capsys, "census", "--jordan", "0^2", "--field", "gf:2", *extra)
     assert (code, len(seen)) == (0, calls)
 

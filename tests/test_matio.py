@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import census_json
+
 from yangbaxter import matrices, oracle
 from yangbaxter.errors import ParseError
 from yangbaxter.matio import (
     census_from_json,
     census_to_json,
+    dumps_census,
     dumps_json,
     dumps_matrix,
     format_jordan,
@@ -117,10 +120,9 @@ def test_strictness():
         matrix_from_json({"field": "rat", "rows": [["1"], ["2", "3"]]})
     with pytest.raises(ParseError):
         matrix_from_json({"field": "rat", "rows": [[1]]})
-    from yangbaxter.errors import FieldError
-
-    with pytest.raises(FieldError):
-        matrix_from_json({"field": "gf:6", "rows": [["1"]]})
+    for spec, message in (("gf:6", "modulus must be prime"), ("quad:4", "degenerate")):
+        with pytest.raises(ParseError, match=message):  # a FieldError of Field.from_spec
+            matrix_from_json({"field": spec, "rows": [["1"]]})
 
 
 def test_jordan_shorthand(gf3, rat):
@@ -133,6 +135,36 @@ def test_jordan_shorthand(gf3, rat):
         parse_jordan(rat, "1^0")
     with pytest.raises(ParseError):
         parse_jordan(rat, "")
+
+
+def pinned_censuses():
+    """Censuses of one block over GF(5), of two blocks of distinct sizes,
+    of the centralizer, of a coefficient with no block structure, of 2^1,
+    whose nonzero solution has an empty kernel, and a report with no
+    solutions at all."""
+    gf3 = Field.gf(3)
+    yield small_census("gf:5", "1^3", False)
+    yield small_census("gf:3", "1^1,2^2", False)
+    yield small_census("gf:3", "1^2,1^2", True)
+    yield oracle.enumerate_solutions(Matrix.from_rows(gf3, [[1, 1], [0, 2]]))
+    yield small_census("gf:3", "2^1", False)
+    yield oracle.CensusReport(Matrix.zero(gf3, 2), False, ())
+
+
+def test_census_writer_is_the_stdlib_writer_of_one_document_per_solution():
+    """The census text written from the row table is byte for byte the
+    stdlib's indented JSON of the document that holds one matrix_to_json
+    per solution, with and without extra keys; the census/1 document is
+    that text parsed."""
+    totals = []
+    for report in pinned_censuses():
+        checks = {"run": 3, "failed": 1, "failures": [{"name": "x", "note": "y"}]}
+        assert dumps_census(report) == census_json(report)
+        assert dumps_census(report, theorem_checks=checks) == census_json(
+            report, theorem_checks=checks)
+        assert dumps_json(census_to_json(report)) == census_json(report)
+        totals.append(report.total)
+    assert totals == [27, 30, 110, 8, 2, 0]
 
 
 def test_census_round_trip(gf2):

@@ -15,6 +15,7 @@ contradicts must raise.
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -269,8 +270,9 @@ def test_product_masks_match_exact_checks(p):
             if jordan and p ** (n * n) <= 3000:
                 xs += oracle.enumerate_solutions(a, jordan=jordan).solutions
             phi, invertible = char_poly(a), a.is_invertible()
-            masks, chars = oracle._product_masks(core.Facts(a), [core.Facts(x) for x in xs],
-                                                 jordan)
+            stack = np.array([x.raw for x in xs], dtype=np.int64).reshape(-1, n, n)
+            _, kernels = oracle._kernel_basis(stack.copy(), p)
+            masks, chars = oracle._product_masks(core.Facts(a), stack, kernels, jordan)
             expected_names = {"power-identities", "charpoly-annihilation"}
             expected_names |= {"kernel-invariance"} if invertible else set()
             expected_names |= {"eigenvalue-transfer", "spectrum-inclusion"} if jordan else set()
@@ -332,13 +334,22 @@ def test_char_values_match_char_poly(data):
     assert values.tolist() == [char_poly(x)(lam).v for x in xs]
 
 
+def boxed_kernel(report, i):
+    """The kernel of solution ``i`` that the sweep's record boxes from the batch."""
+    return oracle._Solution(report, core.Facts(report.coefficient), i).kernel
+
+
 @quick
 @given(data=st.data())
 def test_batched_elimination_matches_matrix_reductions(data):
     """The batched Gauss-Jordan elimination that verifies census solutions
-    gives every matrix of a stack the reduced echelon form, rank, kernel
-    basis and determinant Matrix computes, and char(X) at lam through
-    _char_values. Stacks hold 0 to 4 matrices, zero, identity,
+    gives every matrix of a stack the reduced echelon form, rank and
+    determinant Matrix computes, and char(X) at lam through _char_values.
+    A report of the stack, whose A = 0 makes every matrix a solution, keeps
+    its batch as arrays: its pivots give each rank, the kernel the sweep
+    boxes from them is Matrix.kernel_basis, and the vectorised labels are
+    core.kernel_block_label's against random block ranges, or dimensions
+    without them. Stacks hold 0 to 4 matrices, zero, identity,
     rank-deficient (the last row a combination of the others) or drawn."""
     p = data.draw(st.sampled_from([2, 3, 5, 7]))
     n = data.draw(st.integers(1, 4))
@@ -358,9 +369,34 @@ def test_batched_elimination_matches_matrix_reductions(data):
     assert [tuple(r.ravel().tolist()) for r in rref] == [m.rref()[0].raw for m in mats]
     assert pivots.sum(axis=1).tolist() == [m.rank() for m in mats]
     assert det.tolist() == [m.det().v for m in mats]
-    assert oracle._kernels(field, stack.copy()) == [m.kernel_basis() for m in mats]
     lam = data.draw(st.integers(0, p - 1))
     assert oracle._char_values(stack, lam, p).tolist() == [char_poly(m)(lam).v for m in mats]
+    report = oracle.CensusReport(Matrix.zero(field, n), False, tuple(mats))
+    assert report.pivots.sum(axis=1).tolist() == [m.rank() for m in mats]
+    assert [boxed_kernel(report, i) for i in range(len(mats))] == [m.kernel_basis()
+                                                                  for m in mats]
+    assert report.by_kernel == Counter(f"dim={len(m.kernel_basis())}" for m in mats)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+    ranges = list(zip([0, *cuts], [*cuts, n]))
+    assert (oracle._kernel_labels(report, ranges)
+            == [core.kernel_block_label(m.kernel_basis(), ranges) for m in mats])
+
+
+def test_sweep_boxes_only_the_kernels_it_returns_as_witnesses(monkeypatch):
+    """On gf:2 1^2,1^2 the sweep boxes from the batch the kernel of each of
+    the 48 solutions whose two-block kernel classification fails, the
+    witness of that verdict, and no other; no kernel is eliminated again."""
+    report = census("gf:2", "1^2,1^2")
+    boxed, box = [], oracle._Solution.kernel.func
+    monkeypatch.setattr(oracle._Solution, "kernel", property(lambda sol: boxed.append(sol.i)
+                                                             or box(sol)))
+    eliminated, kernel_basis = [], Matrix.kernel_basis
+    monkeypatch.setattr(Matrix, "kernel_basis", lambda m: eliminated.append(m) or kernel_basis(m))
+    failed = [v for v in oracle.verify_theorems_on_census(report)
+              if v.name == "two-block-kernel-classification" and not v.holds]
+    assert len(failed) == len(boxed) == 48
+    assert eliminated == [report.coefficient]  # the kernel of A, whether it is invertible
+    assert [v.witness for v in failed] == [kernel_basis(report.solutions[i]) for i in boxed]
 
 
 @pytest.mark.parametrize("p, lam, rows", [
@@ -386,7 +422,7 @@ def test_sweep_without_the_batch_runs_every_exact_check(monkeypatch):
     branch comes from the exact check, and the verdict lists equal the
     reference loop's."""
     report = census("gf:2", "1^2,1^2")
-    monkeypatch.setattr(oracle, "_product_masks", lambda coeff, sols, jordan: ({}, {}))
+    monkeypatch.setattr(oracle, "_product_masks", lambda coeff, xs, kernels, jordan: ({}, {}))
     names = ["check_power_identities", "check_charpoly_annihilation", "check_kernel_invariance",
              "check_spectrum_inclusion", "check_eigenvalue_transfer", "spectra_disjoint"]
     calls = dict.fromkeys(names, 0)
@@ -412,9 +448,9 @@ def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
     for name in ["power-identities", "charpoly-annihilation", "kernel-invariance",
                  "spectrum-inclusion", "eigenvalue-transfer"]:
 
-        def flag_all(coeff, sols, jordan):
-            masks, chars = batch(coeff, sols, jordan)
-            return {**masks, name: [False] * len(sols)}, chars
+        def flag_all(coeff, xs, kernels, jordan):
+            masks, chars = batch(coeff, xs, kernels, jordan)
+            return {**masks, name: [False] * len(xs)}, chars
 
         monkeypatch.setattr(oracle, "_product_masks", flag_all)
         with pytest.raises(AssertionError, match=f"{name}: exact check holds"):
@@ -425,13 +461,13 @@ def count_batch_rows(monkeypatch):
     """The number of solutions in each exact batch of ``oracle._records``,
     in call order: each is verified there, and its kernel taken, once."""
     batches = []
-    kernels = oracle._kernels
+    kernel_basis = oracle._kernel_basis
 
-    def counting(field, xs):
+    def counting(xs, p):
         batches.append(len(xs))
-        return kernels(field, xs)
+        return kernel_basis(xs, p)
 
-    monkeypatch.setattr(oracle, "_kernels", counting)
+    monkeypatch.setattr(oracle, "_kernel_basis", counting)
     return batches
 
 
@@ -461,7 +497,7 @@ def test_census_and_sweep_share_one_residual_and_kernel_per_solution(monkeypatch
     assert batches == [report.total]  # the census's batch, and none in the sweep
     assert calls == {"residual": 0, "kernel_basis": 1}
     again = census_from_json(census_to_json(report))
-    assert again == report and len(again.facts) == report.total
+    assert again == report and len(again.stack) == report.total
     assert batches == [report.total, report.total]  # the load's batch
     assert rows(oracle.verify_theorems_on_census(again)) == rows(verdicts)
     assert batches == [report.total, report.total]
@@ -501,7 +537,9 @@ def test_reordered_solutions_keep_their_records(monkeypatch):
     batches = count_batch_rows(monkeypatch)
     flipped = replace(report, solutions=tuple(reversed(report.solutions)))
     assert batches == [report.total]
-    assert [r.matrix for r in flipped.facts] == list(flipped.solutions)
+    assert [tuple(m.ravel().tolist()) for m in flipped.stack] == [x.raw for x in flipped.solutions]
+    assert ([boxed_kernel(flipped, i) for i in range(flipped.total)]
+            == [boxed_kernel(report, i) for i in reversed(range(report.total))])
     assert flipped.family_tags == tuple(reversed(report.family_tags))
     assert rows(oracle.verify_theorems_on_census(flipped)) == rows(reference_sweep(flipped))
     assert batches == [report.total]

@@ -11,19 +11,19 @@ known linear factors: spectrum inclusion asks whether the
 disjointness whether two characteristic polynomials are coprime. So they
 work over every supported field without any root finding.
 
-Checks take matrices or :class:`Facts` records, which derive char(M), the
-kernel and invertibility at most once; a record from :func:`solution_facts`
-is a solution verified once, so a sweep re-verifies nothing.
+Checks take plain matrices: each verifies its candidate's residual and
+derives the char(M), kernels and invertibility it reads. The census sweep
+decides what its exact GF(p) batch holds and calls a check only on a
+solution that batch flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DimensionError, FieldMismatchError, PreconditionError
 from .matrices import Matrix
-from .unipoly import UniPoly, char_poly, unsplit_part
+from .unipoly import char_poly, unsplit_part
 
 
 @dataclass(frozen=True)
@@ -70,42 +70,9 @@ def is_solution(a: Matrix, x: Matrix) -> bool:
     return residual(a, x).is_solution
 
 
-class Facts:
-    """A square matrix with its derived facts, each computed on first use and
-    kept as long as the record. A record with a ``coefficient`` is a
-    solution for it, checked by :func:`solution_facts` or the census batch."""
-
-    def __init__(self, matrix: Matrix, coefficient: Facts | None = None):
-        self.matrix, self.coefficient = matrix, coefficient
-
-    @cached_property
-    def charpoly(self) -> UniPoly:
-        return char_poly(self.matrix)
-
-    @cached_property
-    def kernel(self) -> list:
-        return self.matrix.kernel_basis()
-
-    @cached_property
-    def invertible(self) -> bool:
-        return self.matrix.is_square and not self.kernel
-
-
-def facts(m: Matrix | Facts) -> Facts:
-    return m if isinstance(m, Facts) else Facts(m)
-
-
-def solution_facts(a: Matrix | Facts, x: Matrix | Facts, who: str) -> Facts:
-    """The solution record of ``x`` for ``a``, its residual checked exactly
-    here; a record already made for this very coefficient record is
-    returned as it is."""
-    a = facts(a)
-    if isinstance(x, Facts) and x.coefficient is a:
-        return x
-    x = facts(x).matrix
-    if not is_solution(a.matrix, x):
+def _require_solution(a: Matrix, x: Matrix, who: str) -> None:
+    if not is_solution(a, x):
         raise PreconditionError(f"{who}: candidate is not a solution")
-    return Facts(x, a)
 
 
 def check_conjugation_equivariance(a: Matrix, x: Matrix, g: Matrix) -> PropertyVerdict:
@@ -124,31 +91,28 @@ def check_conjugation_equivariance(a: Matrix, x: Matrix, g: Matrix) -> PropertyV
     )
 
 
-def check_spectrum_inclusion(a: Matrix | Facts, x: Matrix | Facts,
-                             eigenvalues_of_a) -> PropertyVerdict:
+def check_spectrum_inclusion(a: Matrix, x: Matrix, eigenvalues_of_a) -> PropertyVerdict:
     """With A invertible, the spectrum of a solution X lies in spec(A) union {0}.
 
     Checked as: the unsplit part of char(X) with respect to 0 and the
     supplied eigenvalues is constant; otherwise it is the witness.
     """
-    a = facts(a)
-    if not a.invertible:
+    if not a.is_invertible():
         raise PreconditionError("spectrum-inclusion: coefficient must be invertible")
-    x = solution_facts(a, x, "spectrum-inclusion")
-    rem = unsplit_part(x.charpoly, [0, *eigenvalues_of_a])
+    _require_solution(a, x, "spectrum-inclusion")
+    rem = unsplit_part(char_poly(x), [0, *eigenvalues_of_a])
     holds = rem.degree == 0
     return PropertyVerdict("spectrum-inclusion", holds, witness=None if holds else rem,
                            note="" if holds else f"unfactored part {rem}")
 
 
-def check_kernel_invariance(a: Matrix | Facts, x: Matrix | Facts) -> PropertyVerdict:
+def check_kernel_invariance(a: Matrix, x: Matrix) -> PropertyVerdict:
     """With A invertible, A maps the kernel of a solution X into itself."""
-    a = facts(a)
-    if not a.invertible:
+    if not a.is_invertible():
         raise PreconditionError("kernel-invariance: coefficient must be invertible")
-    x = solution_facts(a, x, "kernel-invariance")
-    for v in x.kernel:
-        if any(not c.is_zero for c in x.matrix.apply(a.matrix.apply(v))):
+    _require_solution(a, x, "kernel-invariance")
+    for v in x.kernel_basis():
+        if any(not c.is_zero for c in x.apply(a.apply(v))):
             return PropertyVerdict(
                 "kernel-invariance", False, witness=v,
                 note="A maps a kernel vector outside the kernel",
@@ -183,11 +147,10 @@ def check_power_identities(a: Matrix, x: Matrix, up_to: int) -> PropertyVerdict:
     return PropertyVerdict("power-identities", True)
 
 
-def check_charpoly_annihilation(a: Matrix | Facts, x: Matrix | Facts) -> PropertyVerdict:
+def check_charpoly_annihilation(a: Matrix, x: Matrix) -> PropertyVerdict:
     """XA phi_A(X) = 0 and phi_A(X) AX = 0 for a solution X."""
-    sol = solution_facts(a, x, "charpoly-annihilation")
-    a, x = sol.coefficient.matrix, sol.matrix
-    phi_at_x = sol.coefficient.charpoly.at_matrix(x)
+    _require_solution(a, x, "charpoly-annihilation")
+    phi_at_x = char_poly(a).at_matrix(x)
     left = x * a * phi_at_x
     right = phi_at_x * a * x
     holds = left.is_zero and right.is_zero
@@ -196,23 +159,22 @@ def check_charpoly_annihilation(a: Matrix | Facts, x: Matrix | Facts) -> Propert
                            note="" if holds else "a charpoly product is nonzero")
 
 
-def spectra_disjoint(a: Matrix | Facts, x: Matrix | Facts) -> bool:
+def spectra_disjoint(a: Matrix, x: Matrix) -> bool:
     """Whether char(A) and char(X) are coprime (no shared eigenvalue)."""
-    return facts(a).charpoly.gcd(facts(x).charpoly).degree == 0
+    return char_poly(a).gcd(char_poly(x)).degree == 0
 
 
-def check_disjoint_spectra_dichotomy(a: Matrix | Facts, x: Matrix | Facts,
+def check_disjoint_spectra_dichotomy(a: Matrix, x: Matrix,
                                      spectra_disjoint: bool) -> PropertyVerdict:
     """With disjoint spectra, either A = 0 and X invertible, or X = 0 and A invertible."""
     if not spectra_disjoint:
         raise PreconditionError(
             "disjoint-spectra-dichotomy: caller must certify disjoint spectra"
         )
-    x = solution_facts(a, x, "disjoint-spectra-dichotomy")
-    a = x.coefficient
-    holds = (a.matrix.is_zero and x.invertible) or (x.matrix.is_zero and a.invertible)
+    _require_solution(a, x, "disjoint-spectra-dichotomy")
+    holds = (a.is_zero and x.is_invertible()) or (x.is_zero and a.is_invertible())
     return PropertyVerdict("disjoint-spectra-dichotomy", holds,
-                           witness=None if holds else (a.matrix, x.matrix),
+                           witness=None if holds else (a, x),
                            note="" if holds else "neither branch of the dichotomy applies")
 
 
@@ -229,20 +191,19 @@ def kernel_block_label(basis, ranges) -> str:
     return "other"
 
 
-def check_kernel_classification_two_blocks(a: Matrix | Facts, x: Matrix | Facts,
+def check_kernel_classification_two_blocks(a: Matrix, x: Matrix,
                                            block_split: tuple[int, int]) -> PropertyVerdict:
     """For a two-block coefficient with nonzero eigenvalues, the kernel of a
     singular nonzero solution is the first block span, the second, or both."""
     n1, n2 = block_split
-    a = facts(a)
-    if n1 + n2 != a.matrix.nrows:
+    if n1 + n2 != a.nrows:
         raise DimensionError("block split does not sum to the dimension")
-    if not a.invertible:
+    if not a.is_invertible():
         raise PreconditionError("two-block-kernel: coefficient must be invertible")
-    x = solution_facts(a, x, "two-block-kernel")
-    if x.matrix.is_zero:
+    _require_solution(a, x, "two-block-kernel")
+    if x.is_zero:
         raise PreconditionError("two-block-kernel: candidate is the zero matrix")
-    kernel = x.kernel
+    kernel = x.kernel_basis()
     if not kernel:
         raise PreconditionError("two-block-kernel: candidate must be singular")
     label = kernel_block_label(kernel, [(0, n1), (n1, n1 + n2)])
@@ -289,18 +250,18 @@ def check_pencil_condition(a: Matrix, x0: Matrix, x1: Matrix) -> PropertyVerdict
     )
 
 
-def check_eigenvalue_transfer(a: Matrix | Facts, x: Matrix | Facts,
-                              eigenpairs) -> PropertyVerdict:
+def check_eigenvalue_transfer(a: Matrix, x: Matrix, eigenpairs) -> PropertyVerdict:
     """For each eigenpair (lam, v) of A and a solution X: AXv = 0 or lam is a
     root of char(X). For a Jordan-form coefficient the eigenvectors are
     standard basis vectors, which is how callers are expected to supply them."""
-    x = solution_facts(a, x, "eigenvalue-transfer")
-    a = x.coefficient.matrix
+    _require_solution(a, x, "eigenvalue-transfer")
+    chi_x = None
     for lam, v in eigenpairs:
         lam = a.field.scalar(lam)
-        if all(c.is_zero for c in a.apply(x.matrix.apply(v))):
+        if all(c.is_zero for c in a.apply(x.apply(v))):
             continue
-        if not x.charpoly(lam).is_zero:
+        chi_x = chi_x or char_poly(x)
+        if not chi_x(lam).is_zero:
             return PropertyVerdict(
                 "eigenvalue-transfer", False, witness=(lam, v),
                 note="AXv is nonzero yet lam is not an eigenvalue of X",

@@ -25,11 +25,11 @@ the census tallies. For two equal blocks the tag is the block shape of a
 verified solution, which of its four blocks vanish. Any other block
 structure comes back untagged.
 
-The theorem sweep checks product identities, kernel invariance and, with
-a block structure, the spectral checks mod p on one stack of all
-solutions, the spectral ones through char_X(lam) at the eigenvalues lam
-of A by batched elimination; only a solution that batch flags meets the
-exact check, the one source of failing verdicts.
+The theorem sweep checks the product identities, kernel invariance, the
+dichotomy and, with a block structure, the spectral checks mod p on one
+stack of all solutions; only a solution that batch flags meets an exact
+check. What the batch holds exactly it decides: spectral disjointness,
+invertibility and each kernel's block label.
 
 numpy is imported inside the functions that use it, so that importing the
 package, and every command but a census, does not load it.
@@ -49,6 +49,7 @@ from .families import (_assemble_2x2_invertible, _assemble_2x2_nilpotent,
 from .fields import Field, Scalar, power
 from .matrices import (JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator,
                        jordan_matrix)
+from .unipoly import UniPoly, char_poly
 
 DEFAULT_BUDGET = 10_000_000
 _CHUNK = 1 << 13
@@ -243,21 +244,24 @@ def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
     return _gauss_jordan((lam * np.eye(xs.shape[-1], dtype=np.int64) - xs) % p, p)[2]
 
 
-def _product_masks(coeff: core.Facts, xs: np.ndarray, kernels: np.ndarray,
-                   jordan: JordanSpec | None):
+def _product_masks(a: Matrix, phi: UniPoly, invertible: bool, xs: np.ndarray,
+                   kernels: np.ndarray, jordan: JordanSpec | None):
     """Masks over an (S, n, n) stack ``xs`` of residues over GF(p), keyed by
     verdict name, of the matrices that satisfy: AXA^k = X^k AX and A^k XA =
     XA X^k for k = 1 .. 2n; XA phi(X) = 0 = phi(X) AX for phi = char(A), by
-    Horner from lead * I; with A invertible, X A K = 0 for their ``kernels``.
+    Horner from lead * I; with A ``invertible``, X A K = 0 for their
+    ``kernels``; A = 0 and X invertible, or X = 0 and A invertible. Under
+    "disjoint", det phi(X) = +-Res(char A, char X) != 0: coprime char polys.
 
     With A the Jordan matrix of ``jordan``, also char_X(lam) mod p for each
     eigenvalue lam of A, returned beside the masks, and the masks of
     eigenvalue transfer (A X e_lo = 0 or char_X(lam) = 0 at each block start
     lo) and spectrum inclusion (Q^n = 0 for Q the product of X - mu I over
-    mu in spec(A) and 0: char(X) splits over those mu)."""
+    mu in spec(A) and 0: char(X) splits over those mu). char(A) splits over
+    those lam, so "disjoint" is then every char_X(lam) != 0."""
     import numpy as np
 
-    a, phi = coeff.matrix, coeff.charpoly.raw
+    phi = phi.raw
     p, n = a.field.p, a.nrows
     _check_int64(p, n + 1, len(xs))
     a = np.array(a.raw, dtype=np.int64).reshape(n, n)
@@ -273,12 +277,17 @@ def _product_masks(coeff: core.Facts, xs: np.ndarray, kernels: np.ndarray,
     for c in reversed(phi[:-1]):
         acc = (acc @ xs + c * ident) % p
     annihilated = ~((xa @ acc % p).any(axis=(1, 2)) | (acc @ ax % p).any(axis=(1, 2)))
-    masks = {"power-identities": powers, "charpoly-annihilation": annihilated}
-    if coeff.invertible:
+    masks = {"power-identities": powers, "charpoly-annihilation": annihilated,
+             "disjoint-spectra-dichotomy": ~kernels.any(axis=(1, 2)) if not a.any()
+             else ~xs.any(axis=(1, 2)) & invertible}  # A = 0 is not invertible
+    if invertible:
         masks["kernel-invariance"] = ~(xa @ kernels.transpose(0, 2, 1) % p).any(axis=(1, 2))
     chars = {}
-    if jordan is not None:
+    if jordan is None:
+        masks["disjoint"] = _gauss_jordan(acc, p)[2] != 0  # acc is not read again
+    else:
         chars = {lam: _char_values(xs, lam.v, p) for lam in jordan.eigenvalues()}
+        masks["disjoint"] = np.logical_and.reduce([values != 0 for values in chars.values()])
         masks["eigenvalue-transfer"] = np.logical_and.reduce(
             [~ax[:, :, lo].any(axis=1) | (chars[lam] == 0)
              for (lam, _), (lo, _) in zip(jordan.blocks, jordan.block_ranges())])
@@ -512,36 +521,22 @@ def classify_against_families(report: CensusReport) -> tuple[str, ...] | None:
 # -- theorem sweep -----------------------------------------------------------------
 
 
-class _Solution(core.Facts):
-    """The record of solution ``i`` of a report, whose invertibility and
-    kernel, boxed on first read, come from the batch: no second elimination."""
-
-    def __init__(self, report: CensusReport, coeff: core.Facts, i: int):
-        super().__init__(report.solutions[i], coeff)
-        self.i, self.pivots, self.vectors = i, report.pivots[i].tolist(), report.kernels[i]
-        self.invertible = all(self.pivots)
-
-    @cached_property
-    def kernel(self) -> list[tuple[Scalar, ...]]:  # the vectors of the free columns
-        return [tuple(Scalar(self.matrix.field, v) for v in vec)
-                for vec, pivot in zip(self.vectors.tolist(), self.pivots) if not pivot]
-
-
 def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict]:
     """Run every applicable solution property over every census entry.
 
     Failures are findings, not errors; the list carries one verdict per
-    (solution, applicable property). The facts of A are derived once per
-    census and those of each solution once, from the report's batch.
+    (solution, applicable property). char(A) and the invertibility of A are
+    derived once per census; each solution's invertibility, zero-ness,
+    kernel and kernel label come from the report's batch.
 
-    The power identities, charpoly annihilation and kernel invariance of all
-    solutions are batched mod p first, and only a flagged solution meets the
-    exact check. With a block structure, A is its Jordan matrix, and the
-    batch also takes char_X(lam) = det(lam I - X) at each eigenvalue lam of
-    A and screens eigenvalue transfer and spectrum inclusion; the values
-    decide spectral disjointness (else the exact gcd does). The kernel labels
-    clear the two-block kernel classification, so only a kernel it returns as
-    a witness is boxed. With A invertible, for each block whose eigenvalue
+    The power identities, charpoly annihilation, kernel invariance, the
+    disjoint-spectra dichotomy and disjointness itself of all solutions are
+    batched mod p first, and only a flagged solution meets the exact check.
+    With a block structure, A is its Jordan matrix, and the batch also takes
+    char_X(lam) = det(lam I - X) at each eigenvalue lam of A and screens
+    eigenvalue transfer and spectrum inclusion. The kernel labels decide the
+    two-block kernel classification; a failing one's witness is the kernel
+    boxed from the batch. With A invertible, for each block whose eigenvalue
     labels no other, a kernel equal to span(e_lo) excludes the eigenvalue
     from spec(X), which forces X to kill the generalized eigenspace.
     """
@@ -549,13 +544,14 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
 
     a, jordan = report.coefficient, report.jordan
     n = a.nrows
-    coeff = core.Facts(a)
-    masks, chars = _product_masks(coeff, report.stack, report.kernels, jordan)
+    a_invertible = not a.kernel_basis()
+    masks, chars = _product_masks(a, char_poly(a), a_invertible, report.stack,
+                                  report.kernels, jordan)
+    invertible = report.pivots.all(axis=1).tolist()
+    zero = (~report.stack.any(axis=(1, 2))).tolist()
     blocks = jordan.blocks if jordan is not None else ()
-    lams, sizes = [lam for lam, _ in blocks], tuple(size for _, size in blocks)
+    lams = [lam for lam, _ in blocks]
     two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
-    if two_block:  # a singular solution's kernel is a block span, else "other"
-        masks["two-block-kernel-classification"] = [b != "other" for b in report.kernel_labels]
     simple_blocks = []
     if jordan is not None:
         eigenvalues, ranges = jordan.eigenvalues(), jordan.block_ranges()
@@ -565,37 +561,38 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
         unit, single = np.eye(n, dtype=np.int64), (~report.pivots).sum(axis=1) == 1
         simple_blocks = [(lam, lo, hi, single & (report.kernels[:, lo] == unit[lo]).all(axis=1))
                          for lam, (lo, hi) in zip(lams, ranges)
-                         if lams.count(lam) == 1 and coeff.invertible]
+                         if lams.count(lam) == 1 and a_invertible]
 
     verdicts: list[core.PropertyVerdict] = []
     for i, x in enumerate(report.solutions):
-        sol = _Solution(report, coeff, i)
         verdicts.append(_exact_unless_cleared(masks, i, "power-identities",
                                               core.check_power_identities, a, x, 2 * n))
         verdicts.append(_exact_unless_cleared(masks, i, "charpoly-annihilation",
-                                              core.check_charpoly_annihilation, coeff, sol))
+                                              core.check_charpoly_annihilation, a, x))
         absent = {lam: values[i] != 0 for lam, values in chars.items()}  # char_X(lam) != 0
-        disjoint = all(absent.values()) if chars else core.spectra_disjoint(coeff, sol)
-        if disjoint:
-            verdicts.append(core.check_disjoint_spectra_dichotomy(coeff, sol, True))
-        if coeff.invertible:
+        if masks["disjoint"][i] if "disjoint" in masks else core.spectra_disjoint(a, x):
+            verdicts.append(_exact_unless_cleared(masks, i, "disjoint-spectra-dichotomy",
+                                                  core.check_disjoint_spectra_dichotomy,
+                                                  a, x, True))
+        if a_invertible:
             verdicts.append(_exact_unless_cleared(masks, i, "kernel-invariance",
-                                                  core.check_kernel_invariance, coeff, sol))
+                                                  core.check_kernel_invariance, a, x))
             if jordan is not None:
                 verdicts.append(_exact_unless_cleared(masks, i, "spectrum-inclusion",
                                                       core.check_spectrum_inclusion,
-                                                      coeff, sol, eigenvalues))
+                                                      a, x, eigenvalues))
         if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
-            verdicts.append(_single_block_classification(lams[0], sol))
-        if two_block and not x.is_zero and not sol.invertible:
-            verdicts.append(_exact_unless_cleared(
-                masks, i, "two-block-kernel-classification",
-                core.check_kernel_classification_two_blocks, coeff, sol, sizes,
-                note=f"kernel is {report.kernel_labels[i]}"))
+            verdicts.append(_single_block_classification(lams[0], x, invertible[i]))
+        if two_block and not zero[i] and not invertible[i]:
+            label = report.kernel_labels[i]  # a singular solution's: a block span, or "other"
+            holds = label != "other"
+            verdicts.append(core.PropertyVerdict(
+                "two-block-kernel-classification", holds,
+                witness=None if holds else _boxed_kernel(report, i), note=f"kernel is {label}"))
         if jordan is not None:
             verdicts.append(_exact_unless_cleared(masks, i, "eigenvalue-transfer",
                                                   core.check_eigenvalue_transfer,
-                                                  coeff, sol, eigenpairs))
+                                                  a, x, eigenpairs))
         for lam, lo, hi, eigenspace in simple_blocks:
             if eigenspace[i]:
                 verdicts.append(core.PropertyVerdict(
@@ -609,31 +606,38 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     return verdicts
 
 
-def _exact_unless_cleared(masks, i: int, name: str, check, *args, note="") -> core.PropertyVerdict:
+def _exact_unless_cleared(masks, i: int, name: str, check, *args) -> core.PropertyVerdict:
     """The passing verdict when the batch cleared solution ``i`` under ``name``,
     else the exact check's, which must fail if the batch ran."""
     cleared = masks[name][i] if name in masks else None
     if cleared:
-        return core.PropertyVerdict(name, True, note=note)
+        return core.PropertyVerdict(name, True)
     verdict = check(*args)
     if verdict.holds and cleared is not None:
         raise AssertionError(f"{name}: exact check holds on a solution the mod-p batch flags")
     return verdict
 
 
-def _single_block_classification(lam, x) -> core.PropertyVerdict:
+def _boxed_kernel(report: CensusReport, i: int) -> list[tuple[Scalar, ...]]:
+    """The kernel basis of solution ``i``, boxed from the report's batch as
+    Matrix.kernel_basis gives it: the vectors of the free columns."""
+    return [tuple(Scalar(report.field, v) for v in vec)
+            for vec, pivot in zip(report.kernels[i].tolist(), report.pivots[i].tolist())
+            if not pivot]
+
+
+def _single_block_classification(lam, x: Matrix, invertible: bool) -> core.PropertyVerdict:
     """For a single Jordan block: with a nonzero eigenvalue every solution is
     zero or similar to the block, which a Jordan chain of the solution
     certifies; with eigenvalue zero and size 2 or more no solution is
-    invertible. The solution ``x`` is a matrix or its facts record."""
-    x = core.facts(x)
+    invertible, which ``invertible`` says of ``x``."""
     if lam.is_zero:
-        holds = not x.invertible
+        holds = not invertible
         note = "nilpotent block admits no invertible solution"
-    elif x.matrix.is_zero:
+    elif x.is_zero:
         holds, note = True, "zero solution"
     else:
-        holds = jordan_chain_conjugator(x.matrix, lam) is not None
+        holds = jordan_chain_conjugator(x, lam) is not None
         note = "nonzero solution must be similar to the block"
     return core.PropertyVerdict("single-block-classification", holds,
-                                witness=None if holds else x.matrix, note=note)
+                                witness=None if holds else x, note=note)

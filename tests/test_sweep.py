@@ -1,16 +1,16 @@
 """The census theorem sweep: its verdicts, and the work it does to get them.
 
 The sweep derives every fact once: char(A) and the invertibility of A per
-census, and per solution one exact residual, char(X) and the kernel, the
-residual and kernel from the report's own batch. These tests pin its
+census, and per solution the residual, kernel, invertibility and
+spectral disjointness from the report's own batch. These tests pin its
 verdict lists to ones recorded when every check recomputed its own facts,
 compare it with that loop on random censuses, count the characteristic
-polynomials, residuals and kernels it computes, and make sure a
-non-solution smuggled into a census is still refused. Its mod-p batch of
-product identities, kernel invariance, eigenvalue transfer, spectrum
-inclusion and char(X) at the eigenvalues of A is checked against the
-exact checks, with and without a batch, and a batch the exact check
-contradicts must raise.
+polynomials, residuals, kernels and exact checks it computes, and make
+sure a non-solution smuggled into a census is still refused. Its mod-p
+batch of product identities, kernel invariance, the disjoint-spectra
+dichotomy, disjointness, eigenvalue transfer, spectrum inclusion and
+char(X) at the eigenvalues of A is checked against the exact checks, with
+and without a batch, and a batch the exact check contradicts must raise.
 """
 
 import json
@@ -33,6 +33,9 @@ from yangbaxter.matrices import Matrix, jordan_chain_conjugator, jordan_matrix
 from yangbaxter.unipoly import UniPoly, char_poly, unsplit_part
 
 GOLDEN = Path(__file__).parent / "data" / "census_verdicts.json"
+# coefficients whose char polys have an irreducible factor of degree 2 or 3
+NON_SPLIT = [(2, [[0, 1], [1, 1]]), (3, [[0, 1], [2, 0]]),
+             (2, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])]  # the companion of x^3 + x + 1
 
 
 def census(spec, shorthand, commuting=False, budget=oracle.DEFAULT_BUDGET):
@@ -168,10 +171,12 @@ def test_a_coefficient_off_its_block_structure_is_refused(monkeypatch, gf3):
 
 
 def test_sweep_derives_each_fact_once(monkeypatch):
-    """On Jordan censuses over GF(p) the sweep computes char(A) and no
-    char(X), no gcd and no unsplit part, since the batch clears every
-    solution, and checks each residual exactly once."""
-    calls = {"char_poly": 0, "residual": 0, "unsplit_part": 0, "gcd": 0}
+    """On Jordan censuses over GF(p), and on censuses of coefficients whose
+    char poly does not split, the sweep computes char(A) and no char(X), no
+    gcd and no unsplit part, and runs no exact check, since the batch
+    decides every verdict; no residual is checked twice."""
+    checks = [name for name in vars(core) if name.startswith("check_")]
+    calls = dict.fromkeys(["char_poly", "residual", "unsplit_part", "gcd", *checks], 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -179,10 +184,13 @@ def test_sweep_derives_each_fact_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for key in ["gf:2 1^2,1^2", "gf:2 0^4", "gf:3 1^1,2^2", "gf:3 0^1,1^2",
-                "gf:3 1^2,1^2 --commuting"]:
-        spec, shorthand, *flags = key.split()
-        report = census(spec, shorthand, commuting="--commuting" in flags)
+    reports = {key: census(*key.split()[:2], commuting="--commuting" in key)
+               for key in ["gf:2 1^2,1^2", "gf:2 0^4", "gf:3 1^1,2^2", "gf:3 0^1,1^2",
+                           "gf:3 1^2,1^2 --commuting"]}
+    for p, entries in NON_SPLIT:
+        reports[f"gf:{p} --A {entries}"] = oracle.enumerate_solutions(
+            Matrix.from_rows(Field.gf(p), entries))
+    for key, report in reports.items():
         with monkeypatch.context() as patch:
             for module in (core, oracle, UniPoly):
                 for name in calls:
@@ -194,6 +202,7 @@ def test_sweep_derives_each_fact_once(monkeypatch):
         assert calls["char_poly"] <= 1, key
         assert calls["unsplit_part"] == calls["gcd"] == 0, key
         assert calls["residual"] <= report.total, key
+        assert not any(calls[name] for name in checks), (key, calls)
 
 
 def test_sweep_refuses_a_smuggled_non_solution(gf2):
@@ -210,17 +219,26 @@ def test_sweep_refuses_a_smuggled_non_solution(gf2):
 
 
 def test_solution_record_is_reverified_for_another_coefficient(gf2):
-    """A record verified for one coefficient is not taken on trust by a
-    check called with another: the residual is checked again and fails."""
+    """A solution of one coefficient is not taken on trust by a check called
+    with another: each check that takes a solution verifies its residual
+    and refuses it under its own name."""
     a = jordan_matrix(gf2, parse_jordan(gf2, "1^2"))
-    x = Matrix.from_rows(gf2, [[0, 0], [0, 0]])
-    b = Matrix.from_rows(gf2, [[0, 1], [1, 1]])
-    record = core.solution_facts(a, a, "test")
-    assert core.solution_facts(record.coefficient, record, "test") is record
-    assert core.check_charpoly_annihilation(record.coefficient, record).holds
-    with pytest.raises(PreconditionError, match="charpoly-annihilation: candidate is not"):
-        core.check_charpoly_annihilation(b, record)
-    assert core.check_charpoly_annihilation(b, core.solution_facts(b, x, "test")).holds
+    b = Matrix.from_rows(gf2, [[0, 1], [1, 1]])  # invertible, like A
+    assert core.is_solution(a, a) and not core.is_solution(b, a)
+    assert core.check_charpoly_annihilation(a, a).holds
+    units = [(gf2.one(), (gf2.one(), gf2.zero()))]
+    for who, check in [
+            ("spectrum-inclusion", lambda m, x: core.check_spectrum_inclusion(m, x, [gf2.one()])),
+            ("kernel-invariance", core.check_kernel_invariance),
+            ("charpoly-annihilation", core.check_charpoly_annihilation),
+            ("disjoint-spectra-dichotomy",
+             lambda m, x: core.check_disjoint_spectra_dichotomy(m, x, True)),
+            ("two-block-kernel",
+             lambda m, x: core.check_kernel_classification_two_blocks(m, x, (1, 1))),
+            ("eigenvalue-transfer", lambda m, x: core.check_eigenvalue_transfer(m, x, units))]:
+        with pytest.raises(PreconditionError, match=f"^{who}: candidate is not a solution$"):
+            check(b, a)
+    assert core.check_charpoly_annihilation(b, Matrix.zero(gf2, 2)).holds
 
 
 def batch_cases(rng, p, n, a=None):
@@ -244,6 +262,19 @@ def random_jordan(rng, field, n):
     return parse_jordan(field, ",".join(f"{rng.randrange(field.p)}^{k}" for k in sizes))
 
 
+def mask_coefficients(rng, field):
+    """(n, block structure, coefficient) of each case of the mask test: per
+    size 1 to 4 six random coefficients (None), every other one a Jordan
+    matrix, then the pinned coefficients over this field from NON_SPLIT."""
+    for n in range(1, 5):
+        for k in range(6):
+            jordan = random_jordan(rng, field, n) if k % 2 else None
+            yield n, jordan, jordan and jordan_matrix(field, jordan)
+    for p, rows in NON_SPLIT:
+        if p == field.p:
+            yield len(rows), None, Matrix.from_rows(field, rows)
+
+
 def exact_or_direct(a, x, check, direct):
     """The exact check's verdict on a solution; on a non-solution, which
     every such check refuses, the same condition computed directly."""
@@ -252,65 +283,71 @@ def exact_or_direct(a, x, check, direct):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_product_masks_match_exact_checks(p):
-    """The mod-p batch agrees with core.check_power_identities on every
-    matrix, and on the solutions with core.check_charpoly_annihilation,
+    """The mod-p batch agrees with core.check_power_identities and
+    core.spectra_disjoint on every matrix, and on the solutions with
+    core.check_charpoly_annihilation, check_disjoint_spectra_dichotomy,
     check_kernel_invariance for invertible A and, for a Jordan matrix A,
     check_eigenvalue_transfer and check_spectrum_inclusion; on a
     non-solution, which those checks refuse, with the same condition taken
     here. char_X(lam) equals char(X) at each eigenvalue lam of A. Half the
-    coefficients are Jordan matrices, with their census solutions added
-    where the census is small."""
+    random coefficients are Jordan matrices, with their census solutions
+    added where the census is small, as are those of the pinned
+    coefficients whose char poly does not split."""
     rng = random.Random(p)
     field = Field.gf(p)
     seen = {}
-    for n in range(1, 5):
-        for k in range(6):
-            jordan = random_jordan(rng, field, n) if k % 2 else None
-            a, xs = batch_cases(rng, p, n, jordan and jordan_matrix(field, jordan))
-            if jordan and p ** (n * n) <= 3000:
-                xs += oracle.enumerate_solutions(a, jordan=jordan).solutions
-            phi, invertible = char_poly(a), a.is_invertible()
-            stack = np.array([x.raw for x in xs], dtype=np.int64).reshape(-1, n, n)
-            _, kernels = oracle._kernel_basis(stack.copy(), p)
-            masks, chars = oracle._product_masks(core.Facts(a), stack, kernels, jordan)
-            expected_names = {"power-identities", "charpoly-annihilation"}
-            expected_names |= {"kernel-invariance"} if invertible else set()
-            expected_names |= {"eigenvalue-transfer", "spectrum-inclusion"} if jordan else set()
-            assert set(masks) == expected_names
-            assert set(chars) == set(jordan.eigenvalues() if jordan else ())
-            for i, x in enumerate(xs):
-                at_x = phi.at_matrix(x)
-                exact = {
-                    "power-identities": core.check_power_identities(a, x, 2 * n).holds,
-                    "charpoly-annihilation": exact_or_direct(
-                        a, x, core.check_charpoly_annihilation,
-                        lambda x: (x * a * at_x).is_zero and (at_x * a * x).is_zero),
-                }
-                if invertible:
-                    exact["kernel-invariance"] = exact_or_direct(
-                        a, x, core.check_kernel_invariance,
-                        lambda x: all(c.is_zero for v in x.kernel_basis()
-                                      for c in x.apply(a.apply(v))))
-                if jordan:
-                    chi_x, eigenvalues = char_poly(x), jordan.eigenvalues()
-                    assert [chars[lam][i] for lam in eigenvalues] == [chi_x(lam).v
-                                                                     for lam in eigenvalues]
-                    eigenpairs = [(lam, Matrix.unit(field, n, 1, lo, 0).raw)
-                                  for (lam, _), (lo, _) in zip(jordan.blocks,
-                                                               jordan.block_ranges())]
-                    exact["eigenvalue-transfer"] = exact_or_direct(
-                        a, x, lambda a, x: core.check_eigenvalue_transfer(a, x, eigenpairs),
-                        lambda x: all(all(c.is_zero for c in a.apply(x.apply(v)))
-                                      or chi_x(lam).is_zero for lam, v in eigenpairs))
-                    splits = unsplit_part(chi_x, [0, *eigenvalues]).degree == 0
-                    exact["spectrum-inclusion"] = exact_or_direct(
-                        a, x, lambda a, x: core.check_spectrum_inclusion(a, x, eigenvalues),
-                        lambda x: splits) if invertible else splits
-                for name, holds in exact.items():
-                    assert masks[name][i] == holds, (name, x)
-                    seen.setdefault(name, set()).add(holds)
+    for n, jordan, given in mask_coefficients(rng, field):
+        a, xs = batch_cases(rng, p, n, given)
+        if given is not None and p ** (n * n) <= 3000:
+            xs += oracle.enumerate_solutions(a, jordan=jordan).solutions
+        phi, invertible = char_poly(a), a.is_invertible()
+        stack = np.array([x.raw for x in xs], dtype=np.int64).reshape(-1, n, n)
+        _, kernels = oracle._kernel_basis(stack.copy(), p)
+        masks, chars = oracle._product_masks(a, phi, invertible, stack, kernels, jordan)
+        expected_names = {"power-identities", "charpoly-annihilation", "disjoint",
+                          "disjoint-spectra-dichotomy"}
+        expected_names |= {"kernel-invariance"} if invertible else set()
+        expected_names |= {"eigenvalue-transfer", "spectrum-inclusion"} if jordan else set()
+        assert set(masks) == expected_names
+        assert set(chars) == set(jordan.eigenvalues() if jordan else ())
+        for i, x in enumerate(xs):
+            at_x = phi.at_matrix(x)
+            exact = {
+                "power-identities": core.check_power_identities(a, x, 2 * n).holds,
+                "charpoly-annihilation": exact_or_direct(
+                    a, x, core.check_charpoly_annihilation,
+                    lambda x: (x * a * at_x).is_zero and (at_x * a * x).is_zero),
+                "disjoint": core.spectra_disjoint(a, x),
+                "disjoint-spectra-dichotomy": exact_or_direct(
+                    a, x, lambda a, x: core.check_disjoint_spectra_dichotomy(a, x, True),
+                    lambda x: (a.is_zero and x.is_invertible()
+                               or x.is_zero and invertible)),
+            }
+            if invertible:
+                exact["kernel-invariance"] = exact_or_direct(
+                    a, x, core.check_kernel_invariance,
+                    lambda x: all(c.is_zero for v in x.kernel_basis()
+                                  for c in x.apply(a.apply(v))))
+            if jordan:
+                chi_x, eigenvalues = char_poly(x), jordan.eigenvalues()
+                assert [chars[lam][i] for lam in eigenvalues] == [chi_x(lam).v
+                                                                 for lam in eigenvalues]
+                eigenpairs = [(lam, Matrix.unit(field, n, 1, lo, 0).raw)
+                              for (lam, _), (lo, _) in zip(jordan.blocks,
+                                                           jordan.block_ranges())]
+                exact["eigenvalue-transfer"] = exact_or_direct(
+                    a, x, lambda a, x: core.check_eigenvalue_transfer(a, x, eigenpairs),
+                    lambda x: all(all(c.is_zero for c in a.apply(x.apply(v)))
+                                  or chi_x(lam).is_zero for lam, v in eigenpairs))
+                splits = unsplit_part(chi_x, [0, *eigenvalues]).degree == 0
+                exact["spectrum-inclusion"] = exact_or_direct(
+                    a, x, lambda a, x: core.check_spectrum_inclusion(a, x, eigenvalues),
+                    lambda x: splits) if invertible else splits
+            for name, holds in exact.items():
+                assert masks[name][i] == holds, (name, x)
+                seen.setdefault(name, set()).add(holds)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
-    assert len(seen) == 5
+    assert len(seen) == 7
 
 
 @quick
@@ -332,11 +369,6 @@ def test_char_values_match_char_poly(data):
     stack = np.array([x.raw for x in xs], dtype=np.int64).reshape(-1, n, n)
     values = oracle._char_values(stack, lam, p)
     assert values.tolist() == [char_poly(x)(lam).v for x in xs]
-
-
-def boxed_kernel(report, i):
-    """The kernel of solution ``i`` that the sweep's record boxes from the batch."""
-    return oracle._Solution(report, core.Facts(report.coefficient), i).kernel
 
 
 @quick
@@ -373,8 +405,8 @@ def test_batched_elimination_matches_matrix_reductions(data):
     assert oracle._char_values(stack, lam, p).tolist() == [char_poly(m)(lam).v for m in mats]
     report = oracle.CensusReport(Matrix.zero(field, n), False, tuple(mats))
     assert report.pivots.sum(axis=1).tolist() == [m.rank() for m in mats]
-    assert [boxed_kernel(report, i) for i in range(len(mats))] == [m.kernel_basis()
-                                                                  for m in mats]
+    assert [oracle._boxed_kernel(report, i) for i in range(len(mats))] == [m.kernel_basis()
+                                                                          for m in mats]
     assert report.by_kernel == Counter(f"dim={len(m.kernel_basis())}" for m in mats)
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
     ranges = list(zip([0, *cuts], [*cuts, n]))
@@ -387,9 +419,8 @@ def test_sweep_boxes_only_the_kernels_it_returns_as_witnesses(monkeypatch):
     the 48 solutions whose two-block kernel classification fails, the
     witness of that verdict, and no other; no kernel is eliminated again."""
     report = census("gf:2", "1^2,1^2")
-    boxed, box = [], oracle._Solution.kernel.func
-    monkeypatch.setattr(oracle._Solution, "kernel", property(lambda sol: boxed.append(sol.i)
-                                                             or box(sol)))
+    boxed, box = [], oracle._boxed_kernel
+    monkeypatch.setattr(oracle, "_boxed_kernel", lambda rep, i: boxed.append(i) or box(rep, i))
     eliminated, kernel_basis = [], Matrix.kernel_basis
     monkeypatch.setattr(Matrix, "kernel_basis", lambda m: eliminated.append(m) or kernel_basis(m))
     failed = [v for v in oracle.verify_theorems_on_census(report)
@@ -422,7 +453,8 @@ def test_sweep_without_the_batch_runs_every_exact_check(monkeypatch):
     branch comes from the exact check, and the verdict lists equal the
     reference loop's."""
     report = census("gf:2", "1^2,1^2")
-    monkeypatch.setattr(oracle, "_product_masks", lambda coeff, xs, kernels, jordan: ({}, {}))
+    monkeypatch.setattr(oracle, "_product_masks",
+                        lambda a, phi, invertible, xs, kernels, jordan: ({}, {}))
     names = ["check_power_identities", "check_charpoly_annihilation", "check_kernel_invariance",
              "check_spectrum_inclusion", "check_eigenvalue_transfer", "spectra_disjoint"]
     calls = dict.fromkeys(names, 0)
@@ -445,12 +477,12 @@ def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
     is an internal error, for each name the batch clears."""
     report = census("gf:2", "1^2")
     batch = oracle._product_masks
-    for name in ["power-identities", "charpoly-annihilation", "kernel-invariance",
-                 "spectrum-inclusion", "eigenvalue-transfer"]:
+    for name in ["power-identities", "charpoly-annihilation", "disjoint-spectra-dichotomy",
+                 "kernel-invariance", "spectrum-inclusion", "eigenvalue-transfer"]:
 
-        def flag_all(coeff, xs, kernels, jordan):
-            masks, chars = batch(coeff, xs, kernels, jordan)
-            return {**masks, name: [False] * len(xs)}, chars
+        def flag_all(*args):
+            masks, chars = batch(*args)
+            return {**masks, name: [False] * len(args[3])}, chars
 
         monkeypatch.setattr(oracle, "_product_masks", flag_all)
         with pytest.raises(AssertionError, match=f"{name}: exact check holds"):
@@ -538,8 +570,8 @@ def test_reordered_solutions_keep_their_records(monkeypatch):
     flipped = replace(report, solutions=tuple(reversed(report.solutions)))
     assert batches == [report.total]
     assert [tuple(m.ravel().tolist()) for m in flipped.stack] == [x.raw for x in flipped.solutions]
-    assert ([boxed_kernel(flipped, i) for i in range(flipped.total)]
-            == [boxed_kernel(report, i) for i in reversed(range(report.total))])
+    assert ([oracle._boxed_kernel(flipped, i) for i in range(flipped.total)]
+            == [oracle._boxed_kernel(report, i) for i in reversed(range(report.total))])
     assert flipped.family_tags == tuple(reversed(report.family_tags))
     assert rows(oracle.verify_theorems_on_census(flipped)) == rows(reference_sweep(flipped))
     assert batches == [report.total]

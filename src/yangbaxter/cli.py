@@ -28,7 +28,7 @@ CLAIM_FALSE = 1
 OK = 0
 
 
-def _emit(args, text: str, payload: dict | str | None) -> None:  # payload: a value or JSON text
+def _emit(args, text: str | None, payload: dict | str | None) -> None:  # payload may be JSON text
     if args.json:
         text = (payload if isinstance(payload, str) else matio.dumps_json(payload)) + "\n"
     if getattr(args, "out", None):
@@ -96,12 +96,15 @@ def cmd_construct(args) -> int:
         raise PreconditionError(f"family {fam_desc.name!r} is API-only")
     params = _parse_params(fam_desc, args.param, field)
     coeff, x = fam.build_family(field, fam_desc.name, params)
-    text = matio.dumps_matrix(x)
-    payload = {
-        "family": fam_desc.name,
-        "coefficient": matio.matrix_to_json(coeff),
-        "solution": matio.matrix_to_json(x),
-    }
+    text = payload = None  # each output encodes only what it prints
+    if args.json:
+        payload = {
+            "family": fam_desc.name,
+            "coefficient": matio.matrix_to_json(coeff),
+            "solution": matio.matrix_to_json(x),
+        }
+    else:
+        text = matio.dumps_matrix(x)
     _emit(args, text, payload)
     if args.out_coefficient:
         matio.save_matrix(args.out_coefficient, coeff)

@@ -55,7 +55,7 @@ class SideConditionError(AlgebraError):
 
 
 class ConstructionError(AlgebraError):
-    """A constructor assembled a matrix that failed its own verification."""
+    """``two_block_offdiag`` assembled a matrix that fails its residual check."""
 
 
 class BudgetError(AlgebraError):

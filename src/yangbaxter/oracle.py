@@ -44,8 +44,8 @@ from functools import cached_property
 
 from . import core
 from .errors import BudgetError, PreconditionError, SideConditionError
-from .families import (_assemble_2x2_invertible, _assemble_2x2_nilpotent,
-                       _assemble_3x3_nilpotent, _assemble_nilpotent_general)
+from .families import (family_2x2_invertible, family_2x2_nilpotent, family_3x3_nilpotent,
+                       family_nilpotent_general)
 from .fields import Field, Scalar, power
 from .matrices import (JordanSpec, Matrix, centralizer_basis, jordan_chain_conjugator,
                        jordan_matrix)
@@ -453,13 +453,11 @@ def enumerate_commuting_solutions(a: Matrix, jordan: JordanSpec | None = None,
 # -- family classification ---------------------------------------------------------
 
 
-def _rebuilds(x: Matrix, assemble, *params) -> bool:
-    """Whether a family's assembler, fed parameters read off ``x``, builds
-    ``x`` itself; a violated side condition means ``x`` is not a member.
-    ``x`` is a verified solution, so what the assembler built needs no
-    residual check of its own."""
+def _rebuilds(x: Matrix, construct, *params) -> bool:
+    """Whether a family constructor, fed parameters read off ``x``, builds
+    ``x`` itself; a violated side condition means ``x`` is not a member."""
     try:
-        return assemble(*params) == x
+        return construct(*params) == x
     except SideConditionError:
         return False
 
@@ -495,21 +493,21 @@ def classify_against_families(report: CensusReport) -> tuple[str, ...] | None:
         if n == 2 and not lam.is_zero:
             if x.is_zero:
                 return "zero"
-            if _rebuilds(x, _assemble_2x2_invertible, lam, "toeplitz"):
+            if _rebuilds(x, family_2x2_invertible, lam, "toeplitz"):
                 return "jordan2-invertible[toeplitz]"
             av = x[0, 1]
-            if any(_rebuilds(x, _assemble_2x2_invertible, lam, branch, av)
+            if any(_rebuilds(x, family_2x2_invertible, lam, branch, av)
                    for branch in ("plus", "minus")):
                 return f"jordan2-invertible[a={av}]"
         elif n == 2:
             params = x[0, 0], x[1, 1], x[0, 1]
-            if _rebuilds(x, _assemble_2x2_nilpotent, *params):
+            if _rebuilds(x, family_2x2_nilpotent, *params):
                 return "jordan2-nilpotent[a={},b={},alpha={}]".format(*params)
         elif n == 3:
             params = x[0, 0], x[0, 1], x[0, 2], x[1, 2], x[2, 2]
-            if _rebuilds(x, _assemble_3x3_nilpotent, *params):
+            if _rebuilds(x, family_3x3_nilpotent, *params):
                 return "jordan3-nilpotent[a={},b={},c={},f={},i={}]".format(*params)
-        elif _rebuilds(x, _assemble_nilpotent_general, n,  # nilpotent, n >= 4
+        elif _rebuilds(x, family_nilpotent_general, n,  # nilpotent, n >= 4
                        [x[0, j] for j in range(1, n - 1)],  # first-row parameters
                        [x[i, n - 1] for i in range(1, n - 1)], x[0, n - 1]):  # last column
             return "nilpotent-general"

@@ -201,6 +201,36 @@ def test_construct_pencil_from_files(rat, write_matrix, capsys):
     assert built == Matrix.unit(rat, 5, 5, 0, 2).scale(rat.scalar(7))
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_construct_encodes_only_the_output_it_prints(capsys, monkeypatch, extra):
+    """The matrix text and the --json payload are each encoded only for
+    the output that prints them."""
+    from yangbaxter import matio
+
+    seen = []
+    encode = matio.dumps_json
+    monkeypatch.setattr(matio, "dumps_json", lambda value: seen.append(value) or encode(value))
+    code, out, _ = run(capsys, "construct", "--family", "ex1", "--param", "lam=1",
+                       "--param", "branch=plus", "--param", "a=4", *extra)
+    assert (code, len(seen)) == (0, 1)
+    assert out == encode(seen[0]) + "\n"
+
+
+@pytest.mark.parametrize("k, field", [(400, "rat"), (2, "gf:5")])
+def test_construct_two_block_checks_s_before_building(capsys, monkeypatch, write_matrix,
+                                                       k, field):
+    """An S of the wrong size or field is refused before the k x k Jordan
+    block is built or anything is inverted."""
+    from yangbaxter import families
+
+    s = write_matrix(Matrix.identity(Field.from_spec(field), 2))
+    monkeypatch.setattr(families, "jordan_block", None)  # a call would raise TypeError
+    monkeypatch.setattr(Matrix, "inverse", None)
+    assert run(capsys, "construct", "--family", "two-block", "--param", "lam=1",
+               "--param", f"k={k}", "--param", "z=1", "--param", f"s={s}") == \
+        (2, "", f"error: S must be a {k}x{k} matrix over rat\n")
+
+
 def test_families_listing(capsys):
     code, out, _ = run(capsys, "families")
     assert code == 0 and "jordan2-invertible" in out and "ex1" in out

@@ -465,11 +465,11 @@ def test_classification_tags_reproduce_members(gf3):
 def test_classification_checks_no_family_residual(monkeypatch, gf2, gf3):
     """The census verified every solution, so a family member rebuilt only
     to be compared with one needs no residual of its own."""
-    from yangbaxter import families
+    from yangbaxter import core
     reports = [census(gf3, "1^2"), census(gf3, "0^2"), census(gf3, "0^3"),
                census(gf2, "0^4")]
     calls = []
-    monkeypatch.setattr(families, "residual", lambda a, x: calls.append(x) or residual(a, x))
+    monkeypatch.setattr(core, "residual", lambda a, x: calls.append(x) or residual(a, x))
     tagged = [oracle.classify_against_families(rep) for rep in reports]
     assert calls == []
     assert all(tags.count("unmatched") < rep.total for tags, rep in zip(tagged, reports))

@@ -5,11 +5,12 @@ are validated against. Candidates are searched depth first over the
 coordinates of a basis, each residual entry screened mod p with vectorized
 integer arithmetic at the stage whose coordinates fix it, so a failing
 partial matrix is dropped with every extension. Each stage's table of
-coordinate combinations is built once per census, and the search runs in
-the least signed integer dtype that holds the widest sum of its screen,
-int8 for small p and n. The report built from the survivors verifies each
-exactly in one batch over GF(p), kept as arrays: residues, pivots and
-kernel bases, which the tallies and the sweep read.
+coordinate combinations is built once per census. Search, batch and sweep
+run in the least signed integer dtype that holds their widest sums, int8
+for small p and n, and reduce mod p by a table of residues. The report
+built from the survivors verifies each exactly in one batch over GF(p),
+kept as arrays: residues, pivots and kernel bases, which the tallies and
+the sweep read.
 
 The candidate budget is a hard error, never a sample: a partial census
 would poison every completeness statement built on top of it.
@@ -121,26 +122,33 @@ class CensusReport:
         return self.family_tallies["unmatched"]
 
 
-def _check_int64(p: int, terms: int, total: int) -> None:
-    """Refuse a screen whose int64 arithmetic could wrap.
-
-    The invariant every formula of the search keeps: each sum adds at most
-    ``terms`` products of two residues below p, or two residues, and is
-    reduced mod p before it becomes a factor again. A stage's table of
-    combinations sums one product per coordinate of the basis, in int64;
-    the descent and the screen sum at most n, in ``_search_dtype``. Digits
-    and the number of partial matrices in a stage stay below ``total``.
-    """
-    if terms * (p - 1) ** 2 > _INT64_MAX or total > _INT64_MAX:
-        raise BudgetError(f"GF({p}) screen of {total} candidates would overflow int64")
-
-
-def _search_dtype(p: int, n: int):
-    """The least signed integer dtype holding +-n (p - 1)^2, the widest sum
-    of the screen of an n x n coefficient; its type for -v - 1 holds +v too."""
+def _narrow_dtype(p: int, terms: int, total: int = 0):
+    """The least signed integer dtype holding +-terms (p - 1)^2 (its type for -v - 1 holds
+    +v too); refuses a census whose int64 could wrap. Each sum of the census adds at most
+    ``terms`` products of two residues below p, or two residues, reduced mod p before it is
+    a factor again: n in the screen, a product and a residue in a table of combinations,
+    n + 1 in the sweep's Horner step. Digits and stage sizes stay below ``total``."""
     import numpy as np
 
-    return np.min_scalar_type(-n * (p - 1) ** 2 - 1)
+    if terms * (p - 1) ** 2 > _INT64_MAX or total > _INT64_MAX:
+        raise BudgetError(f"GF({p}) screen of {total} candidates would overflow int64")
+    return np.min_scalar_type(-terms * (p - 1) ** 2 - 1)
+
+
+def _reducer(p: int, dtype):
+    """x -> x mod p on arrays of ``dtype``: for 8 and 16 bits a lookup in the residues of
+    all its values in the order of its unsigned view, 0 .. 2^(b-1) - 1 then -2^(b-1) .. -1,
+    each a run of the cycle 0 .. p - 1, in ``dtype`` if it holds p - 1; else %."""
+    import numpy as np
+
+    if dtype.itemsize > 2:
+        return lambda x: x % p
+    half = 1 << 8 * dtype.itemsize - 1
+    cycle = np.tile(np.arange(p, dtype=np.promote_types(dtype, np.min_scalar_type(-p))),
+                    half // p + 2)
+    table = np.concatenate([cycle[:half], cycle[-half % p:][:half]])
+    unsigned = np.dtype(f"u{dtype.itemsize}")
+    return lambda x: table.take(x.view(unsigned))
 
 
 def _combine(coefs: list[int], rows) -> np.ndarray:
@@ -161,32 +169,32 @@ def _screen_batch(a: np.ndarray, xs: np.ndarray, p: int, entries) -> np.ndarray:
     """
     import numpy as np
 
-    n = len(a)
+    n, mod = len(a), _reducer(p, xs.dtype)
     a_rows, a_cols = a.tolist(), a.T.tolist()
     x = xs.transpose(1, 2, 0)
     alive = np.arange(len(xs))
     for i, j in entries:
-        ax_row = [_combine(a_rows[i], x[:, m]) % p for m in range(n)]
-        ax_col = [ax_row[j] if m == i else _combine(a_rows[m], x[:, j]) % p
+        ax_row = [mod(_combine(a_rows[i], x[:, m])) for m in range(n)]
+        ax_col = [ax_row[j] if m == i else mod(_combine(a_rows[m], x[:, j]))
                   for m in range(n)]
         lhs = _combine(a_cols[j], ax_row)
         rhs = sum(x[i, m] * ax_col[m] for m in range(n))
-        keep = np.flatnonzero((lhs - rhs) % p == 0)
+        keep = np.flatnonzero(mod(lhs - rhs) == 0)
         x, alive = x[:, :, keep], alive[keep]
     return np.bincount(alive, minlength=len(xs)) > 0
 
 
 def _gauss_jordan(m: np.ndarray, p: int):
-    """Gauss-Jordan mod p, in place, on an (S, n, k) int64 stack of residues,
-    as Matrix._eliminate over GF(p): the first nonzero pivot at or below the
-    current row, scaled by v^(p-2), clears its column. Returns the reduced
-    stack, the (S, k) pivot-column mask and, for k = n, the determinants: a
-    sign per row swap times the pivots, 0 when a column has no pivot."""
+    """Gauss-Jordan mod p, in place, on an (S, n, k) stack of residues whose
+    dtype holds +-2 (p - 1)^2, as Matrix._eliminate over GF(p): the first nonzero
+    pivot at or below the current row, scaled by v^(p-2), clears its column. Returns
+    the reduced stack, the (S, k) pivot-column mask and, for k = n, the determinants:
+    a sign per row swap times the pivots, 0 when a column has no pivot."""
     import numpy as np
 
-    s, n, k = m.shape
+    (s, n, k), mod = m.shape, _reducer(p, m.dtype)
     each, row = np.arange(s), np.zeros(s, dtype=np.int64)
-    det, pivots = np.ones(s, dtype=np.int64), np.zeros((s, k), dtype=bool)
+    det, pivots = np.ones(s, dtype=m.dtype), np.zeros((s, k), dtype=bool)
     for c in range(k):
         here = np.minimum(row, n - 1)  # the current row; none is left once row = n
         below = (m[:, :, c] != 0) & (np.arange(n) >= row[:, None])
@@ -194,11 +202,11 @@ def _gauss_jordan(m: np.ndarray, p: int):
         r = np.where(found, below.argmax(axis=1), here)
         top = m[each, r]
         m[each, r], m[each, here] = m[each, here], top
-        det = np.where(found, np.where(r == here, det, p - det) * top[:, c] % p, 0)
-        top = top * power(top[:, c, None], p - 2, 1, lambda u, v: u * v % p) % p
+        det = np.where(found, mod(np.where(r == here, det, p - det) * top[:, c]), 0)
+        top = mod(top * power(top[:, c, None], p - 2, 1, lambda u, v: mod(u * v)))
         clear = np.where(found[:, None], m[:, :, c], 0)
         clear[each, here] -= found  # the pivot row, v times top, becomes top
-        m[:] = (m - clear[:, :, None] * top[:, None]) % p
+        m[:] = mod(m - clear[:, :, None] * top[:, None])
         row += found
     return m, pivots, det
 
@@ -211,7 +219,8 @@ def _kernel_basis(xs: np.ndarray, p: int):
 
     rref, pivots, _ = _gauss_jordan(xs, p)
     at = pivots[:, :, None] * rref[np.arange(len(xs))[:, None], pivots.cumsum(axis=1) - 1]
-    return pivots, (np.eye(xs.shape[-1], dtype=np.int64) - at).transpose(0, 2, 1) % p
+    basis = _reducer(p, xs.dtype)(np.eye(xs.shape[-1], dtype=xs.dtype) - at)
+    return pivots, basis.transpose(0, 2, 1)
 
 
 def _unique_rows(rows: np.ndarray):
@@ -241,47 +250,50 @@ def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
     """det(lam I - X) mod p for each X of an (S, n, n) stack of residues."""
     import numpy as np
 
-    return _gauss_jordan((lam * np.eye(xs.shape[-1], dtype=np.int64) - xs) % p, p)[2]
+    shifted = lam * np.eye(xs.shape[-1], dtype=xs.dtype) - xs
+    return _gauss_jordan(_reducer(p, xs.dtype)(shifted), p)[2]
 
 
 def _product_masks(a: Matrix, phi: UniPoly, invertible: bool, xs: np.ndarray,
                    kernels: np.ndarray, jordan: JordanSpec | None):
-    """Masks over an (S, n, n) stack ``xs`` of residues over GF(p), keyed by
-    verdict name, of the matrices that satisfy: AXA^k = X^k AX and A^k XA =
-    XA X^k for k = 1 .. 2n; XA phi(X) = 0 = phi(X) AX for phi = char(A), by
-    Horner from lead * I; with A ``invertible``, X A K = 0 for their
-    ``kernels``; A = 0 and X invertible, or X = 0 and A invertible. Under
-    "disjoint", det phi(X) = +-Res(char A, char X) != 0: coprime char polys.
+    """Masks over an (S, n, n) stack ``xs`` of residues over GF(p), in the
+    batch's dtype, keyed by verdict name, of the matrices that satisfy:
+    AXA^k = X^k AX and A^k XA = XA X^k for k = 1 .. 2n; XA phi(X) = 0 =
+    phi(X) AX for phi = char(A), by Horner from lead * I; with A ``invertible``,
+    X A K = 0 for their ``kernels``; A = 0 and X invertible, or X = 0 and A
+    invertible. Under "disjoint", det phi(X) = +-Res(char A, char X) != 0.
 
     With A the Jordan matrix of ``jordan``, also char_X(lam) mod p for each
     eigenvalue lam of A, returned beside the masks, and the masks of
     eigenvalue transfer (A X e_lo = 0 or char_X(lam) = 0 at each block start
     lo) and spectrum inclusion (Q^n = 0 for Q the product of X - mu I over
     mu in spec(A) and 0: char(X) splits over those mu). char(A) splits over
-    those lam, so "disjoint" is then every char_X(lam) != 0."""
+    those lam, so "disjoint" is then every char_X(lam) != 0. For a single
+    block of eigenvalue lam != 0, X = 0 or X similar to the block."""
     import numpy as np
 
     phi = phi.raw
     p, n = a.field.p, a.nrows
-    _check_int64(p, n + 1, len(xs))
-    a = np.array(a.raw, dtype=np.int64).reshape(n, n)
-    ident = np.eye(n, dtype=np.int64)
-    ax, xa = a @ xs % p, xs @ a % p
+    dtype = _narrow_dtype(p, n + 1, len(xs))
+    mod, xs, kernels = _reducer(p, dtype), xs.astype(dtype), kernels.astype(dtype)
+    a = np.array(a.raw, dtype=dtype).reshape(n, n)
+    ident = np.eye(n, dtype=dtype)
+    ax, xa = mod(a @ xs), mod(xs @ a)
     left, right, left2, right2 = ax, ax, xa, xa
     powers = np.ones(len(xs), dtype=bool)
     for _ in range(2 * n):
-        left, right = left @ a % p, xs @ right % p
-        left2, right2 = a @ left2 % p, right2 @ xs % p
+        left, right = mod(left @ a), mod(xs @ right)
+        left2, right2 = mod(a @ left2), mod(right2 @ xs)
         powers &= ((left == right) & (left2 == right2)).all(axis=(1, 2))
     acc = np.broadcast_to(phi[-1] * ident, xs.shape)
     for c in reversed(phi[:-1]):
-        acc = (acc @ xs + c * ident) % p
-    annihilated = ~((xa @ acc % p).any(axis=(1, 2)) | (acc @ ax % p).any(axis=(1, 2)))
+        acc = mod(acc @ xs + c * ident)
+    annihilated = ~(mod(xa @ acc).any(axis=(1, 2)) | mod(acc @ ax).any(axis=(1, 2)))
     masks = {"power-identities": powers, "charpoly-annihilation": annihilated,
              "disjoint-spectra-dichotomy": ~kernels.any(axis=(1, 2)) if not a.any()
              else ~xs.any(axis=(1, 2)) & invertible}  # A = 0 is not invertible
     if invertible:
-        masks["kernel-invariance"] = ~(xa @ kernels.transpose(0, 2, 1) % p).any(axis=(1, 2))
+        masks["kernel-invariance"] = ~mod(xa @ kernels.transpose(0, 2, 1)).any(axis=(1, 2))
     chars = {}
     if jordan is None:
         masks["disjoint"] = _gauss_jordan(acc, p)[2] != 0  # acc is not read again
@@ -294,28 +306,35 @@ def _product_masks(a: Matrix, phi: UniPoly, invertible: bool, xs: np.ndarray,
         q = xs
         for lam in chars:
             if lam.v:
-                q = q @ ((xs - lam.v * ident) % p) % p
+                q = mod(q @ mod(xs - lam.v * ident))
         for _ in range((n - 1).bit_length()):  # to Q^(2^m), 2^m >= n
-            q = q @ q % p
+            q = mod(q @ q)
         masks["spectrum-inclusion"] = ~q.any(axis=(1, 2))
+        (lam, _), *rest = jordan.blocks
+        if not rest and lam.v:  # N = X - lam I of index n: N^(n-1) != 0 = N^n
+            nil = mod(xs - lam.v * ident)
+            top = power(nil, n - 1, np.broadcast_to(ident, xs.shape), lambda u, v: mod(u @ v))
+            similar = top.any(axis=(1, 2)) & ~mod(top @ nil).any(axis=(1, 2))
+            masks["single-block-classification"] = similar | ~xs.any(axis=(1, 2))
     return ({name: mask.tolist() for name, mask in masks.items()},
             {lam: values.tolist() for lam, values in chars.items()})
 
 
 def _records(a: Matrix, solutions, commuting: bool):
-    """The (S, n, n) int64 residues of the solutions of ``a``, verified in one
-    batch mod p (AXA = XAX, and AX = XA when ``commuting``), and their kernels."""
+    """The (S, n, n) residues of the solutions of ``a`` in the sweep's dtype, verified in
+    one batch mod p (AXA = XAX, and AX = XA when ``commuting``), and their kernels."""
     import numpy as np
 
     p, n = a.field.p, a.nrows
-    _check_int64(p, n, len(solutions))
-    a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
+    dtype = _narrow_dtype(p, n + 1, len(solutions))
+    mod = _reducer(p, dtype)
+    a_int = np.array(a.raw, dtype=dtype).reshape(n, n)
     xs = np.array([x.raw for x in solutions if (x.field, x.nrows, x.ncols) == (a.field, n, n)],
-                  dtype=np.int64).reshape(-1, n, n)
-    ax = a_int @ xs % p
-    if len(xs) < len(solutions) or ((ax @ a_int - xs @ ax) % p).any():
+                  dtype=dtype).reshape(-1, n, n)
+    ax = mod(a_int @ xs)
+    if len(xs) < len(solutions) or mod(ax @ a_int - xs @ ax).any():
         raise PreconditionError("candidate is not a solution: it fails the exact residual")
-    if commuting and (ax != xs @ a_int % p).any():
+    if commuting and (ax != mod(xs @ a_int)).any():
         raise PreconditionError("candidate does not commute with A: it fails exact commutation")
     return (xs, *_kernel_basis(xs.copy(), p))
 
@@ -349,17 +368,18 @@ def check_budget(p: int, n: int, budget: int, commuting: bool) -> None:
 
 def _combinations(run: np.ndarray, lo: int, hi: int, p: int, dtype) -> np.ndarray:
     """The combinations of a run of basis elements, the rows of ``run``, one
-    column each, reduced mod p once and cast to ``dtype``: the first
-    element's digit is the most significant and runs over lo .. hi - 1, each
-    later one's over 0 .. p - 1. Built by broadcasting from the last element
-    to the first, each new element the leading digit."""
+    column each, as residues in ``dtype``: the first element's digit is the
+    most significant and runs over lo .. hi - 1, each later one's over
+    0 .. p - 1. Built by broadcasting from the last element to the first,
+    each new element the leading digit, reduced mod p at each step."""
     import numpy as np
 
-    out = np.zeros((run.shape[1], 1), dtype=np.int64)
+    mod, run = _reducer(p, dtype), run.astype(dtype)
+    out = np.zeros((run.shape[1], 1), dtype=dtype)
     for k in reversed(range(len(run))):
-        digits = np.arange(lo, hi) if k == 0 else np.arange(p)
-        out = (np.outer(run[k], digits)[:, :, None] + out[:, None, :]).reshape(len(out), -1)
-    return (out % p).astype(dtype)
+        digits = np.arange(lo, hi, dtype=dtype) if k == 0 else np.arange(p, dtype=dtype)
+        out = mod(np.outer(run[k], digits)[:, :, None] + out[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
@@ -387,8 +407,8 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
     basis = np.array(basis, dtype=np.int64).reshape(-1, n, n)
     dim = len(basis)
     _refuse_above(p, dim, budget, commuting)
-    _check_int64(p, dim, p ** dim)
-    dtype = _search_dtype(p, n)
+    dtype = _narrow_dtype(p, max(n, 2), p ** dim)
+    mod = _reducer(p, dtype)
     a_int = np.array(a.raw, dtype=np.int64).reshape(n, n)
     last = np.where(basis != 0, np.arange(dim)[:, None, None], -1).max(axis=0)
     head = max((t for t in range(1, dim + 1) if p ** t <= _CHUNK), default=min(dim, 1))
@@ -423,7 +443,7 @@ def _enumerate(a: Matrix, jordan: JordanSpec | None, budget: int,
             step = max(1, _CHUNK // add.shape[1])
             for lo in range(0, x.shape[2], step):
                 ext = np.repeat(x[:, :, lo:lo + step, None], add.shape[1], axis=3)
-                ext[on] = (ext[on] + add[:, None]) % p if wraps else add[:, None]
+                ext[on] = mod(ext[on] + add[:, None]) if wraps else add[:, None]
                 ext = ext.reshape(n, n, -1)
                 if entries := fixed.get(stop):
                     ext = ext[:, :, _screen_batch(a_int, ext.transpose(2, 0, 1), p, entries)]
@@ -547,6 +567,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
                                   report.kernels, jordan)
     invertible = report.pivots.all(axis=1).tolist()
     zero = (~report.stack.any(axis=(1, 2))).tolist()
+    similar = masks.get("single-block-classification", [None] * report.total)
     blocks = jordan.blocks if jordan is not None else ()
     lams = [lam for lam, _ in blocks]
     two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
@@ -580,7 +601,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
                                                       core.check_spectrum_inclusion,
                                                       a, x, eigenvalues))
         if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
-            verdicts.append(_single_block_classification(lams[0], x, invertible[i]))
+            verdicts.append(_single_block_classification(lams[0], x, invertible[i], similar[i]))
         if two_block and not zero[i] and not invertible[i]:
             label = report.kernel_labels[i]  # a singular solution's: a block span, or "other"
             holds = label != "other"
@@ -624,18 +645,22 @@ def _boxed_kernel(report: CensusReport, i: int) -> list[tuple[Scalar, ...]]:
             if not pivot]
 
 
-def _single_block_classification(lam, x: Matrix, invertible: bool) -> core.PropertyVerdict:
+def _single_block_classification(lam, x: Matrix, invertible: bool,
+                                 similar: bool | None = None) -> core.PropertyVerdict:
     """For a single Jordan block: with a nonzero eigenvalue every solution is
-    zero or similar to the block, which a Jordan chain of the solution
-    certifies; with eigenvalue zero and size 2 or more no solution is
-    invertible, which ``invertible`` says of ``x``."""
+    zero or similar to the block, which the batch decides (``similar``) and a
+    Jordan chain certifies where it did not; with eigenvalue zero and size 2
+    or more no solution is invertible, which ``invertible`` says of ``x``."""
     if lam.is_zero:
         holds = not invertible
         note = "nilpotent block admits no invertible solution"
     elif x.is_zero:
         holds, note = True, "zero solution"
     else:
-        holds = jordan_chain_conjugator(x, lam) is not None
+        holds = similar or jordan_chain_conjugator(x, lam) is not None
         note = "nonzero solution must be similar to the block"
+        if holds and similar is False:
+            raise AssertionError("single-block-classification: exact check holds on a solution "
+                                 "the mod-p batch flags")
     return core.PropertyVerdict("single-block-classification", holds,
                                 witness=None if holds else x, note=note)

@@ -351,11 +351,24 @@ def test_search_dtype_is_the_least_that_holds_the_widest_screen_sum():
             sieve[k * k::k] = False
     for p in np.flatnonzero(sieve).tolist():
         for n in range(1, 7):
-            v, dtype = n * (p - 1) ** 2, oracle._search_dtype(p, n)
+            v, dtype = n * (p - 1) ** 2, oracle._narrow_dtype(p, n)
             assert np.iinfo(dtype).min <= -v and v <= np.iinfo(dtype).max, (p, n)
             if dtype != SIGNED[0]:
                 narrower = np.iinfo(SIGNED[SIGNED.index(dtype) - 1])
                 assert not (narrower.min <= -v and v <= narrower.max), (p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 127, 251, 32749])
+def test_reducer_is_mod_p_on_every_narrow_value(p):
+    """The residue table of an 8- or 16-bit dtype gives x mod p for every
+    value the dtype holds, widened where p - 1 does not fit it; a wider
+    dtype keeps %."""
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        values = np.arange(info.min, info.max + 1, max(1, info.max >> 15), dtype=dtype)
+        got = oracle._reducer(p, np.dtype(dtype))(values)
+        assert np.iinfo(got.dtype).max >= p - 1
+        assert got.tolist() == (values.astype(np.int64) % p).tolist(), dtype
 
 
 def screened_dtypes(a, commuting):
@@ -373,16 +386,31 @@ def screened_dtypes(a, commuting):
     return seen, found
 
 
-@pytest.mark.parametrize("p, shorthand, commuting", [
+BENCHMARK_CENSUSES = [
     (2, "1^2,1^2", False), (2, "0^4", False), (3, "1^2,1^2", True),
     (5, "1^3", False), (5, "1^2,2^1", False),
-])
+]
+
+
+@pytest.mark.parametrize("p, shorthand, commuting", BENCHMARK_CENSUSES)
 def test_benchmark_censuses_screen_int8_stacks(p, shorthand, commuting):
     """The censuses of the census-sweep and census-screen workloads keep
     every screen sum within +-127, so the search runs on int8 stacks."""
     field = Field.gf(p)
     seen, _ = screened_dtypes(jordan_matrix(field, parse_jordan(field, shorthand)), commuting)
     assert seen == {np.dtype(np.int8)}
+
+
+@pytest.mark.parametrize("p, shorthand, commuting", BENCHMARK_CENSUSES)
+def test_benchmark_censuses_batch_int8_stacks(monkeypatch, p, shorthand, commuting):
+    """The same censuses keep every sum of their batch and sweep, up to the
+    (n + 1) (p - 1)^2 of the Horner step, within +-127: the report's
+    residues and kernels, and every elimination, are int8."""
+    seen, eliminate = set(), oracle._gauss_jordan
+    monkeypatch.setattr(oracle, "_gauss_jordan", lambda m, p: seen.add(m.dtype) or eliminate(m, p))
+    report = census(Field.gf(p), shorthand, commuting)
+    assert oracle.verify_theorems_on_census(report) and seen
+    assert seen | {report.stack.dtype, report.kernels.dtype} == {np.dtype(np.int8)}
 
 
 @pytest.mark.parametrize("a", [

@@ -173,9 +173,10 @@ def test_a_coefficient_off_its_block_structure_is_refused(monkeypatch, gf3):
 def test_sweep_derives_each_fact_once(monkeypatch):
     """On Jordan censuses over GF(p), and on censuses of coefficients whose
     char poly does not split, the sweep computes char(A) and no char(X), no
-    gcd and no unsplit part, and runs no exact check, since the batch
-    decides every verdict; no residual is checked twice."""
+    gcd and no unsplit part, and runs no exact check and no Jordan chain,
+    since the batch decides every verdict; no residual is checked twice."""
     checks = [name for name in vars(core) if name.startswith("check_")]
+    checks.append("jordan_chain_conjugator")
     calls = dict.fromkeys(["char_poly", "residual", "unsplit_part", "gcd", *checks], 0)
 
     def counting(name, fn):
@@ -186,7 +187,7 @@ def test_sweep_derives_each_fact_once(monkeypatch):
 
     reports = {key: census(*key.split()[:2], commuting="--commuting" in key)
                for key in ["gf:2 1^2,1^2", "gf:2 0^4", "gf:3 1^1,2^2", "gf:3 0^1,1^2",
-                           "gf:3 1^2,1^2 --commuting"]}
+                           "gf:3 1^2,1^2 --commuting", "gf:5 1^3", "gf:3 2^1"]}
     for p, entries in NON_SPLIT:
         reports[f"gf:{p} --A {entries}"] = oracle.enumerate_solutions(
             Matrix.from_rows(Field.gf(p), entries))
@@ -289,7 +290,9 @@ def test_product_masks_match_exact_checks(p):
     check_kernel_invariance for invertible A and, for a Jordan matrix A,
     check_eigenvalue_transfer and check_spectrum_inclusion; on a
     non-solution, which those checks refuse, with the same condition taken
-    here. char_X(lam) equals char(X) at each eigenvalue lam of A. Half the
+    here. For a single block of nonzero eigenvalue lam, X = 0 or a Jordan
+    chain of X at lam exists, on every matrix. char_X(lam) equals char(X)
+    at each eigenvalue lam of A. Half the
     random coefficients are Jordan matrices, with their census solutions
     added where the census is small, as are those of the pinned
     coefficients whose char poly does not split."""
@@ -308,6 +311,8 @@ def test_product_masks_match_exact_checks(p):
                           "disjoint-spectra-dichotomy"}
         expected_names |= {"kernel-invariance"} if invertible else set()
         expected_names |= {"eigenvalue-transfer", "spectrum-inclusion"} if jordan else set()
+        single = jordan and len(jordan.blocks) == 1 and not jordan.blocks[0][0].is_zero
+        expected_names |= {"single-block-classification"} if single else set()
         assert set(masks) == expected_names
         assert set(chars) == set(jordan.eigenvalues() if jordan else ())
         for i, x in enumerate(xs):
@@ -343,11 +348,49 @@ def test_product_masks_match_exact_checks(p):
                 exact["spectrum-inclusion"] = exact_or_direct(
                     a, x, lambda a, x: core.check_spectrum_inclusion(a, x, eigenvalues),
                     lambda x: splits) if invertible else splits
+            if single:
+                exact["single-block-classification"] = (
+                    x.is_zero or jordan_chain_conjugator(x, jordan.blocks[0][0]) is not None)
             for name, holds in exact.items():
                 assert masks[name][i] == holds, (name, x)
                 seen.setdefault(name, set()).add(holds)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
-    assert len(seen) == 7
+    assert len(seen) == 8
+
+
+@pytest.mark.parametrize("p, n, dtype", [
+    (5, 3, np.int8), (13, 2, np.int16), (17, 2, np.int16), (13, 3, np.int16),
+    (1_000_000_007, 2, np.int64), (1_000_000_007, 3, np.int64),
+])
+def test_narrow_batch_matches_int64_reference(monkeypatch, p, n, dtype):
+    """On stacks whose entries are p - 1, where every sum is widest, the
+    report's batch (_records), the elimination and the sweep's masks run in
+    the least dtype holding (n + 1) (p - 1)^2, through the residue table
+    for 8 and 16 bits, and equal the same code run in int64 with %; at
+    p = 1,000,000,007 that dtype is int64. The determinants are Matrix's."""
+    field = Field.gf(p)
+    full = Matrix.from_rows(field, [[p - 1] * n] * n)  # A = X solves AXA = XAX, as X = 0 does
+    jordan = parse_jordan(field, f"{p - 1}^{n}")
+    block = jordan_matrix(field, jordan)
+    mats = [full, block, block.transpose(), Matrix.identity(field, n).scale(p - 1),
+            Matrix.zero(field, n), Matrix.from_rows(field, [[p - 1] * (n - 1) + [0]] * n)]
+    xs = np.array([m.raw for m in mats], dtype=np.int64).reshape(-1, n, n)
+
+    def batch():
+        narrow, dtypes, out = oracle._narrow_dtype(p, n + 1), set(), []
+        for a, spec in ((full, None), (block, jordan)):
+            records = oracle._records(a, [a, Matrix.zero(field, n)], True)
+            kernels = oracle._kernel_basis(xs.astype(narrow), p)[1]
+            dtypes |= {records[0].dtype, records[2].dtype, kernels.dtype}
+            out += [[r.tolist() for r in records],
+                    oracle._product_masks(a, char_poly(a), a.is_invertible(), xs, kernels, spec)]
+        return dtypes, [*out, [r.tolist() for r in oracle._gauss_jordan(xs.astype(narrow), p)]]
+
+    dtypes, got = batch()
+    assert dtypes == {np.dtype(dtype)}
+    assert got[-1][2] == [m.det().v for m in mats]
+    monkeypatch.setattr(oracle, "_narrow_dtype", lambda p, terms, total=0: np.dtype(np.int64))
+    assert batch() == ({np.dtype(np.int64)}, got)
 
 
 @quick
@@ -478,7 +521,8 @@ def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
     report = census("gf:2", "1^2")
     batch = oracle._product_masks
     for name in ["power-identities", "charpoly-annihilation", "disjoint-spectra-dichotomy",
-                 "kernel-invariance", "spectrum-inclusion", "eigenvalue-transfer"]:
+                 "kernel-invariance", "spectrum-inclusion", "eigenvalue-transfer",
+                 "single-block-classification"]:
 
         def flag_all(*args):
             masks, chars = batch(*args)

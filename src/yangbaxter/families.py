@@ -113,8 +113,8 @@ def commuting_nilpotent(n: int, variant: str, alpha: Scalar, beta: Scalar) -> Ma
         raise SideConditionError("commuting family needs ambient size n+1 >= 4")
     if variant not in ("with_B", "without_B"):
         raise SideConditionError(f"unknown variant {variant!r}")
-    ones = {1: int(variant == "with_B"), n - 1: alpha, n: beta}  # B^k: the k-th superdiagonal
-    return Matrix(alpha.field, n + 1, n + 1, [ones.get(j - i, 0) for i in range(n + 1)
+    coefs = {1: int(variant == "with_B"), n - 1: alpha, n: beta}  # B^k: k-th superdiagonal
+    return Matrix(alpha.field, n + 1, n + 1, [coefs.get(j - i, 0) for i in range(n + 1)
                                               for j in range(n + 1)])
 
 

@@ -127,7 +127,7 @@ def _narrow_dtype(p: int, terms: int, total: int = 0):
     +v too); refuses a census whose int64 could wrap. Each sum of the census adds at most
     ``terms`` products of two residues below p, or two residues, reduced mod p before it is
     a factor again: n in the screen, a product and a residue in a table of combinations,
-    n + 1 in the sweep's Horner step. Digits and stage sizes stay below ``total``."""
+    n + 1 in the sweep's Horner step. Digits and partial matrices per stage stay below ``total``."""
     import numpy as np
 
     if terms * (p - 1) ** 2 > _INT64_MAX or total > _INT64_MAX:
@@ -136,9 +136,9 @@ def _narrow_dtype(p: int, terms: int, total: int = 0):
 
 
 def _reducer(p: int, dtype):
-    """x -> x mod p on arrays of ``dtype``: for 8 and 16 bits a lookup in the residues of
-    all its values in the order of its unsigned view, 0 .. 2^(b-1) - 1 then -2^(b-1) .. -1,
-    each a run of the cycle 0 .. p - 1, in ``dtype`` if it holds p - 1; else %."""
+    """x -> x mod p on arrays of ``dtype``; wider than 16 bits by %, else by a lookup in the
+    residues of all its values in the order of its unsigned view, 0 .. 2^(b-1) - 1 then
+    -2^(b-1) .. -1, each a run of the cycle 0 .. p - 1, widened only if p - 1 does not fit."""
     import numpy as np
 
     if dtype.itemsize > 2:

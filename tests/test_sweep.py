@@ -292,10 +292,9 @@ def test_product_masks_match_exact_checks(p):
     non-solution, which those checks refuse, with the same condition taken
     here. For a single block of nonzero eigenvalue lam, X = 0 or a Jordan
     chain of X at lam exists, on every matrix. char_X(lam) equals char(X)
-    at each eigenvalue lam of A. Half the
-    random coefficients are Jordan matrices, with their census solutions
-    added where the census is small, as are those of the pinned
-    coefficients whose char poly does not split."""
+    at each eigenvalue lam of A. Half the random coefficients are Jordan
+    matrices, with their census solutions added where the census is small,
+    as are those of the pinned coefficients whose char poly does not split."""
     rng = random.Random(p)
     field = Field.gf(p)
     seen = {}
@@ -359,32 +358,41 @@ def test_product_masks_match_exact_checks(p):
 
 
 @pytest.mark.parametrize("p, n, dtype", [
-    (5, 3, np.int8), (13, 2, np.int16), (17, 2, np.int16), (13, 3, np.int16),
-    (1_000_000_007, 2, np.int64), (1_000_000_007, 3, np.int64),
+    (5, 3, np.int8), (7, 4, np.int16), (11, 2, np.int16), (13, 2, np.int16),
+    (17, 2, np.int16), (13, 3, np.int16), (1_000_000_007, 2, np.int64),
+    (1_000_000_007, 3, np.int64),
 ])
 def test_narrow_batch_matches_int64_reference(monkeypatch, p, n, dtype):
-    """On stacks whose entries are p - 1, where every sum is widest, the
-    report's batch (_records), the elimination and the sweep's masks run in
-    the least dtype holding (n + 1) (p - 1)^2, through the residue table
-    for 8 and 16 bits, and equal the same code run in int64 with %; at
-    p = 1,000,000,007 that dtype is int64. The determinants are Matrix's."""
+    """On stacks whose entries are p - 1, where every sum is widest, and
+    random ones, the report's batch (_records), the elimination and the
+    sweep's masks run in the least dtype holding (n + 1) (p - 1)^2, every
+    elimination too, through the residue table for 8 and 16 bits, and equal
+    the same code run in int64 with %; at p = 1,000,000,007 that dtype is
+    int64. Over GF(7) at n = 4 and GF(11) at n = 2 the products alone pass
+    int8. The determinants are Matrix's."""
     field = Field.gf(p)
     full = Matrix.from_rows(field, [[p - 1] * n] * n)  # A = X solves AXA = XAX, as X = 0 does
     jordan = parse_jordan(field, f"{p - 1}^{n}")
     block = jordan_matrix(field, jordan)
     mats = [full, block, block.transpose(), Matrix.identity(field, n).scale(p - 1),
             Matrix.zero(field, n), Matrix.from_rows(field, [[p - 1] * (n - 1) + [0]] * n)]
+    rng = random.Random(p * n)
+    mats += [Matrix.from_rows(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+             for _ in range(12)]
     xs = np.array([m.raw for m in mats], dtype=np.int64).reshape(-1, n, n)
+    seen, eliminate = set(), oracle._gauss_jordan
+    monkeypatch.setattr(oracle, "_gauss_jordan", lambda m, p: seen.add(m.dtype) or eliminate(m, p))
 
     def batch():
-        narrow, dtypes, out = oracle._narrow_dtype(p, n + 1), set(), []
+        narrow, out = oracle._narrow_dtype(p, n + 1), []
+        seen.clear()
         for a, spec in ((full, None), (block, jordan)):
             records = oracle._records(a, [a, Matrix.zero(field, n)], True)
             kernels = oracle._kernel_basis(xs.astype(narrow), p)[1]
-            dtypes |= {records[0].dtype, records[2].dtype, kernels.dtype}
+            seen.add(records[0].dtype)
             out += [[r.tolist() for r in records],
                     oracle._product_masks(a, char_poly(a), a.is_invertible(), xs, kernels, spec)]
-        return dtypes, [*out, [r.tolist() for r in oracle._gauss_jordan(xs.astype(narrow), p)]]
+        return set(seen), [*out, [r.tolist() for r in oracle._gauss_jordan(xs.astype(narrow), p)]]
 
     dtypes, got = batch()
     assert dtypes == {np.dtype(dtype)}

@@ -28,9 +28,10 @@ structure comes back untagged.
 
 The theorem sweep checks the product identities, kernel invariance, the
 dichotomy and, with a block structure, the spectral checks mod p on one
-stack of all solutions; only a solution that batch flags meets an exact
-check. What the batch holds exactly it decides: spectral disjointness,
-invertibility and each kernel's block label.
+stack of all solutions, and builds its verdicts a property at a time from
+that batch; only a solution the batch flags meets an exact check. What the
+batch holds exactly it decides: spectral disjointness, invertibility and
+each kernel's block label.
 
 numpy is imported inside the functions that use it, so that importing the
 package, and every command but a census, does not load it.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import core
 from .errors import BudgetError, PreconditionError, SideConditionError
@@ -138,16 +139,19 @@ def _narrow_dtype(p: int, terms: int, total: int = 0):
 def _reducer(p: int, dtype):
     """x -> x mod p on arrays of ``dtype``; wider than 16 bits by %, else by a lookup in the
     residues of all its values in the order of its unsigned view, 0 .. 2^(b-1) - 1 then
-    -2^(b-1) .. -1, each a run of the cycle 0 .. p - 1, widened only if p - 1 does not fit."""
+    -2^(b-1) .. -1, widened only if p - 1 does not fit: for 8 bits each value's, taken at
+    once, for 16 bits two runs of the cycle 0 .. p - 1, which cost less than 2^16 remainders."""
     import numpy as np
 
     if dtype.itemsize > 2:
         return lambda x: x % p
-    half = 1 << 8 * dtype.itemsize - 1
-    cycle = np.tile(np.arange(p, dtype=np.promote_types(dtype, np.min_scalar_type(-p))),
-                    half // p + 2)
-    table = np.concatenate([cycle[:half], cycle[-half % p:][:half]])
-    unsigned = np.dtype(f"u{dtype.itemsize}")
+    wide, unsigned = np.promote_types(dtype, np.min_scalar_type(-p)), f"u{dtype.itemsize}"
+    if dtype.itemsize == 1:
+        table = np.arange(256, dtype=np.uint8).view(dtype).astype(wide, copy=False) % p
+    else:
+        half = 1 << 15
+        cycle = np.tile(np.arange(p, dtype=wide), half // p + 2)
+        table = np.concatenate([cycle[:half], cycle[-half % p:][:half]])
     return lambda x: table.take(x.view(unsigned))
 
 
@@ -547,92 +551,103 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     derived once per census; each solution's invertibility, zero-ness,
     kernel and kernel label come from the report's batch.
 
-    The power identities, charpoly annihilation, kernel invariance, the
-    disjoint-spectra dichotomy and disjointness itself of all solutions are
-    batched mod p first, and only a flagged solution meets the exact check.
-    With a block structure, A is its Jordan matrix, and the batch also takes
-    char_X(lam) = det(lam I - X) at each eigenvalue lam of A and screens
-    eigenvalue transfer and spectrum inclusion. The kernel labels decide the
-    two-block kernel classification; a failing one's witness is the kernel
-    boxed from the batch. With A invertible, for each block whose eigenvalue
-    labels no other, a kernel equal to span(e_lo) excludes the eigenvalue
-    from spec(X), which forces X to kill the generalized eigenspace.
+    The list is built a property at a time, a column over all solutions of
+    where it applies and its verdicts, interleaved into per-solution order
+    at the end. Where the batch decides a property holds, the entry is the
+    column's one passing verdict for its note, so equal passing verdicts
+    may be one (frozen) object. The power identities, charpoly
+    annihilation, kernel invariance, the disjoint-spectra dichotomy,
+    disjointness and a single block's classification are batched mod p,
+    and only the solutions the batch flags meet the exact check (for the
+    classification, a Jordan chain). With a block structure, A is its
+    Jordan matrix, and the batch also takes char_X(lam) = det(lam I - X) at
+    each eigenvalue lam of A and screens eigenvalue transfer and spectrum
+    inclusion. The kernel labels decide the two-block kernel classification;
+    a failing one's witness is the kernel boxed from the batch. With A
+    invertible, for each block whose eigenvalue labels no other, a kernel
+    equal to span(e_lo) excludes the eigenvalue from spec(X), which forces
+    X to kill the generalized eigenspace.
     """
     import numpy as np
 
-    a, jordan = report.coefficient, report.jordan
+    a, jordan, sols = report.coefficient, report.jordan, report.solutions
     n = a.nrows
     a_invertible = not a.kernel_basis()
     masks, chars = _product_masks(a, char_poly(a), a_invertible, report.stack,
                                   report.kernels, jordan)
-    invertible = report.pivots.all(axis=1).tolist()
-    zero = (~report.stack.any(axis=(1, 2))).tolist()
-    similar = masks.get("single-block-classification", [None] * report.total)
+    invertible, zero = report.pivots.all(axis=1), ~report.stack.any(axis=(1, 2))
     blocks = jordan.blocks if jordan is not None else ()
     lams = [lam for lam, _ in blocks]
-    two_block = len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero
-    simple_blocks = []
+    columns, nowhere = [], np.zeros(len(sols), dtype=bool)
+
+    def column(name, applies, holds, fail, note=""):  # masks, lists or one bool for all
+        applies, holds = nowhere | applies, nowhere | holds
+        verdicts = np.empty(len(sols), dtype=object)
+        if (cleared := applies & holds).any():
+            verdicts[cleared] = core.PropertyVerdict(name, True, note=note)
+        for i in np.flatnonzero(applies & ~holds):
+            verdicts[i] = fail(i)
+        columns.append((applies, verdicts))
+
+    def batched(name, applies, check, *args):  # the exact check where the batch flags
+        column(name, applies, masks.get(name, False),
+               lambda i: _exact_unless_cleared(masks, name, check, a, sols[i], *args))
+
+    def decided(name, applies, holds, note, witness=sols.__getitem__):
+        column(name, applies, holds,
+               lambda i: core.PropertyVerdict(name, False, witness=witness(i), note=note), note)
+
+    batched("power-identities", True, core.check_power_identities, 2 * n)
+    batched("charpoly-annihilation", True, core.check_charpoly_annihilation)
+    disjoint = (masks["disjoint"] if "disjoint" in masks
+                else [core.spectra_disjoint(a, x) for x in sols])
+    batched("disjoint-spectra-dichotomy", disjoint, core.check_disjoint_spectra_dichotomy, True)
+    if a_invertible:
+        batched("kernel-invariance", True, core.check_kernel_invariance)
+        if jordan is not None:
+            batched("spectrum-inclusion", True, core.check_spectrum_inclusion,
+                    jordan.eigenvalues())
+    if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
+        name, lam = "single-block-classification", lams[0]
+        flagged = False if name in masks else None  # None: no batch, the chain decides
+        classify = lambda i: _single_block_classification(lam, sols[i], invertible[i], flagged)
+        if lam.is_zero:
+            column(name, True, ~invertible, classify,
+                   "nilpotent block admits no invertible solution")
+        else:
+            column(name, zero, True, None, "zero solution")
+            column(name, ~zero, masks.get(name, False), classify,
+                   "nonzero solution must be similar to the block")
+    if len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero:
+        singular = ~zero & ~invertible  # a singular solution's kernel: a block span, or "other"
+        labels = np.array(report.kernel_labels, dtype=object)
+        for label in sorted(set(labels[singular])):  # a column per label: one applies per row
+            decided("two-block-kernel-classification", singular & (labels == label),
+                    label != "other", f"kernel is {label}", lambda i: _boxed_kernel(report, i))
     if jordan is not None:
-        eigenvalues, ranges = jordan.eigenvalues(), jordan.block_ranges()
-        units = Matrix.identity(a.field, n).entries
-        eigenpairs = [(lam, units[lo * n:lo * n + n]) for lam, (lo, _) in zip(lams, ranges)]
+        units, ranges = Matrix.identity(a.field, n).entries, jordan.block_ranges()
+        batched("eigenvalue-transfer", True, core.check_eigenvalue_transfer,
+                [(lam, units[lo * n:lo * n + n]) for lam, (lo, _) in zip(lams, ranges)])
         # each simple block, with whether each kernel is span(e_lo): e_lo its one vector
         unit, single = np.eye(n, dtype=np.int64), (~report.pivots).sum(axis=1) == 1
-        simple_blocks = [(lam, lo, hi, single & (report.kernels[:, lo] == unit[lo]).all(axis=1))
-                         for lam, (lo, hi) in zip(lams, ranges)
-                         if lams.count(lam) == 1 and a_invertible]
-
-    verdicts: list[core.PropertyVerdict] = []
-    for i, x in enumerate(report.solutions):
-        verdicts.append(_exact_unless_cleared(masks, i, "power-identities",
-                                              core.check_power_identities, a, x, 2 * n))
-        verdicts.append(_exact_unless_cleared(masks, i, "charpoly-annihilation",
-                                              core.check_charpoly_annihilation, a, x))
-        absent = {lam: values[i] != 0 for lam, values in chars.items()}  # char_X(lam) != 0
-        if masks["disjoint"][i] if "disjoint" in masks else core.spectra_disjoint(a, x):
-            verdicts.append(_exact_unless_cleared(masks, i, "disjoint-spectra-dichotomy",
-                                                  core.check_disjoint_spectra_dichotomy,
-                                                  a, x, True))
-        if a_invertible:
-            verdicts.append(_exact_unless_cleared(masks, i, "kernel-invariance",
-                                                  core.check_kernel_invariance, a, x))
-            if jordan is not None:
-                verdicts.append(_exact_unless_cleared(masks, i, "spectrum-inclusion",
-                                                      core.check_spectrum_inclusion,
-                                                      a, x, eigenvalues))
-        if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
-            verdicts.append(_single_block_classification(lams[0], x, invertible[i], similar[i]))
-        if two_block and not zero[i] and not invertible[i]:
-            label = report.kernel_labels[i]  # a singular solution's: a block span, or "other"
-            holds = label != "other"
-            verdicts.append(core.PropertyVerdict(
-                "two-block-kernel-classification", holds,
-                witness=None if holds else _boxed_kernel(report, i), note=f"kernel is {label}"))
-        if jordan is not None:
-            verdicts.append(_exact_unless_cleared(masks, i, "eigenvalue-transfer",
-                                                  core.check_eigenvalue_transfer,
-                                                  a, x, eigenpairs))
-        for lam, lo, hi, eigenspace in simple_blocks:
-            if eigenspace[i]:
-                verdicts.append(core.PropertyVerdict(
-                    "kernel-eigenvalue-exclusion", absent[lam], witness=None if absent[lam] else x,
-                    note=f"kernel equals the eigenspace of {lam}"))
-            if absent[lam]:
-                killed = all(x[r, col].is_zero for col in range(lo, hi) for r in range(n))
-                verdicts.append(core.PropertyVerdict(
-                    "annihilates-generalized-eigenspace", killed, witness=None if killed else x,
-                    note=f"eigenvalue {lam} absent from the solution spectrum"))
-    return verdicts
+        for lam, (lo, hi) in zip(lams, ranges):
+            if lams.count(lam) == 1 and a_invertible:
+                absent = np.array(chars[lam]) != 0  # char_X(lam) != 0
+                decided("kernel-eigenvalue-exclusion",
+                        single & (report.kernels[:, lo] == unit[lo]).all(axis=1), absent,
+                        f"kernel equals the eigenspace of {lam}")
+                decided("annihilates-generalized-eigenspace", absent,
+                        ~report.stack[:, :, lo:hi].any(axis=(1, 2)),
+                        f"eigenvalue {lam} absent from the solution spectrum")
+    applies, verdicts = zip(*columns)
+    return np.column_stack(verdicts)[np.column_stack(applies)].tolist()
 
 
-def _exact_unless_cleared(masks, i: int, name: str, check, *args) -> core.PropertyVerdict:
-    """The passing verdict when the batch cleared solution ``i`` under ``name``,
-    else the exact check's, which must fail if the batch ran."""
-    cleared = masks[name][i] if name in masks else None
-    if cleared:
-        return core.PropertyVerdict(name, True)
+def _exact_unless_cleared(masks, name: str, check, *args) -> core.PropertyVerdict:
+    """The exact check's verdict on a solution the batch did not clear under
+    ``name``, which must fail if the batch ran (``name`` in ``masks``)."""
     verdict = check(*args)
-    if verdict.holds and cleared is not None:
+    if verdict.holds and name in masks:
         raise AssertionError(f"{name}: exact check holds on a solution the mod-p batch flags")
     return verdict
 
@@ -640,9 +655,9 @@ def _exact_unless_cleared(masks, i: int, name: str, check, *args) -> core.Proper
 def _boxed_kernel(report: CensusReport, i: int) -> list[tuple[Scalar, ...]]:
     """The kernel basis of solution ``i``, boxed from the report's batch as
     Matrix.kernel_basis gives it: the vectors of the free columns."""
-    return [tuple(Scalar(report.field, v) for v in vec)
-            for vec, pivot in zip(report.kernels[i].tolist(), report.pivots[i].tolist())
-            if not pivot]
+    box = partial(Scalar, report.field)
+    kernel = zip(report.kernels[i].tolist(), report.pivots[i].tolist())
+    return [tuple(map(box, vec)) for vec, pivot in kernel if not pivot]
 
 
 def _single_block_classification(lam, x: Matrix, invertible: bool,

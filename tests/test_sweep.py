@@ -5,12 +5,13 @@ census, and per solution the residual, kernel, invertibility and
 spectral disjointness from the report's own batch. These tests pin its
 verdict lists to ones recorded when every check recomputed its own facts,
 compare it with that loop on random censuses, count the characteristic
-polynomials, residuals, kernels and exact checks it computes, and make
-sure a non-solution smuggled into a census is still refused. Its mod-p
-batch of product identities, kernel invariance, the disjoint-spectra
-dichotomy, disjointness, eigenvalue transfer, spectrum inclusion and
-char(X) at the eigenvalues of A is checked against the exact checks, with
-and without a batch, and a batch the exact check contradicts must raise.
+polynomials, residuals, kernels, exact checks and verdict objects it
+computes, and make sure a non-solution smuggled into a census is still
+refused. Its mod-p batch of product identities, kernel invariance, the
+disjoint-spectra dichotomy, disjointness, eigenvalue transfer, spectrum
+inclusion and char(X) at the eigenvalues of A is checked against the
+exact checks, with and without a batch, and a batch the exact check
+contradicts must raise.
 """
 
 import json
@@ -204,6 +205,37 @@ def test_sweep_derives_each_fact_once(monkeypatch):
         assert calls["unsplit_part"] == calls["gcd"] == 0, key
         assert calls["residual"] <= report.total, key
         assert not any(calls[name] for name in checks), (key, calls)
+
+
+@pytest.mark.parametrize("key", ["gf:2 1^2,1^2", "gf:2 0^4", "gf:3 1^2,1^2 --commuting"])
+def test_sweep_builds_each_passing_verdict_once(monkeypatch, key):
+    """The sweep builds its verdicts a property at a time: every entry the
+    batch clears shares the one passing verdict of its (name, note), so it
+    builds no more verdicts than it returns distinct passing (name, note)
+    pairs and failing verdicts, counting those the exact checks build."""
+    report = census(*key.split()[:2], commuting="--commuting" in key)
+    built, verdict = [], core.PropertyVerdict
+
+    def counting(*args, **kwargs):
+        built.append(verdict(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(core, "PropertyVerdict", counting)
+    verdicts = oracle.verify_theorems_on_census(report)
+    passing = {(v.name, v.note) for v in verdicts if v.holds}
+    failing = [v for v in verdicts if not v.holds]
+    assert len(built) <= len(passing) + len(failing), key
+    assert len({id(v) for v in verdicts if v.holds}) == len(passing), key
+    assert rows(verdicts) == json.loads(GOLDEN.read_text(encoding="utf-8"))[key]
+
+
+def test_solution_heavy_sweep_matches_reference():
+    """A = 0 in size 3 over GF(2): all 512 candidates solve, and every one
+    of the sweep's 1,704 verdicts equals the reference loop's."""
+    report = census("gf:2", "0^1,0^1,0^1")
+    verdicts = oracle.verify_theorems_on_census(report)
+    assert (report.total, len(verdicts)) == (512, 1704)
+    assert rows(verdicts) == rows(reference_sweep(report))
 
 
 def test_sweep_refuses_a_smuggled_non_solution(gf2):

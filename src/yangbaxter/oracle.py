@@ -581,7 +581,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     columns, nowhere = [], np.zeros(len(sols), dtype=bool)
 
     def column(name, applies, holds, fail, note=""):  # masks, lists or one bool for all
-        applies, holds = nowhere | applies, nowhere | holds
+        applies, holds = (nowhere | np.asarray(v, dtype=bool) for v in (applies, holds))
         verdicts = np.empty(len(sols), dtype=object)
         if (cleared := applies & holds).any():
             verdicts[cleared] = core.PropertyVerdict(name, True, note=note)

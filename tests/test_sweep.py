@@ -238,6 +238,14 @@ def test_solution_heavy_sweep_matches_reference():
     assert rows(verdicts) == rows(reference_sweep(report))
 
 
+def test_sweep_of_a_report_without_solutions_is_empty(gf2):
+    """A report built by hand with no solution, with and without a block
+    structure, gives no verdict, as a loop over its solutions would."""
+    jordan = parse_jordan(gf2, "1^2,1^2")
+    for a, spec in ((Matrix.zero(gf2, 2), None), (jordan_matrix(gf2, jordan), jordan)):
+        assert oracle.verify_theorems_on_census(oracle.CensusReport(a, False, (), spec)) == []
+
+
 def test_sweep_refuses_a_smuggled_non_solution(gf2):
     """A report whose solution list holds a non-solution is refused: each
     solution's residual is verified once, when the report is built, so the

@@ -26,10 +26,11 @@ the census tallies. For two equal blocks the tag is the block shape of a
 verified solution, which of its four blocks vanish. Any other block
 structure comes back untagged.
 
-The theorem sweep checks the product identities, kernel invariance, the
-dichotomy and, with a block structure, the spectral checks mod p on one
-stack of all solutions, and builds its verdicts a property at a time from
-that batch; only a solution the batch flags meets an exact check. What the
+The theorem sweep has one path: it checks the product identities, kernel
+invariance, the dichotomy and, with a block structure, the spectral checks
+and a single block's classification mod p on one stack of all solutions,
+and builds its verdicts a property at a time from that batch's mask
+arrays; only a solution the batch flags meets an exact check. What the
 batch holds exactly it decides: spectral disjointness, invertibility and
 each kernel's block label.
 
@@ -260,8 +261,8 @@ def _char_values(xs: np.ndarray, lam: int, p: int) -> np.ndarray:
 
 def _product_masks(a: Matrix, phi: UniPoly, invertible: bool, xs: np.ndarray,
                    kernels: np.ndarray, jordan: JordanSpec | None):
-    """Masks over an (S, n, n) stack ``xs`` of residues over GF(p), in the
-    batch's dtype, keyed by verdict name, of the matrices that satisfy:
+    """Bool (S,) masks over an (S, n, n) stack ``xs`` of residues over GF(p),
+    in the batch's dtype, keyed by verdict name, of the matrices that satisfy:
     AXA^k = X^k AX and A^k XA = XA X^k for k = 1 .. 2n; XA phi(X) = 0 =
     phi(X) AX for phi = char(A), by Horner from lead * I; with A ``invertible``,
     X A K = 0 for their ``kernels``; A = 0 and X invertible, or X = 0 and A
@@ -273,7 +274,8 @@ def _product_masks(a: Matrix, phi: UniPoly, invertible: bool, xs: np.ndarray,
     lo) and spectrum inclusion (Q^n = 0 for Q the product of X - mu I over
     mu in spec(A) and 0: char(X) splits over those mu). char(A) splits over
     those lam, so "disjoint" is then every char_X(lam) != 0. For a single
-    block of eigenvalue lam != 0, X = 0 or X similar to the block."""
+    block of eigenvalue lam != 0, X = 0 or X similar to the block. Masks and
+    char values are returned as arrays."""
     import numpy as np
 
     phi = phi.raw
@@ -320,8 +322,7 @@ def _product_masks(a: Matrix, phi: UniPoly, invertible: bool, xs: np.ndarray,
             top = power(nil, n - 1, np.broadcast_to(ident, xs.shape), lambda u, v: mod(u @ v))
             similar = top.any(axis=(1, 2)) & ~mod(top @ nil).any(axis=(1, 2))
             masks["single-block-classification"] = similar | ~xs.any(axis=(1, 2))
-    return ({name: mask.tolist() for name, mask in masks.items()},
-            {lam: values.tolist() for lam, values in chars.items()})
+    return masks, chars
 
 
 def _records(a: Matrix, solutions, commuting: bool):
@@ -551,22 +552,26 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     derived once per census; each solution's invertibility, zero-ness,
     kernel and kernel label come from the report's batch.
 
-    The list is built a property at a time, a column over all solutions of
-    where it applies and its verdicts, interleaved into per-solution order
-    at the end. Where the batch decides a property holds, the entry is the
-    column's one passing verdict for its note, so equal passing verdicts
-    may be one (frozen) object. The power identities, charpoly
-    annihilation, kernel invariance, the disjoint-spectra dichotomy,
-    disjointness and a single block's classification are batched mod p,
-    and only the solutions the batch flags meet the exact check (for the
-    classification, a Jordan chain). With a block structure, A is its
-    Jordan matrix, and the batch also takes char_X(lam) = det(lam I - X) at
-    each eigenvalue lam of A and screens eigenvalue transfer and spectrum
-    inclusion. The kernel labels decide the two-block kernel classification;
-    a failing one's witness is the kernel boxed from the batch. With A
-    invertible, for each block whose eigenvalue labels no other, a kernel
-    equal to span(e_lo) excludes the eigenvalue from spec(X), which forces
-    X to kill the generalized eigenspace.
+    The mod-p batch is the one path to every verdict. The list is built a
+    property at a time, a column over all solutions of where it applies
+    and its verdicts, interleaved into per-solution order at the end. Where
+    the batch decides a property holds, the entry is the column's one
+    passing verdict for its note, so equal passing verdicts may be one
+    (frozen) object. The power identities, charpoly annihilation, kernel
+    invariance, the disjoint-spectra dichotomy, disjointness and a single
+    block's classification are batched mod p, and only the solutions the
+    batch flags meet the exact check (for the classification of a nonzero
+    solution, a Jordan chain), which must fail there: one that holds is an
+    internal error. Invertibility decides a nilpotent block's
+    classification, and the residues pass the zero solution of any other
+    block. With a block structure, A is its Jordan matrix, and the batch
+    also takes char_X(lam) = det(lam I - X) at each eigenvalue lam of A and
+    screens eigenvalue transfer and spectrum inclusion. The kernel labels
+    decide the two-block kernel classification; a failing one's witness is
+    the kernel boxed from the batch. With A invertible, for each block whose
+    eigenvalue labels no other, a kernel equal to span(e_lo) excludes the
+    eigenvalue from spec(X), which forces X to kill the generalized
+    eigenspace.
     """
     import numpy as np
 
@@ -580,8 +585,8 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     lams = [lam for lam, _ in blocks]
     columns, nowhere = [], np.zeros(len(sols), dtype=bool)
 
-    def column(name, applies, holds, fail, note=""):  # masks, lists or one bool for all
-        applies, holds = (nowhere | np.asarray(v, dtype=bool) for v in (applies, holds))
+    def column(name, applies, holds, fail, note=""):  # masks, or one bool for all
+        applies, holds = nowhere | applies, nowhere | holds
         verdicts = np.empty(len(sols), dtype=object)
         if (cleared := applies & holds).any():
             verdicts[cleared] = core.PropertyVerdict(name, True, note=note)
@@ -589,9 +594,13 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
             verdicts[i] = fail(i)
         columns.append((applies, verdicts))
 
-    def batched(name, applies, check, *args):  # the exact check where the batch flags
-        column(name, applies, masks.get(name, False),
-               lambda i: _exact_unless_cleared(masks, name, check, a, sols[i], *args))
+    def batched(name, applies, check, *args, note=""):  # the exact check where the batch flags
+        def refuted(i):
+            if (verdict := check(a, sols[i], *args)).holds:
+                raise AssertionError(
+                    f"{name}: exact check holds on a solution the mod-p batch flags")
+            return verdict
+        column(name, applies, masks[name], refuted, note)
 
     def decided(name, applies, holds, note, witness=sols.__getitem__):
         column(name, applies, holds,
@@ -599,9 +608,8 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
 
     batched("power-identities", True, core.check_power_identities, 2 * n)
     batched("charpoly-annihilation", True, core.check_charpoly_annihilation)
-    disjoint = (masks["disjoint"] if "disjoint" in masks
-                else [core.spectra_disjoint(a, x) for x in sols])
-    batched("disjoint-spectra-dichotomy", disjoint, core.check_disjoint_spectra_dichotomy, True)
+    batched("disjoint-spectra-dichotomy", masks["disjoint"],
+            core.check_disjoint_spectra_dichotomy, True)
     if a_invertible:
         batched("kernel-invariance", True, core.check_kernel_invariance)
         if jordan is not None:
@@ -609,15 +617,12 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
                     jordan.eigenvalues())
     if len(blocks) == 1 and (n > 1 or not lams[0].is_zero):  # A = 0 is 1x1: all solve
         name, lam = "single-block-classification", lams[0]
-        flagged = False if name in masks else None  # None: no batch, the chain decides
-        classify = lambda i: _single_block_classification(lam, sols[i], invertible[i], flagged)
         if lam.is_zero:
-            column(name, True, ~invertible, classify,
-                   "nilpotent block admits no invertible solution")
+            decided(name, True, ~invertible, "nilpotent block admits no invertible solution")
         else:
-            column(name, zero, True, None, "zero solution")
-            column(name, ~zero, masks.get(name, False), classify,
-                   "nonzero solution must be similar to the block")
+            decided(name, zero, True, "zero solution")
+            batched(name, ~zero, lambda _, x: _single_block_classification(lam, x),
+                    note="nonzero solution must be similar to the block")
     if len(blocks) == 2 and not lams[0].is_zero and not lams[1].is_zero:
         singular = ~zero & ~invertible  # a singular solution's kernel: a block span, or "other"
         labels = np.array(report.kernel_labels, dtype=object)
@@ -632,7 +637,7 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
         unit, single = np.eye(n, dtype=np.int64), (~report.pivots).sum(axis=1) == 1
         for lam, (lo, hi) in zip(lams, ranges):
             if lams.count(lam) == 1 and a_invertible:
-                absent = np.array(chars[lam]) != 0  # char_X(lam) != 0
+                absent = chars[lam] != 0  # char_X(lam) != 0
                 decided("kernel-eigenvalue-exclusion",
                         single & (report.kernels[:, lo] == unit[lo]).all(axis=1), absent,
                         f"kernel equals the eigenspace of {lam}")
@@ -643,15 +648,6 @@ def verify_theorems_on_census(report: CensusReport) -> list[core.PropertyVerdict
     return np.column_stack(verdicts)[np.column_stack(applies)].tolist()
 
 
-def _exact_unless_cleared(masks, name: str, check, *args) -> core.PropertyVerdict:
-    """The exact check's verdict on a solution the batch did not clear under
-    ``name``, which must fail if the batch ran (``name`` in ``masks``)."""
-    verdict = check(*args)
-    if verdict.holds and name in masks:
-        raise AssertionError(f"{name}: exact check holds on a solution the mod-p batch flags")
-    return verdict
-
-
 def _boxed_kernel(report: CensusReport, i: int) -> list[tuple[Scalar, ...]]:
     """The kernel basis of solution ``i``, boxed from the report's batch as
     Matrix.kernel_basis gives it: the vectors of the free columns."""
@@ -660,22 +656,10 @@ def _boxed_kernel(report: CensusReport, i: int) -> list[tuple[Scalar, ...]]:
     return [tuple(map(box, vec)) for vec, pivot in kernel if not pivot]
 
 
-def _single_block_classification(lam, x: Matrix, invertible: bool,
-                                 similar: bool | None = None) -> core.PropertyVerdict:
-    """For a single Jordan block: with a nonzero eigenvalue every solution is
-    zero or similar to the block, which the batch decides (``similar``) and a
-    Jordan chain certifies where it did not; with eigenvalue zero and size 2
-    or more no solution is invertible, which ``invertible`` says of ``x``."""
-    if lam.is_zero:
-        holds = not invertible
-        note = "nilpotent block admits no invertible solution"
-    elif x.is_zero:
-        holds, note = True, "zero solution"
-    else:
-        holds = similar or jordan_chain_conjugator(x, lam) is not None
-        note = "nonzero solution must be similar to the block"
-        if holds and similar is False:
-            raise AssertionError("single-block-classification: exact check holds on a solution "
-                                 "the mod-p batch flags")
-    return core.PropertyVerdict("single-block-classification", holds,
-                                witness=None if holds else x, note=note)
+def _single_block_classification(lam, x: Matrix) -> core.PropertyVerdict:
+    """The exact check of a nonzero solution ``x`` for a single Jordan block
+    of nonzero eigenvalue ``lam``: ``x`` is similar to the block, which a
+    Jordan chain certifies. The sweep runs it where the batch flags ``x``."""
+    holds = jordan_chain_conjugator(x, lam) is not None
+    return core.PropertyVerdict("single-block-classification", holds, witness=None if holds else x,
+                                note="nonzero solution must be similar to the block")

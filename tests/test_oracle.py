@@ -656,11 +656,11 @@ def test_single_block_classification_refutes_a_foreign_spectrum(gf5):
     with itself as the witness instead of raising InconclusiveError."""
     one = gf5.one()  # the eigenvalue of the block J_2(1)
     x = Matrix.from_rows(gf5, [[2, 0], [0, 3]])
-    verdict = oracle._single_block_classification(one, x, True)
+    verdict = oracle._single_block_classification(one, x)
     assert not verdict.holds and verdict.witness == x
-    assert not oracle._single_block_classification(one, Matrix.identity(gf5, 2), True).holds
+    assert not oracle._single_block_classification(one, Matrix.identity(gf5, 2)).holds
     member = Matrix.from_rows(gf5, [[3, 4], [4, 4]])
-    assert oracle._single_block_classification(one, member, True).holds
+    assert oracle._single_block_classification(one, member).holds
 
 
 def test_nilpotent_blocks_have_no_invertible_solution(gf2, gf3):

@@ -7,11 +7,12 @@ verdict lists to ones recorded when every check recomputed its own facts,
 compare it with that loop on random censuses, count the characteristic
 polynomials, residuals, kernels, exact checks and verdict objects it
 computes, and make sure a non-solution smuggled into a census is still
-refused. Its mod-p batch of product identities, kernel invariance, the
-disjoint-spectra dichotomy, disjointness, eigenvalue transfer, spectrum
-inclusion and char(X) at the eigenvalues of A is checked against the
-exact checks, with and without a batch, and a batch the exact check
-contradicts must raise.
+refused. Its mod-p batch, the sweep's one path, of product identities,
+kernel invariance, the disjoint-spectra dichotomy, disjointness,
+eigenvalue transfer, spectrum inclusion, single-block classification and
+char(X) at the eigenvalues of A is checked against the exact checks; a
+solution the batch flags takes the exact check's failing verdict, and a
+batch the exact check contradicts must raise.
 """
 
 import json
@@ -346,6 +347,8 @@ def test_product_masks_match_exact_checks(p):
         stack = np.array([x.raw for x in xs], dtype=np.int64).reshape(-1, n, n)
         _, kernels = oracle._kernel_basis(stack.copy(), p)
         masks, chars = oracle._product_masks(a, phi, invertible, stack, kernels, jordan)
+        assert all(m.dtype == bool and m.shape == (len(xs),) for m in masks.values())
+        assert all(len(values) == len(xs) for values in chars.values())
         expected_names = {"power-identities", "charpoly-annihilation", "disjoint",
                           "disjoint-spectra-dichotomy"}
         expected_names |= {"kernel-invariance"} if invertible else set()
@@ -409,7 +412,8 @@ def test_narrow_batch_matches_int64_reference(monkeypatch, p, n, dtype):
     elimination too, through the residue table for 8 and 16 bits, and equal
     the same code run in int64 with %; at p = 1,000,000,007 that dtype is
     int64. Over GF(7) at n = 4 and GF(11) at n = 2 the products alone pass
-    int8. The determinants are Matrix's."""
+    int8. The determinants are Matrix's. Masks and char values are compared
+    as lists."""
     field = Field.gf(p)
     full = Matrix.from_rows(field, [[p - 1] * n] * n)  # A = X solves AXA = XAX, as X = 0 does
     jordan = parse_jordan(field, f"{p - 1}^{n}")
@@ -430,8 +434,10 @@ def test_narrow_batch_matches_int64_reference(monkeypatch, p, n, dtype):
             records = oracle._records(a, [a, Matrix.zero(field, n)], True)
             kernels = oracle._kernel_basis(xs.astype(narrow), p)[1]
             seen.add(records[0].dtype)
-            out += [[r.tolist() for r in records],
-                    oracle._product_masks(a, char_poly(a), a.is_invertible(), xs, kernels, spec)]
+            masks, chars = oracle._product_masks(a, char_poly(a), a.is_invertible(), xs,
+                                                 kernels, spec)
+            out += [[r.tolist() for r in records], {k: v.tolist() for k, v in masks.items()},
+                    {k: v.tolist() for k, v in chars.items()}]
         return set(seen), [*out, [r.tolist() for r in oracle._gauss_jordan(xs.astype(narrow), p)]]
 
     dtypes, got = batch()
@@ -538,28 +544,49 @@ def test_char_values_on_swaps_and_zero_pivots(p, lam, rows):
     assert values.tolist() == [char_poly(x)(lam).v]
 
 
-def test_sweep_without_the_batch_runs_every_exact_check(monkeypatch):
-    """With the batch switched off, so that it clears no solution and
-    gives no char(X) values, every batched verdict and every disjointness
-    branch comes from the exact check, and the verdict lists equal the
-    reference loop's."""
-    report = census("gf:2", "1^2,1^2")
-    monkeypatch.setattr(oracle, "_product_masks",
-                        lambda a, phi, invertible, xs, kernels, jordan: ({}, {}))
-    names = ["check_power_identities", "check_charpoly_annihilation", "check_kernel_invariance",
-             "check_spectrum_inclusion", "check_eigenvalue_transfer", "spectra_disjoint"]
-    calls = dict.fromkeys(names, 0)
+EXACT_CHECKS = {"power-identities": (core, "check_power_identities"),
+                "charpoly-annihilation": (core, "check_charpoly_annihilation"),
+                "disjoint-spectra-dichotomy": (core, "check_disjoint_spectra_dichotomy"),
+                "kernel-invariance": (core, "check_kernel_invariance"),
+                "spectrum-inclusion": (core, "check_spectrum_inclusion"),
+                "eigenvalue-transfer": (core, "check_eigenvalue_transfer"),
+                "single-block-classification": (oracle, "_single_block_classification")}
 
-    def counting(name, check):
-        def wrapper(*args):
-            calls[name] += 1
-            return check(*args)
-        return wrapper
 
-    for name in names:
-        monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
-    assert rows(oracle.verify_theorems_on_census(report)) == rows(reference_sweep(report))
-    assert calls == dict.fromkeys(names, 2 * report.total)  # the sweep's and the reference's
+@pytest.mark.parametrize("name", EXACT_CHECKS)
+def test_sweep_takes_the_exact_refutation_where_the_batch_flags(monkeypatch, name):
+    """A batch that flags one applicable nonzero solution under a name sends
+    it, and it alone, to that name's exact check, stubbed to refute with the
+    solution as its witness: the sweep's rows are the reference loop's with
+    exactly that entry replaced by the stub's verdict. No real census has
+    such a refutation. On gf:2 1^2, A is invertible and only X = 0 has a
+    spectrum disjoint from A's, so the dichotomy flags X = 1 of gf:2 0^1."""
+    report = census("gf:2", "0^1" if name == "disjoint-spectra-dichotomy" else "1^2")
+    expected = [rows(reference_sweep(replace(report, solutions=(x,)))) for x in report.solutions]
+    i, k = next((i, k) for i, found in enumerate(expected) for k, row in enumerate(found)
+                if row[0] == name and not report.solutions[i].is_zero)
+    x, batch = report.solutions[i], oracle._product_masks
+    module, attr = EXACT_CHECKS[name]
+    check, stubbed = getattr(module, attr), []
+
+    def flag_one(*args):
+        masks, chars = batch(*args)
+        assert masks[name][i]
+        masks[name][i] = False
+        return masks, chars
+
+    def refute(*args):
+        verdict = check(*args)
+        assert args[1] is x and verdict.holds
+        stubbed.append(replace(verdict, holds=False, witness=x))
+        return stubbed[-1]
+
+    monkeypatch.setattr(oracle, "_product_masks", flag_one)
+    monkeypatch.setattr(module, attr, refute)
+    got = rows(oracle.verify_theorems_on_census(report))
+    assert len(stubbed) == 1
+    expected[i][k] = rows(stubbed)[0]
+    assert got == [row for found in expected for row in found]
 
 
 def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
@@ -574,7 +601,7 @@ def test_sweep_refuses_a_batch_the_exact_check_contradicts(monkeypatch):
 
         def flag_all(*args):
             masks, chars = batch(*args)
-            return {**masks, name: [False] * len(args[3])}, chars
+            return {**masks, name: np.zeros(len(args[3]), dtype=bool)}, chars
 
         monkeypatch.setattr(oracle, "_product_masks", flag_all)
         with pytest.raises(AssertionError, match=f"{name}: exact check holds"):

@@ -12,16 +12,19 @@ Fraction coefficients.
 
 ``buchberger`` keeps its S-pairs in a heap keyed once, on insertion, by
 lcm degree and then lcm, prunes them with the Gebauer-Moeller update each
-time a polynomial joins the basis, and interreduces the result into the
-reduced, hence canonical, basis.
+time a polynomial joins the basis (its chain criterion tests the new lcms
+in ascending order against the minimal ones alone), and interreduces the
+result into the reduced, hence canonical, basis.
 ``normal_form`` reduces into a dict of terms with a heap of pending
 monomials. A hard cap on the S-pairs taken off the queue turns runaway
 inputs into an error rather than a silently truncated basis.
+``ybe_ideal`` writes its generators straight into dicts of packed terms.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 import re
 from fractions import Fraction
@@ -111,6 +114,11 @@ class PolyRing:
             raise _exponent_error()
         return key
 
+    def degree(self, key: int) -> int:
+        """The total degree of a packed monomial, the sum of its fields."""
+        raw = key.to_bytes(2 * self.nvars, "big")  # two bytes per 16-bit field
+        return (sum(raw[::2]) << 8) + sum(raw[1::2])
+
     def divides(self, m1: int, m2: int) -> bool:
         return not (m2 - m1) & self.guard
 
@@ -124,14 +132,6 @@ class PolyRing:
 
     def one(self) -> "MultiPoly":
         return MultiPoly(self, {(0,) * self.nvars: Fraction(1)})
-
-    def constant(self, c) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * self.nvars: Fraction(c)})
-
-    def var(self, name: str) -> "MultiPoly":
-        idx = self.variables.index(name)
-        exps = tuple(1 if i == idx else 0 for i in range(self.nvars))
-        return MultiPoly(self, {exps: Fraction(1)})
 
     def parse(self, text: str) -> "MultiPoly":
         """Parse the textual term format; single-letter variables may be
@@ -408,22 +408,26 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly
     queue: list = []  # heap of (lcm degree, lcm, i, j)
 
     def update(h: MultiPoly) -> None:
-        new, ring, lh = len(basis), h.ring, _lead(h)
-        divides, lcm_of = ring.divides, ring.lcm
+        new, ring, lh, guard = len(basis), h.ring, _lead(h), h.ring.guard
+        lcms = [ring.lcm(lk, lh) for lk in leads]
         # a queued pair (i, j) with lcm L is redundant when lh divides L and
         # neither lcm(lm_i, lh) nor lcm(lm_j, lh) equals L
-        queue[:] = [e for e in queue
-                    if not (divides(lh, e[1])
-                            and lcm_of(leads[e[2]], lh) != e[1]
-                            and lcm_of(leads[e[3]], lh) != e[1])]
+        queue[:] = [e for e in queue if (e[1] - lh) & guard or e[1] in (lcms[e[2]], lcms[e[3]])]
         # new pairs: the last of each lcm class, unless one in it has coprime
         # leads (the sum is only compared) or another class's lcm properly
-        # divides its own
-        lcms = [lcm_of(lk, lh) for lk in leads]
+        # divides its own; a proper divisor is a smaller int and a multiple
+        # of a minimal one, so ascending order tests the minimal lcms alone
         last = {lcm: k for k, lcm in enumerate(lcms)}
         coprime = {lcm for lcm, lk in zip(lcms, leads) if lcm == lk + lh}
-        queue.extend((sum(ring.unpack(lcm)), lcm, k, new) for lcm, k in last.items()
-                     if lcm not in coprime and not any(divides(m, lcm) for m in last if m != lcm))
+        minimal: list[int] = []
+        for lcm in sorted(last):
+            for m in minimal:
+                if not (lcm - m) & guard:
+                    break
+            else:
+                minimal.append(lcm)
+                if lcm not in coprime:
+                    queue.append((ring.degree(lcm), lcm, last[lcm], new))
         heapq.heapify(queue)
         basis.append(h)
         leads.append(lh)
@@ -472,14 +476,14 @@ def ybe_ideal(a: Matrix, n: int) -> list[MultiPoly]:
     if not a.is_square or a.nrows != n:
         raise DimensionError("coefficient matrix must be n x n")
     ring = ybe_ring(n)
-    consts = [[ring.constant(a[i, j].v) for j in range(n)] for i in range(n)]
-    unknowns = [[ring.var(ring.variables[i * n + j]) for j in range(n)]
-                for i in range(n)]
-
-    def matmul(p, q):
-        return [[sum((p[i][k] * q[k][j] for k in range(n)), ring.zero())
-                 for j in range(n)] for i in range(n)]
-
-    axa = matmul(matmul(consts, unknowns), consts)
-    xax = matmul(matmul(unknowns, consts), unknowns)
-    return [axa[i][j] - xax[i][j] for i in range(n) for j in range(n)]
+    c = [[_exact(a[i, j].v) for j in range(n)] for i in range(n)]
+    x = [1 << _FIELD_BITS * v for v in range(n * n - 1, -1, -1)]  # x_ij packed, at i*n + j
+    gens = []
+    for i, j in itertools.product(range(n), repeat=2):
+        # (AXA)_ij: a_ik*a_lj on x_kl; (XAX)_ij: -a_kl on x_ik*x_lj, unique to (k, l)
+        terms: dict = {}
+        for k, l in itertools.product(range(n), repeat=2):
+            terms[x[k * n + l]] = c[i][k] * c[l][j]
+            terms[x[i * n + k] + x[l * n + j]] = -c[k][l]
+        gens.append(MultiPoly._of(ring, terms))
+    return gens

@@ -1,14 +1,17 @@
 """References that only the tests use: the rank-profile similarity test,
 the trace, span membership, the unit-vector search for a Jordan chain, the
-minimal polynomial, the commuting-Sylvester check and the census/1 writer
-that builds one matrix document per solution, each checked against the
-package's own answers or used as an oracle for them."""
+minimal polynomial, the commuting-Sylvester check, the census/1 writer
+that builds one matrix document per solution and the equation ideal by
+polynomial matrix products, each checked against the package's own
+answers or used as an oracle for them."""
 
 import json
+from fractions import Fraction
 
 from yangbaxter.core import PropertyVerdict, is_solution
 from yangbaxter.errors import AlgebraError, DimensionError, FieldMismatchError, PreconditionError
 from yangbaxter.fields import Scalar
+from yangbaxter.groebner import MultiPoly, ybe_ring
 from yangbaxter.matio import format_jordan, matrix_to_json
 from yangbaxter.matrices import Matrix
 from yangbaxter.unipoly import UniPoly, char_poly, unsplit_part
@@ -146,3 +149,22 @@ def census_json(report, **extra) -> str:
         doc["family_tallies"] = dict(sorted(report.family_tallies.items()))
         doc["family_tags"] = list(report.family_tags)
     return json.dumps({**doc, **extra}, indent=2)
+
+
+def ybe_ideal(a: Matrix, n: int) -> list[MultiPoly]:
+    """The entries of AXA - XAX, row-major, from products of n x n matrices
+    of polynomials: constants for A and one variable per entry of X."""
+    ring = ybe_ring(n)
+    unit = [tuple(int(v == w) for w in range(n * n)) for v in range(n * n)]
+    consts = [[MultiPoly(ring, {(0,) * (n * n): Fraction(a[i, j].v)}) for j in range(n)]
+              for i in range(n)]
+    unknowns = [[MultiPoly(ring, {unit[i * n + j]: Fraction(1)}) for j in range(n)]
+                for i in range(n)]
+
+    def matmul(p, q):
+        return [[sum((p[i][k] * q[k][j] for k in range(n)), ring.zero())
+                 for j in range(n)] for i in range(n)]
+
+    axa = matmul(matmul(consts, unknowns), consts)
+    xax = matmul(matmul(unknowns, consts), unknowns)
+    return [axa[i][j] - xax[i][j] for i in range(n) for j in range(n)]

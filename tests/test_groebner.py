@@ -2,11 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from references import ybe_ideal as reference_ybe_ideal
+from yangbaxter import groebner
 from yangbaxter.errors import PairCapError, ParseError, SideConditionError
 from yangbaxter.errors import DimensionError
+from yangbaxter.fields import Field
 from yangbaxter.groebner import (
     EXPONENT_LIMIT,
     MultiPoly,
@@ -18,7 +21,8 @@ from yangbaxter.groebner import (
     ybe_ring,
     ybe_variables,
 )
-from yangbaxter.matrices import Matrix, nilpotent_block
+from yangbaxter.matio import parse_jordan
+from yangbaxter.matrices import Matrix, jordan_matrix, nilpotent_block
 from yangbaxter.oracle import enumerate_solutions
 
 # Reduced lex basis of the 3x3 nilpotent equation ideal, a > b > ... > i.
@@ -116,6 +120,28 @@ def test_ybe_ideal_3x3_matches_block_multiplication(rat):
         assert got == -inner
 
 
+ENTRIES = st.one_of(st.just(0), st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def rational_matrices(draw):
+    """An n x n rational matrix of any shape, n = 1..4, with zero, integral
+    and non-integral entries."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    return Matrix.from_rows(Field.rationals(), rows), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_ybe_ideal_matches_matrix_products(case):
+    """The generators written term by term equal AXA - XAX formed by
+    polynomial matrix products, term for term and in the same order."""
+    a, n = case
+    assert [g.terms for g in ybe_ideal(a, n)] == [g.terms for g in reference_ybe_ideal(a, n)]
+
+
 def test_ybe_ideal_zero_coefficient(rat):
     gens = ybe_ideal(Matrix.zero(rat, 2), 2)
     assert len(gens) == 4 and all(g.is_zero for g in gens)
@@ -189,6 +215,42 @@ def test_pair_cap_is_an_error(rat):
     gens = ybe_ideal(nilpotent_block(rat, 3), 3)
     with pytest.raises(PairCapError):
         buchberger(gens, pair_cap=3)
+
+
+@pytest.mark.parametrize("shape, work", [
+    ("0^3", (140, 108, 27)),
+    ("0^2,1^1", (97, 76, 22)),
+    ("1/2^2,1/3^1", (214, 144, 18)),
+])
+def test_buchberger_work_is_pinned(monkeypatch, rat, shape, work):
+    """The S-polynomials formed, the zero remainders among their normal
+    forms and the reduced basis's length on three equation ideals.
+
+    ``s_polynomial`` and ``normal_form`` are replaced on the module, as the
+    benchmark's tracer replaces them, and every S-polynomial must be reduced
+    once through that public ``normal_form``. Pair bookkeeping may change
+    how pairs are found, never which pairs are reduced.
+    """
+    spolys, reduced = {}, []
+    s_polynomial, normal_form = groebner.s_polynomial, groebner.normal_form
+
+    def traced_s_polynomial(f, g):
+        s = s_polynomial(f, g)
+        spolys[id(s)] = s  # kept alive, so the id stays unique
+        return s
+
+    def traced_normal_form(p, basis):
+        r = normal_form(p, basis)
+        if id(p) in spolys:
+            reduced.append(r.is_zero)
+        return r
+
+    monkeypatch.setattr(groebner, "s_polynomial", traced_s_polynomial)
+    monkeypatch.setattr(groebner, "normal_form", traced_normal_form)
+    jordan = parse_jordan(rat, shape)
+    basis = buchberger(ybe_ideal(jordan_matrix(rat, jordan), jordan.dimension))
+    assert len(reduced) == len(spolys)
+    assert (len(spolys), sum(reduced), len(basis)) == work
 
 
 def test_variety_matches_census(rat, gf2, gf3):
@@ -314,23 +376,26 @@ EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_LIMIT),
 def monomial_pairs(draw):
     """Two exponent vectors; half the time the second is the first plus a
     nonnegative offset, clipped at the limit, so that divisibility occurs."""
-    nvars = draw(st.integers(1, 12))
+    nvars = draw(st.integers(1, 26))
     m1 = tuple(draw(st.lists(EXPONENTS, min_size=nvars, max_size=nvars)))
     if draw(st.booleans()):
         m2 = tuple(min(e + draw(st.integers(0, 3)), EXPONENT_LIMIT) for e in m1)
     else:
         m2 = tuple(draw(st.lists(EXPONENTS, min_size=nvars, max_size=nvars)))
-    return PolyRing("abcdefghijkl"[:nvars]), m1, m2
+    return PolyRing("abcdefghijklmnopqrstuvwxyz"[:nvars]), m1, m2
 
 
 @settings(max_examples=300, deadline=None)
 @given(monomial_pairs())
+@example((PolyRing("abcdefghijklmnopqrstuvwxyz"), (EXPONENT_LIMIT,) * 26, (0,) * 26))
 def test_packed_monomials_match_exponent_tuples(case):
-    """Int order is lex order, and divisibility, lcm and product agree with
-    the exponent-tuple definitions; a product past the limit raises."""
+    """Int order is lex order, and degree, divisibility, lcm and product
+    agree with the exponent-tuple definitions; a product past the limit
+    raises."""
     ring, m1, m2 = case
     k1, k2 = ring.pack(m1), ring.pack(m2)
     assert (ring.unpack(k1), ring.unpack(k2)) == (m1, m2)
+    assert (ring.degree(k1), ring.degree(k2)) == (sum(m1), sum(m2))
     assert ((k1 < k2), (k1 == k2)) == ((m1 < m2), (m1 == m2))
     assert ring.divides(k1, k2) == all(a <= b for a, b in zip(m1, m2))
     assert ring.divides(k2, k1) == all(b <= a for a, b in zip(m1, m2))

@@ -232,15 +232,15 @@ def test_buchberger_work_is_pinned(monkeypatch, rat, shape, work):
     how pairs are found, never which pairs are reduced.
     """
     spolys, reduced = {}, []
-    s_polynomial, normal_form = groebner.s_polynomial, groebner.normal_form
+    real_s_polynomial, real_normal_form = groebner.s_polynomial, groebner.normal_form
 
     def traced_s_polynomial(f, g):
-        s = s_polynomial(f, g)
+        s = real_s_polynomial(f, g)
         spolys[id(s)] = s  # kept alive, so the id stays unique
         return s
 
     def traced_normal_form(p, basis):
-        r = normal_form(p, basis)
+        r = real_normal_form(p, basis)
         if id(p) in spolys:
             reduced.append(r.is_zero)
         return r

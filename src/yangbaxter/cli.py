@@ -233,14 +233,11 @@ def cmd_groebner(args) -> int:
                 for g in gens]
         ring = new_ring
     basis = buchberger(gens, pair_cap=args.pair_cap)
-    lines = ["reduced basis:"]
-    lines.extend(f"  {g}" for g in basis)
-    payload = {"basis": [str(g) for g in basis], "probes": {}}
+    payload = {"basis": [str(g) for g in basis], "probes": {}}  # each formatted once
+    lines = ["reduced basis:", *(f"  {g}" for g in payload["basis"])]
     for probe_text in args.probe:
-        probe = ring.parse(probe_text)
-        nf = normal_form(probe, basis)
+        nf = payload["probes"][probe_text] = str(normal_form(ring.parse(probe_text), basis))
         lines.append(f"normal_form({probe_text}) = {nf}")
-        payload["probes"][probe_text] = str(nf)
     _emit(args, "\n".join(lines) + "\n", payload)
     return OK
 

@@ -15,9 +15,10 @@ lcm degree and then lcm, prunes them with the Gebauer-Moeller update each
 time a polynomial joins the basis (its chain criterion tests the new lcms
 in ascending order against the minimal ones alone), and interreduces the
 result into the reduced, hence canonical, basis.
-``normal_form`` reduces into a dict of terms with a heap of pending
-monomials. A hard cap on the S-pairs taken off the queue turns runaway
-inputs into an error rather than a silently truncated basis.
+Its basis is a reducer table that memoizes each monomial's first divisor
+for the run; ``normal_form`` reduces against one into a dict of terms with
+a heap of pending monomials, and ``interreduce`` reduces all tails against
+one. The S-pair cap bounds the pairs taken off the queue, not time or memory.
 ``ybe_ideal`` writes its generators straight into dicts of packed terms.
 """
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 import re
 from fractions import Fraction
 
@@ -304,12 +304,30 @@ class MultiPoly:
 
 
 def _sorted_terms(packed: dict) -> tuple:
-    return tuple(sorted(((m, _exact(c)) for m, c in packed.items() if c),
-                        key=operator.itemgetter(0), reverse=True))
+    # the monomials are distinct, so the coefficients are never compared
+    return tuple(sorted(((m, _exact(c)) for m, c in packed.items() if c), reverse=True))
 
 
 def _lead(g: MultiPoly) -> int:
     return g._terms[0][0]
+
+
+class _Reducers(list):
+    """A basis grown only by ``append``: ``leads`` and ``reducers`` hold each
+    nonzero element's leading monomial and (leading coefficient, tail), and
+    ``first`` maps a monomial to the index of its first divisor, or to ~k
+    for "none among the first k", where a later scan resumes."""
+
+    def __init__(self, basis=()):
+        self.leads, self.reducers, self.first = [], [], {}
+        for g in basis:
+            self.append(g)
+
+    def append(self, g: MultiPoly) -> None:
+        super().append(g)
+        if g._terms:
+            self.leads.append(g._terms[0][0])
+            self.reducers.append((g._terms[0][1], g._terms[1:]))
 
 
 def normal_form(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
@@ -319,12 +337,11 @@ def normal_form(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     monomials yields its leading monomial next. Every key of the dict has
     exactly one heap entry, and a monomial once taken never reappears,
     because each reduction step only adds terms below the one it removes.
+    A list basis gets a fresh ``_Reducers`` table; a table keeps what it learns.
     """
-    guard = p.ring.guard
-    # Tails are sliced per reduction step, not up front: there are far fewer
-    # steps than divisors (788 against 8,231 over groebner --ideal ybe on
-    # 0^3 and 0^2,1^1 with their probes).
-    divisors = [(g._terms[0][0], g._terms[0][1], g._terms) for g in basis if g._terms]
+    table = basis if type(basis) is _Reducers else _Reducers(basis)
+    leads, reducers, first = table.leads, table.reducers, table.first
+    n, guard = len(leads), p.ring.guard
     work = dict(p._terms)
     pending = [-m for m in work]
     heapq.heapify(pending)
@@ -334,35 +351,44 @@ def normal_form(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
         c = work.pop(m)
         if not c:
             continue
-        for lm, lc, terms in divisors:
-            shift = m - lm
-            if not shift & guard:  # lm divides m
-                q = c if lc == 1 else _exact(Fraction(c, lc))
-                for tm, tc in terms[1:]:
-                    t = tm + shift
-                    if t & guard:
-                        raise _exponent_error()
-                    old = work.get(t)
-                    if old is None:
-                        work[t] = -q * tc
-                        heapq.heappush(pending, -t)
-                    else:
-                        work[t] = old - q * tc
-                break
-        else:
-            rem[m] = c
+        k = first.get(m, -1)
+        if k < 0:  # no divisor among the first ~k elements: scan the rest
+            for k in range(~k, n):
+                if not (m - leads[k]) & guard:
+                    first[m] = k
+                    break
+            else:
+                first[m] = ~n
+                rem[m] = c
+                continue
+        shift = m - leads[k]
+        lc, tail = reducers[k]
+        q = c if lc == 1 else _exact(Fraction(c, lc))
+        for tm, tc in tail:
+            t = tm + shift
+            if t & guard:
+                raise _exponent_error()
+            old = work.get(t)
+            if old is None:
+                work[t] = -q * tc
+                heapq.heappush(pending, -t)
+            else:
+                work[t] = old - q * tc
     return MultiPoly._of(p.ring, rem)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    ring = f.ring
+    ring, guard = f.ring, f.ring.guard
     lcm = ring.lcm(f._terms[0][0], g._terms[0][0])
     out: dict = {}
     for poly, sign in ((f, 1), (g, -1)):
         lm, lc = poly._terms[0]
         scale = sign if lc == 1 else _exact(Fraction(sign, lc))
+        shift = lcm - lm
         for m, c in poly._terms:
-            t = ring.mul(m, lcm - lm)
+            t = m + shift
+            if t & guard:
+                raise _exponent_error()
             out[t] = out.get(t, 0) + scale * c
     return MultiPoly._of(ring, out)
 
@@ -370,9 +396,10 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     """Autoreduce into the reduced basis: monic, minimal, tails reduced.
 
-    One pass suffices: in a minimal set no leading monomial divides
-    another, so reduction never touches a leading term, and a tail reduced
-    once stays irreducible by leading monomials that no longer change.
+    All tails are reduced against one table over the minimal set: no
+    leading monomial divides another, nor its own tail's lower monomials,
+    and on a Groebner basis normal forms are unique, however reduced the
+    reducers' tails are.
     """
     work = [g.monic() for g in basis if not g.is_zero]
     # minimality: drop any element whose leading monomial another one divides
@@ -380,9 +407,10 @@ def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     for g in sorted(work, key=_lead):
         if not any(g.ring.divides(_lead(h), _lead(g)) for h in minimal):
             minimal.append(g)
-    for idx, g in enumerate(minimal):
-        minimal[idx] = normal_form(g, minimal[:idx] + minimal[idx + 1:])
-    return sorted(minimal, key=_lead, reverse=True)
+    table = _Reducers(minimal)
+    tails = [normal_form(MultiPoly._of(g.ring, dict(g._terms[1:])), table) for g in minimal]
+    reduced = [MultiPoly._of(g.ring, dict(g._terms[:1] + t._terms)) for g, t in zip(minimal, tails)]
+    return sorted(reduced, key=_lead, reverse=True)
 
 
 def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly]:
@@ -401,15 +429,19 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly
     coefficients swell on the ``1^3`` Jordan-block ideal.
 
     ``pair_cap`` bounds the pairs taken off the queue for reduction; pairs
-    the update drops never count.
+    the update drops never count. It bounds neither time nor memory under
+    coefficient growth.
     """
-    basis: list[MultiPoly] = []
-    leads: list[int] = []  # packed leading monomials
+    basis = _Reducers()  # basis.leads: the packed leading monomials
     queue: list = []  # heap of (lcm degree, lcm, i, j)
 
     def update(h: MultiPoly) -> None:
         new, ring, lh, guard = len(basis), h.ring, _lead(h), h.ring.guard
-        lcms = [ring.lcm(lk, lh) for lk in leads]
+        lcms = []
+        for lk in basis.leads:  # PolyRing.lcm, inline
+            ge = ((lk | guard) - lh) & guard
+            ge -= ge >> (_FIELD_BITS - 1)
+            lcms.append(lk & ge | lh & ~ge)
         # a queued pair (i, j) with lcm L is redundant when lh divides L and
         # neither lcm(lm_i, lh) nor lcm(lm_j, lh) equals L
         queue[:] = [e for e in queue if (e[1] - lh) & guard or e[1] in (lcms[e[2]], lcms[e[3]])]
@@ -418,7 +450,7 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly
         # divides its own; a proper divisor is a smaller int and a multiple
         # of a minimal one, so ascending order tests the minimal lcms alone
         last = {lcm: k for k, lcm in enumerate(lcms)}
-        coprime = {lcm for lcm, lk in zip(lcms, leads) if lcm == lk + lh}
+        coprime = {lcm for lcm, lk in zip(lcms, basis.leads) if lcm == lk + lh}
         minimal: list[int] = []
         for lcm in sorted(last):
             for m in minimal:
@@ -430,7 +462,6 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly
                     queue.append((ring.degree(lcm), lcm, last[lcm], new))
         heapq.heapify(queue)
         basis.append(h)
-        leads.append(lh)
 
     for g in gens:
         if not g.is_zero:

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from yangbaxter.groebner import (
     MultiPoly,
     PolyRing,
     buchberger,
+    interreduce,
     normal_form,
     s_polynomial,
     ybe_ideal,
@@ -221,6 +223,7 @@ def test_pair_cap_is_an_error(rat):
     ("0^3", (140, 108, 27)),
     ("0^2,1^1", (97, 76, 22)),
     ("1/2^2,1/3^1", (214, 144, 18)),
+    ("1^3", (199, 107, 9)),
 ])
 def test_buchberger_work_is_pinned(monkeypatch, rat, shape, work):
     """The S-polynomials formed, the zero remainders among their normal
@@ -251,6 +254,83 @@ def test_buchberger_work_is_pinned(monkeypatch, rat, shape, work):
     basis = buchberger(ybe_ideal(jordan_matrix(rat, jordan), jordan.dimension))
     assert len(reduced) == len(spolys)
     assert (len(spolys), sum(reduced), len(basis)) == work
+
+
+# -- the reducer table ---------------------------------------------------------------
+
+
+@st.composite
+def growing_bases(draw):
+    """Elements appended one at a time, some not monic, some zero, and
+    polynomials of higher degree to reduce after every append."""
+    nvars = draw(st.integers(2, 3))
+    ring = PolyRing("xyz"[:nvars])
+    coeffs = st.sampled_from([Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)])
+
+    def polys(top, max_size):
+        monomials = [m for m in itertools.product(range(top + 1), repeat=nvars) if sum(m) <= top]
+        return st.lists(st.dictionaries(st.sampled_from(monomials), coeffs, min_size=1,
+                                        max_size=max_size).map(lambda t: MultiPoly(ring, t)),
+                        min_size=1, max_size=5)
+    return draw(polys(2, 3)), draw(polys(4, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(growing_bases())
+def test_reducer_table_grown_by_appends_matches_a_fresh_list(case):
+    """As ``buchberger`` does, a table is grown between reductions: each
+    remainder against it equals the remainder against a plain list of the
+    same elements, which gets a fresh table."""
+    elements, targets = case
+    table = groebner._Reducers()
+    for g in elements:
+        table.append(g)
+        for p in targets:
+            assert normal_form(p, table) == normal_form(p, list(table))
+
+
+def test_reducer_table_rescans_a_monomial_after_an_append():
+    """A monomial recorded with no divisor is reduced by an element that
+    divides it once that element has joined, and remembers it."""
+    ring = PolyRing(tuple("xy"))
+    p = ring.parse("x*y + 1")
+    table = groebner._Reducers([ring.parse("x^2 - y")])
+    assert normal_form(p, table) == p
+    assert table.first[ring.pack((1, 1))] == ~1  # no divisor among the first one
+    table.append(ring.parse("2*y - 1"))
+    assert normal_form(p, table) == ring.parse("1/2*x + 1")
+    assert table.first[ring.pack((1, 1))] == 1
+
+
+def _pinned_bases():
+    data = Path(__file__).parent / "data"
+    yield ybe_ring(3), REDUCED_BASIS_3X3
+    for golden in ("groebner_ybe_0_2_1_1.txt", "groebner_ybe_1_3.txt"):
+        lines = (data / golden).read_text(encoding="utf-8").splitlines()
+        yield ybe_ring(3), [line.strip() for line in lines if line.startswith("  ")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("ring, pinned", list(_pinned_bases()), ids=["0^3", "0^2,1^1", "1^3"])
+def test_interreduce_gives_back_the_pinned_reduced_basis(ring, pinned, data):
+    """A reduced basis made non-reduced (each element scaled, its tail
+    polluted by multiples of other elements that lie below its leading
+    monomial, and a multiple of one element added) interreduces back to
+    itself."""
+    basis = [ring.parse(text) for text in pinned]
+    scales = st.sampled_from([Fraction(-2), Fraction(3), Fraction(1, 2), Fraction(-5, 3)])
+    small = st.tuples(*[st.integers(0, 1)] * ring.nvars).map(ring.pack)
+    polluted = []
+    for g in basis:
+        for _ in range(data.draw(st.integers(0, 2))):
+            h, m = data.draw(st.sampled_from(basis)), data.draw(small)
+            if h is not g and m + groebner._lead(h) < groebner._lead(g):
+                g = g + h * MultiPoly._of(ring, {m: data.draw(scales)})
+        polluted.append(g * data.draw(scales))
+    g, m = data.draw(st.sampled_from(polluted)), data.draw(small)
+    polluted = data.draw(st.permutations(polluted + [g * MultiPoly._of(ring, {m: 1})]))
+    assert [str(g) for g in interreduce(polluted)] == pinned
 
 
 def test_variety_matches_census(rat, gf2, gf3):

@@ -19,7 +19,7 @@ from . import matio, oracle
 from .core import check_pencil_condition, residual
 from .errors import AlgebraError, ParseError, PreconditionError
 from .fields import Field
-from .groebner import MultiPoly, PolyRing, buchberger, normal_form, ybe_ideal, ybe_ring
+from .groebner import MultiPoly, PolyRing, Reducers, buchberger, normal_form, ybe_ideal, ybe_ring
 from .matrices import annihilator_basis, centralizer_basis, jordan_matrix
 from .sylvester import SylvesterProblem, sylvester_solve
 
@@ -232,7 +232,7 @@ def cmd_groebner(args) -> int:
         gens = [MultiPoly(new_ring, {tuple(m[i] for i in remap): c for m, c in g.terms})
                 for g in gens]
         ring = new_ring
-    basis = buchberger(gens, pair_cap=args.pair_cap)
+    basis = Reducers(buchberger(gens, pair_cap=args.pair_cap))  # one table for every probe
     payload = {"basis": [str(g) for g in basis], "probes": {}}  # each formatted once
     lines = ["reduced basis:", *(f"  {g}" for g in payload["basis"])]
     for probe_text in args.probe:

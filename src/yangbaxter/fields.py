@@ -9,7 +9,9 @@ Over Q and Q(s) matrix products and Gauss-Jordan elimination run on one
 integer model, the rows ``lift_rows`` scales to integers: a product sums
 the lifted rows of one factor against the lifted columns of the other, and
 elimination is fraction-free (Bareiss, Math. Comp. 22, 1968), so a
-Fraction is built once per result entry.
+Fraction is built once per result entry. Each working row keeps the pivot
+it was last written at, its level, so a pivot step rewrites only the rows
+with a nonzero entry in its column, and the pivot row when it is stale.
 
 Fields are interned: ``Field.rationals``, ``gf``, ``quadratic`` and
 ``from_spec`` return one object per field, even to racing threads, so
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from .errors import DegenerateExtensionError, FieldError, FieldMismatchError, ParseError
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 # c0 +/- c1*s, with either part optional but not both absent; c0 is only
 # taken when a sign or the end follows it, so "12*s" is a pure multiple of s
@@ -39,6 +41,15 @@ _QUAD_RE = re.compile(
 )
 
 _INTERNED: dict[str, "Field"] = {}
+
+
+def _rational(text: str) -> Fraction | None:
+    """The rational ``text`` writes in the grammar of ``_RAT_RE``, or None;
+    built from int pieces, which is faster than ``Fraction(text)``."""
+    m = _RAT_RE.match(text)
+    if not m:
+        return None
+    return Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
 
 
 def _intern(spec: str, make) -> "Field":
@@ -132,10 +143,10 @@ class Field:
                 raise ParseError(f"bad prime field spec {text!r}")
             return cls.gf(int(body))
         if text.startswith("quad:"):
-            body = text[5:]
-            if not _RAT_RE.match(body):
+            a = _rational(text[5:])
+            if a is None:
                 raise ParseError(f"bad quadratic field spec {text!r}")
-            return cls.quadratic(Fraction(body))
+            return cls.quadratic(a)
         raise ParseError(f"unknown field spec {text!r}")
 
     def __reduce__(self):
@@ -184,10 +195,14 @@ class Field:
 
     def parse(self, text: str) -> "Scalar":
         """Parse one scalar in the strict textual grammar of this field."""
+        return Scalar(self, self.parse_raw(text))
+
+    def parse_raw(self, text: str):
+        """The raw value of ``parse(text)``."""
         v = self._parse(text.strip().replace("−", "-"))
         if v is None:
             raise ParseError(f"bad {self._noun} {text!r}")
-        return Scalar(self, v)
+        return v
 
     # -- arithmetic on raw values ------------------------------------------------
     # Each field kind supplies add, sub, neg, mul, inv and matmul(rows,
@@ -208,12 +223,14 @@ class Field:
     # -- Gauss-Jordan elimination ----------------------------------------------
     # Matrix._rref runs the one loop over pivot columns; each field kind
     # supplies the row arithmetic: WORK_ZERO and WORK_ONE, the zero of its
-    # working rows and the ``prev`` of the first step, and
+    # working rows and the first ``prev`` and level of every row, and
     #   lift_rows(rows) -> the working rows and each row's scale, an int
     #       that the raw row is multiplied by,
-    #   clear_column(rows, r, c, prev) -> clears column c of every row but
-    #       the pivot row r, in place, and returns the next step's prev,
-    #   reduced_rows(rows, prev) -> the raw rows of the reduced echelon form.
+    #   clear_column(rows, levels, r, c, prev) -> clears column c of every
+    #       row but the pivot row r in place, moves the rows it writes to
+    #       the new pivot in ``levels``, and returns it: the next prev,
+    #   reduced_rows(rows, dens) -> the raw rows of the reduced echelon
+    #       form, row i over dens[i]: its level, which is its pivot entry.
 
     def canonical(self, a):
         """The number a scalar with raw value ``a`` equals and hashes as."""
@@ -234,16 +251,20 @@ class _Rationals(Field):
         return 1 / a
 
     # Products and fraction-free Gauss-Jordan (Bareiss) on int rows: each
-    # row is scaled by the lcm of its denominators. In elimination every
-    # entry after a step is a minor of the scaled matrix, so the division
-    # by ``prev`` is exact.
+    # row is scaled by the lcm of its denominators. Textbook Bareiss brings
+    # every row to the new pivot p, a row with a zero in the pivot column by
+    # p/prev; here that row keeps its entries and its level L, so its
+    # textbook value is row*prev/L. A later rewrite's textbook division by
+    # prev becomes a division by L of the same integer, a minor of the
+    # scaled matrix, so every division stays exact.
     WORK_ZERO, WORK_ONE = 0, 1
 
     def lift_rows(self, rows):
         out, scales = [], []
         for row in rows:
-            m = math.lcm(*(x.denominator for x in row))
-            out.append([x.numerator * (m // x.denominator) for x in row])
+            pairs = [x.as_integer_ratio() for x in row]
+            m = math.lcm(*(d for _, d in pairs))
+            out.append([n * (m // d) for n, d in pairs])
             scales.append(m)
         return out, scales
 
@@ -252,35 +273,31 @@ class _Rationals(Field):
         return [Fraction(sum(map(operator.mul, r, c)), a * b)
                 for r, a in zip(*self.lift_rows(rows)) for c, b in cols]
 
-    def clear_column(self, rows, r, c, prev):
-        """row_i <- (p*row_i - e*row_r) / prev for every i != r, with p the
-        pivot and e row i's entry in column c. Rows with e = 0 are scaled
-        by p/prev too, so all rows stay on one scale: every pivot ends
-        equal to the last, which reduced_rows divides by."""
+    def clear_column(self, rows, levels, r, c, prev):
+        """row_i <- (p*row_i - e*row_r) / L_i for every i != r with e, its
+        entry in column c, nonzero; p is the pivot once row r is brought
+        from its level to prev. Rewritten rows and row r move to level p."""
         pivot = rows[r]
-        p = pivot[c]
+        if levels[r] != prev:
+            pivot = rows[r] = [x * prev // levels[r] for x in pivot]
+        p = levels[r] = pivot[c]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
             e = row[c]
-            if e:
-                rows[i] = [(p * x - e * y) // prev for x, y in zip(row, pivot)]
-            elif p != prev:
-                rows[i] = [p * x // prev for x in row]
+            if e and i != r:
+                level, levels[i] = levels[i], p
+                rows[i] = [(p * x - e * y) // level if x or y else 0 for x, y in zip(row, pivot)]
         return p
 
-    def reduced_rows(self, rows, prev):
+    def reduced_rows(self, rows, dens):
         zero = self.ZERO
-        return [[Fraction(x, prev) if x else zero for x in row] for row in rows]
+        return [[Fraction(x, d) if x else zero for x in row] for row, d in zip(rows, dens)]
 
     def _coerce(self, value):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise FieldError(f"cannot coerce {value!r} into {self._spec}")
 
-    def _parse(self, text):
-        return Fraction(text) if _RAT_RE.match(text) else None
-
+    _parse = staticmethod(_rational)
     _sqrt = staticmethod(_rational_sqrt)
 
 
@@ -323,12 +340,12 @@ class _PrimeField(Field):
         p = self.p
         return [(x - c * y) % p for x, y in zip(xs, ys)]
 
-    # textbook Gauss-Jordan on residues: each pivot row is scaled to 1, and
-    # prev carries the product of the pivots
+    # textbook Gauss-Jordan on residues: each pivot row is scaled to 1, the
+    # levels are not read, and prev carries the product of the pivots
     def lift_rows(self, rows):
         return rows, [1] * len(rows)
 
-    def clear_column(self, rows, r, c, prev):
+    def clear_column(self, rows, levels, r, c, prev):
         e = rows[r][c]
         pivot = rows[r] = self.scale(self.inv(e), rows[r])
         for i, row in enumerate(rows):
@@ -336,7 +353,7 @@ class _PrimeField(Field):
                 rows[i] = self.sub_scaled(row, row[c], pivot)
         return self.mul(prev, e)
 
-    def reduced_rows(self, rows, prev):
+    def reduced_rows(self, rows, dens):
         return rows
 
     def elements(self):
@@ -406,7 +423,7 @@ class _QuadraticField(Field):
 
     # Products and fraction-free Gauss-Jordan as over the rationals, on
     # pairs (x0, x1) meaning x0 + x1*t in Z[t], with t = v*s and t^2 = u*v
-    # for a = u/v. Division by prev multiplies by its conjugate, then
+    # for a = u/v. Division by a level multiplies by its conjugate, then
     # divides exactly by its norm.
     WORK_ZERO, WORK_ONE = (0, 0), (1, 0)
 
@@ -414,10 +431,9 @@ class _QuadraticField(Field):
         v = self.radicand.denominator
         out, scales = [], []
         for row in rows:
-            m = math.lcm(*(c0.denominator for c0, _ in row),
-                         *(c1.denominator * v for _, c1 in row))
-            out.append([(c0.numerator * (m // c0.denominator),
-                         c1.numerator * (m // (c1.denominator * v))) for c0, c1 in row])
+            pairs = [(c0.as_integer_ratio(), c1.as_integer_ratio()) for c0, c1 in row]
+            m = math.lcm(*(d0 for (_, d0), _ in pairs), *(d1 * v for _, (_, d1) in pairs))
+            out.append([(n0 * (m // d0), n1 * (m // (d1 * v))) for (n0, d0), (n1, d1) in pairs])
             scales.append(m)
         return out, scales
 
@@ -436,38 +452,37 @@ class _QuadraticField(Field):
         return [(Fraction(sum(map(mul, x, y0)), a * b), Fraction(sum(map(mul, x, y1)) * v, a * b))
                 for x, a in rows for y0, y1, b in cols]
 
-    def clear_column(self, rows, r, c, prev):
+    def _divider(self, q):
+        """(d0, d1) -> (d0 + d1*t) / q, for a d that q divides exactly."""
+        w, (q0, q1) = self.radicand.numerator * self.radicand.denominator, q
+        norm, wq1 = q0 * q0 - w * q1 * q1, w * q1
+        return lambda d0, d1: ((d0 * q0 - d1 * wq1) // norm, (d1 * q0 - d0 * q1) // norm)
+
+    def clear_column(self, rows, levels, r, c, prev):
         w = self.radicand.numerator * self.radicand.denominator
         pivot = rows[r]
-        p = p0, p1 = pivot[c]
-        q0, q1 = prev
-        norm, wp1, wq1 = q0 * q0 - w * q1 * q1, w * p1, w * q1
-
-        def div(d0, d1):  # (d0 + d1*t) / prev, exact
-            return ((d0 * q0 - d1 * wq1) // norm, (d1 * q0 - d0 * q1) // norm)
-
+        if levels[r] != prev:
+            div, (q0, q1) = self._divider(levels[r]), prev
+            pivot = rows[r] = [div(q0 * x0 + w * q1 * x1, q0 * x1 + q1 * x0) if x0 or x1
+                               else (0, 0) for x0, x1 in pivot]
+        p = p0, p1 = levels[r] = pivot[c]
+        wp1 = w * p1
         for i, row in enumerate(rows):
-            if i == r:
-                continue
             e0, e1 = row[c]
-            if e0 or e1:
-                we1 = w * e1
+            if (e0 or e1) and i != r:
+                div, we1, levels[i] = self._divider(levels[i]), w * e1, p
                 rows[i] = [div(p0 * x0 + wp1 * x1 - e0 * y0 - we1 * y1,
-                               p0 * x1 + p1 * x0 - e0 * y1 - e1 * y0)
-                           for (x0, x1), (y0, y1) in zip(row, pivot)]
-            elif p != prev:
-                rows[i] = [div(p0 * x0 + wp1 * x1, p0 * x1 + p1 * x0) if x0 or x1 else (0, 0)
-                           for x0, x1 in row]
+                               p0 * x1 + p1 * x0 - e0 * y1 - e1 * y0) if x0 or x1 or y0 or y1
+                           else (0, 0) for (x0, x1), (y0, y1) in zip(row, pivot)]
         return p
 
-    def reduced_rows(self, rows, prev):
-        """x / prev = x * conj(prev) / norm(prev), and x1*t = x1*v*s."""
+    def reduced_rows(self, rows, dens):
+        """x / d = x * conj(d) / norm(d), and x1*t = x1*v*s."""
         w, v = self.radicand.numerator * self.radicand.denominator, self.radicand.denominator
-        q0, q1 = prev
-        norm = q0 * q0 - w * q1 * q1
         zero = self.ZERO
-        return [[(Fraction(x0 * q0 - w * x1 * q1, norm), Fraction((x1 * q0 - x0 * q1) * v, norm))
-                 if x0 or x1 else zero for x0, x1 in row] for row in rows]
+        return [[(Fraction(x0 * q0 - w * x1 * q1, n), Fraction((x1 * q0 - x0 * q1) * v, n))
+                 if x0 or x1 else zero for x0, x1 in row]
+                for row, (q0, q1) in zip(rows, dens) for n in [q0 * q0 - w * q1 * q1]]
 
     def symbol(self) -> "Scalar":
         return Scalar(self, (Fraction(0), Fraction(1)))
@@ -494,8 +509,8 @@ class _QuadraticField(Field):
         m = _QUAD_RE.match(text)
         if not m or (m["c0"] is None and m["c1"] is None):
             return None
-        c1 = Fraction(m["c1"] or 0)
-        return (Fraction(m["c0"] or 0), -c1 if m["sign"] == "-" else c1)
+        c1 = _rational(m["c1"] or "0")
+        return (_rational(m["c0"] or "0"), -c1 if m["sign"] == "-" else c1)
 
     def _sqrt(self, a):
         """A rational element has a root exactly when it or its quotient by

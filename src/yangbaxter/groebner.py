@@ -312,7 +312,7 @@ def _lead(g: MultiPoly) -> int:
     return g._terms[0][0]
 
 
-class _Reducers(list):
+class Reducers(list):
     """A basis grown only by ``append``: ``leads`` and ``reducers`` hold each
     nonzero element's leading monomial and (leading coefficient, tail), and
     ``first`` maps a monomial to the index of its first divisor, or to ~k
@@ -337,9 +337,9 @@ def normal_form(p: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
     monomials yields its leading monomial next. Every key of the dict has
     exactly one heap entry, and a monomial once taken never reappears,
     because each reduction step only adds terms below the one it removes.
-    A list basis gets a fresh ``_Reducers`` table; a table keeps what it learns.
+    A list basis gets a fresh ``Reducers`` table; a table keeps what it learns.
     """
-    table = basis if type(basis) is _Reducers else _Reducers(basis)
+    table = basis if type(basis) is Reducers else Reducers(basis)
     leads, reducers, first = table.leads, table.reducers, table.first
     n, guard = len(leads), p.ring.guard
     work = dict(p._terms)
@@ -407,7 +407,7 @@ def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     for g in sorted(work, key=_lead):
         if not any(g.ring.divides(_lead(h), _lead(g)) for h in minimal):
             minimal.append(g)
-    table = _Reducers(minimal)
+    table = Reducers(minimal)
     tails = [normal_form(MultiPoly._of(g.ring, dict(g._terms[1:])), table) for g in minimal]
     reduced = [MultiPoly._of(g.ring, dict(g._terms[:1] + t._terms)) for g, t in zip(minimal, tails)]
     return sorted(reduced, key=_lead, reverse=True)
@@ -432,7 +432,7 @@ def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly
     the update drops never count. It bounds neither time nor memory under
     coefficient growth.
     """
-    basis = _Reducers()  # basis.leads: the packed leading monomials
+    basis = Reducers()  # basis.leads: the packed leading monomials
     queue: list = []  # heap of (lcm degree, lcm, i, j)
 
     def update(h: MultiPoly) -> None:

@@ -50,21 +50,20 @@ def matrix_from_json(obj) -> Matrix:
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) or not r for r in rows)):
         raise ParseError("'rows' must be a non-empty list of non-empty lists")
-    width = len(rows[0])
-    parsed = []
+    width, parse, raw, seen = len(rows[0]), field.parse_raw, [], {}
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ParseError("ragged rows", row=i, col=len(row))
-        out = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
                 raise ParseError(f"entry must be a string, got {cell!r}", row=i, col=j)
-            try:
-                out.append(field.parse(cell))
-            except ParseError as exc:
-                raise ParseError(str(exc), row=i, col=j) from exc
-        parsed.append(out)
-    return Matrix.from_rows(field, parsed)
+            if cell not in seen:
+                try:
+                    seen[cell] = parse(cell)
+                except ParseError as exc:
+                    raise ParseError(str(exc), row=i, col=j) from exc
+            raw.append(seen[cell])
+    return Matrix._make(field, len(rows), width, raw)
 
 
 def _loads_json(text: str):

@@ -205,11 +205,12 @@ class Matrix:
 
     def _eliminate(self):
         """The one Gauss-Jordan loop, on the rows the field lifts: the
-        working rows, the pivot columns, the last step's prev, the number
-        of row swaps and the lift scales."""
+        working rows and their levels, the pivot columns, the last step's
+        prev, the number of row swaps and the lift scales."""
         f, nr = self.field, self.nrows
         z, prev = f.WORK_ZERO, f.WORK_ONE
         rows, scales = f.lift_rows(self._raw_rows())
+        levels = [prev] * nr
         pivots = []
         r = swaps = 0
         for c in range(self.ncols):
@@ -218,18 +219,19 @@ class Matrix:
                 continue
             if pr != r:
                 rows[r], rows[pr] = rows[pr], rows[r]
+                levels[r], levels[pr] = levels[pr], levels[r]
                 swaps += 1
-            prev = f.clear_column(rows, r, c, prev)
+            prev = f.clear_column(rows, levels, r, c, prev)
             pivots.append(c)
             r += 1
             if r == nr:
                 break
-        return rows, tuple(pivots), prev, swaps, scales
+        return rows, levels, tuple(pivots), prev, swaps, scales
 
     def _rref(self) -> tuple[list[list], tuple[int, ...]]:
         """Raw rows of the reduced row-echelon form and the pivot columns."""
-        rows, pivots, prev, _, _ = self._eliminate()
-        return self.field.reduced_rows(rows, prev), pivots
+        rows, levels, pivots, _, _, _ = self._eliminate()
+        return self.field.reduced_rows(rows, levels), pivots
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row-echelon form and the tuple of pivot columns."""
@@ -238,7 +240,7 @@ class Matrix:
                             [v for row in rows for v in row]), pivots
 
     def rank(self) -> int:
-        return len(self._eliminate()[1])
+        return len(self._eliminate()[2])
 
     def kernel_basis(self) -> list[tuple[Scalar, ...]]:
         """Canonical basis of the right kernel, one vector per free column."""
@@ -269,10 +271,10 @@ class Matrix:
         if not self.is_square:
             raise DimensionError("determinant needs a square matrix")
         f = self.field
-        _, pivots, prev, swaps, scales = self._eliminate()
+        _, _, pivots, prev, swaps, scales = self._eliminate()
         if len(pivots) < self.nrows:
             return Scalar(f, f.ZERO)
-        det = f.div(f.reduced_rows([[prev]], f.WORK_ONE)[0][0], f.coerce(math.prod(scales)))
+        det = f.div(f.reduced_rows([[prev]], [f.WORK_ONE])[0][0], f.coerce(math.prod(scales)))
         return Scalar(f, f.neg(det) if swaps % 2 else det)
 
     def is_invertible(self) -> bool:
@@ -357,10 +359,12 @@ def operator_matrix(left: Matrix, right: Matrix) -> Matrix:
     raw = []
     for i in range(p):
         for j in range(q):
-            # left[i, k] multiplies M[k, j] and right[l, j] multiplies M[i, l]
+            # left[i, k] multiplies M[k, j] and right[l, j] multiplies M[i, l]:
+            # the two patterns meet only at M[i, j]
             row = [f.ZERO] * (p * q)
             row[j::q] = left.raw[i * p:(i + 1) * p]
-            row[i * q:(i + 1) * q] = map(f.add, row[i * q:(i + 1) * q], right.raw[j::q])
+            row[i * q:(i + 1) * q] = right.raw[j::q]
+            row[i * q + j] = f.add(left.raw[i * p + i], right.raw[j * q + j])
             raw += row
     return Matrix._make(f, p * q, p * q, raw)
 

@@ -278,3 +278,33 @@ def test_gf_elements_enumeration(gf3):
     assert [s.v for s in gf3.elements()] == [0, 1, 2]
     with pytest.raises(FieldError):
         list(Field.rationals().elements())
+
+
+@pytest.mark.parametrize("spec, entries", [
+    ("rat", [[2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 2, 5], [4, 0, 5, 1]]),
+    ("quad:2", [[2, (1, 1), 0, 0], [0, 3, (0, 1), 0], [0, 0, (2, -1), 5], [4, 0, 5, 1]]),
+])
+def test_clear_column_rewrites_only_the_rows_its_pivot_touches(spec, entries):
+    """Each step leaves a row with a zero in the pivot column as the same
+    list at the same level; the rows it rewrites and the pivot row move to
+    the new pivot. Row 2 is skipped by two steps and row 1 by one, so each
+    is a stale pivot row that its step brings up to date first."""
+    field = Field.from_spec(spec)
+    rows, _ = field.lift_rows([[field.coerce(v) for v in row] for row in entries])
+    levels, prev, skipped, stale = [field.WORK_ONE] * 4, field.WORK_ONE, [], []
+    for r in range(4):  # the pivot of step r is row r, column r: no swaps
+        before, old_levels = list(rows), list(levels)
+        assert rows[r][r] != field.WORK_ZERO
+        stale.append(levels[r] != prev)
+        prev = field.clear_column(rows, levels, r, r, prev)
+        assert levels[r] == prev == rows[r][r]
+        assert (rows[r] is not before[r]) == stale[-1]
+        skipped.append([i for i in range(4) if i != r and before[i][r] == field.WORK_ZERO])
+        for i in range(4):
+            if i in skipped[-1]:
+                assert rows[i] is before[i] and levels[i] == old_levels[i]
+            elif i != r:
+                assert rows[i] is not before[i] and levels[i] == prev
+    assert skipped == [[1, 2], [2], [], []] and stale == [False, True, True, False]
+    identity = [[field.ONE if i == j else field.ZERO for j in range(4)] for i in range(4)]
+    assert field.reduced_rows(rows, levels) == identity

@@ -282,7 +282,7 @@ def test_reducer_table_grown_by_appends_matches_a_fresh_list(case):
     remainder against it equals the remainder against a plain list of the
     same elements, which gets a fresh table."""
     elements, targets = case
-    table = groebner._Reducers()
+    table = groebner.Reducers()
     for g in elements:
         table.append(g)
         for p in targets:
@@ -294,7 +294,7 @@ def test_reducer_table_rescans_a_monomial_after_an_append():
     divides it once that element has joined, and remembers it."""
     ring = PolyRing(tuple("xy"))
     p = ring.parse("x*y + 1")
-    table = groebner._Reducers([ring.parse("x^2 - y")])
+    table = groebner.Reducers([ring.parse("x^2 - y")])
     assert normal_form(p, table) == p
     assert table.first[ring.pack((1, 1))] == ~1  # no divisor among the first one
     table.append(ring.parse("2*y - 1"))

@@ -8,7 +8,9 @@ operations, Leibniz expansion for the determinant, over the field and over
 its polynomial ring, and textbook Gauss-Jordan elimination for the reduced
 echelon form, rank, kernel, inverse and determinant. Entries with
 denominators near 10^6 and rank-deficient matrices exercise the exact
-divisions of the fraction-free elimination over Q and Q(s). The spectral
+divisions of the fraction-free elimination over Q and Q(s), and sparse
+operator matrices shaped like the Sylvester lift exercise its rows that
+stay at an old level across pivot steps. The spectral
 primitives are checked against repeated linear division, the defining
 properties of the minimal polynomial, and rank-profile similarity. The
 Sylvester solver and span membership, one elimination each, are checked
@@ -483,15 +485,45 @@ def reduction_rows(spec, data, nrows, ncols):
     return rows
 
 
-@fields
-@quick
-@given(data=st.data())
-def test_rref_rank_and_kernel_against_textbook_gauss_jordan(spec, data):
+def kronecker_rows(spec, data):
+    """Reference rows of the operator matrix of M -> AM + MB, the shape of a
+    Sylvester lift, for p x p and q x q factors, p, q <= 3, mostly zero: a
+    row has at most p + q - 1 nonzeros among p*q. Half the time B = -A, so
+    the rows are dependent (M = I lies in the kernel). The rows come in a
+    drawn order, so most pivots lie below their step's row. Elimination
+    skips most rows at each step and meets pivot rows left stale over several."""
+    ref = Ref(spec)
+    sparse = st.one_of(st.none(), st.none(), entries(spec))
+
+    def square(n):
+        flat = data.draw(st.lists(sparse, min_size=n * n, max_size=n * n))
+        flat = [ref.zero() if v is None else ref.lift(v) for v in flat]
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+    p = data.draw(st.integers(1, 3))
+    a = square(p)
+    if data.draw(st.booleans()):
+        q, b = p, [[ref.neg(v) for v in row] for row in a]
+    else:
+        q = data.draw(st.integers(1, 3))
+        b = square(q)
+    rows = []
+    for i in range(p):
+        for j in range(q):
+            row = [ref.zero()] * (p * q)
+            for k in range(p):  # a[i][k] multiplies M[k, j], b[l][j] multiplies M[i, l]
+                row[k * q + j] = ref.add(row[k * q + j], a[i][k])
+            for l in range(q):
+                row[i * q + l] = ref.add(row[i * q + l], b[l][j])
+            rows.append(row)
+    return [rows[i] for i in data.draw(st.permutations(range(p * q)))]
+
+
+def check_rref_rank_and_kernel(spec, rows):
     """Raw rows compare by repr, so a value of the wrong type (an int for a
     Fraction) fails as a wrong value does."""
     field, ref = Field.from_spec(spec), Ref(spec)
-    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
-    rows = reduction_rows(spec, data, nrows, ncols)
+    ncols = len(rows[0])
     m = Matrix.from_rows(field, rows)
     expected, pivots, _ = ref.gauss_jordan(rows)
     got, got_pivots = m._rref()
@@ -510,11 +542,22 @@ def test_rref_rank_and_kernel_against_textbook_gauss_jordan(spec, data):
 @fields
 @quick
 @given(data=st.data())
-def test_inverse_and_det_against_textbook_gauss_jordan(spec, data):
+def test_rref_rank_and_kernel_against_textbook_gauss_jordan(spec, data):
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    check_rref_rank_and_kernel(spec, reduction_rows(spec, data, nrows, ncols))
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_sparse_rref_rank_and_kernel_against_textbook_gauss_jordan(spec, data):
+    check_rref_rank_and_kernel(spec, kronecker_rows(spec, data))
+
+
+def check_inverse_and_det(spec, rows):
     """[M | I] reduces to [I | M^-1] exactly when M is invertible."""
     field, ref = Field.from_spec(spec), Ref(spec)
-    n = data.draw(st.integers(1, 6))
-    rows = reduction_rows(spec, data, n, n)
+    n = len(rows)
     m = Matrix.from_rows(field, rows)
     augmented = [row + [ref.one() if i == j else ref.zero() for j in range(n)]
                  for i, row in enumerate(rows)]
@@ -529,6 +572,21 @@ def test_inverse_and_det_against_textbook_gauss_jordan(spec, data):
         assert m.inverse() is None
         det = ref.zero()
     assert m.det() == field.scalar(det)
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_inverse_and_det_against_textbook_gauss_jordan(spec, data):
+    n = data.draw(st.integers(1, 6))
+    check_inverse_and_det(spec, reduction_rows(spec, data, n, n))
+
+
+@fields
+@quick
+@given(data=st.data())
+def test_sparse_inverse_and_det_against_textbook_gauss_jordan(spec, data):
+    check_inverse_and_det(spec, kronecker_rows(spec, data))
 
 
 @fields

@@ -1,6 +1,7 @@
 import functools
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,73 @@ def test_strictness():
     for spec, message in (("gf:6", "modulus must be prime"), ("quad:4", "degenerate")):
         with pytest.raises(ParseError, match=message):  # a FieldError of Field.from_spec
             matrix_from_json({"field": spec, "rows": [["1"]]})
+
+
+@pytest.mark.parametrize("spec, rows, message", [
+    ("rat", [["1", "1/0"]], "bad rational '1/0' (row 0, col 1)"),
+    ("rat", [["1.5"]], "bad rational '1.5' (row 0, col 0)"),
+    ("rat", [["0", "--1"]], "bad rational '--1' (row 0, col 1)"),
+    ("rat", [["1/-2"]], "bad rational '1/-2' (row 0, col 0)"),
+    ("rat", [["2"], ["+"]], "bad rational '+' (row 1, col 0)"),
+    ("rat", [["1_0"]], "bad rational '1_0' (row 0, col 0)"),
+    ("rat", [["1 2"]], "bad rational '1 2' (row 0, col 0)"),
+    ("rat", [["1", 2]], "entry must be a string, got 2 (row 0, col 1)"),
+    ("rat", [[None]], "entry must be a string, got None (row 0, col 0)"),
+    ("rat", [[1.5]], "entry must be a string, got 1.5 (row 0, col 0)"),
+    ("rat", [["1", "2"], ["3"]], "ragged rows (row 1, col 1)"),
+    ("rat", [["1"], ["2", "3"]], "ragged rows (row 1, col 2)"),
+    ("gf:5", [["1", "1/2"]], "bad residue '1/2' (row 0, col 1)"),
+    ("gf:7", [["\u2212"]], "bad residue '\u2212' (row 0, col 0)"),
+    ("quad:2", [["0", "1+s+s"]], "bad quadratic scalar '1+s+s' (row 0, col 1)"),
+    ("quad:2", [["1/0*s"]], "bad quadratic scalar '1/0*s' (row 0, col 0)"),
+])
+def test_matrix_loader_rejects_with_message_row_and_col(spec, rows, message):
+    """Each cell is parsed once, straight to its raw value; what fails names
+    the entry's row and column, as it did when cells were boxed as scalars."""
+    with pytest.raises(ParseError) as err:
+        matrix_from_json({"field": spec, "rows": rows})
+    assert str(err.value) == message
+    assert f"(row {err.value.row}, col {err.value.col})" in message
+
+
+@pytest.mark.parametrize("spec, cell, raw", [
+    ("rat", "+3", Fraction(3)), ("rat", "007", Fraction(7)), ("rat", "\u22123/4", Fraction(-3, 4)),
+    ("rat", " 7/14 ", Fraction(1, 2)), ("gf:5", "\u22121", 4), ("gf:5", "+007", 2),
+    ("quad:2", "\u22121/2\u22123*s", (Fraction(-1, 2), Fraction(-3))),
+    ("quad:2", "+3*s", (Fraction(0), Fraction(3))),
+])
+def test_matrix_loader_accepts_signs_leading_zeros_and_the_unicode_minus(spec, cell, raw):
+    """Raw values compare by repr, so an int where a Fraction belongs fails."""
+    m = matrix_from_json({"field": spec, "rows": [[cell]]})
+    assert repr(m.raw) == repr((raw,))
+
+
+@functools.cache
+def raw_values(spec: str):
+    """Raw inputs of ``Field.scalar`` in this field."""
+    fractions = st.builds(Fraction, st.integers(-10**7, 10**7), st.integers(1, 10**6))
+    if spec.startswith("gf:"):
+        return st.integers(-10**12, 10**12)
+    return fractions if spec == "rat" else st.tuples(fractions, fractions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_loader_equals_the_scalar_path(data):
+    """A matrix written by ``dumps_matrix`` loads as ``from_rows`` over the
+    cells' parsed scalars builds it, on every field kind."""
+    spec = data.draw(st.sampled_from(["rat", "gf:2", "gf:5", "gf:1000000007",
+                                      "quad:2", "quad:-1", "quad:1/2"]))
+    field = Field.from_spec(spec)
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(raw_values(spec), min_size=nrows * ncols, max_size=nrows * ncols))
+    m = Matrix(field, nrows, ncols, cells)
+    text = dumps_matrix(m)
+    scalar_path = Matrix.from_rows(field, [[field.parse(cell) for cell in row]
+                                           for row in json.loads(text)["rows"]])
+    loaded = loads_matrix(text)
+    assert loaded == scalar_path == m and loaded.field is field
+    assert repr(loaded.raw) == repr(scalar_path.raw)
 
 
 def test_jordan_shorthand(gf3, rat):

@@ -15,7 +15,7 @@ import functools
 import sys
 
 from . import families as fam
-from . import matio, oracle
+from . import groebner, matio, oracle
 from .core import check_pencil_condition, residual
 from .errors import AlgebraError, ParseError, PreconditionError
 from .fields import Field
@@ -82,17 +82,15 @@ def _parse_params(fam_desc, pairs, field) -> dict:
             out[name] = value
         elif kind == "scalars":
             out[name] = [field.parse(v) for v in value.split(",")] if value else []
-        elif kind == "matrix":
+        else:  # matrix
             out[name] = matio.load_matrix(value)
-        else:
-            raise ParseError(f"parameter {name} cannot be given on the command line")
     return out
 
 
 def cmd_construct(args) -> int:
     field = _field_of(args)
     fam_desc = fam.find_family(args.family)
-    if not fam_desc.cli_constructible:
+    if fam_desc.build is None:
         raise PreconditionError(f"family {fam_desc.name!r} is API-only")
     params = _parse_params(fam_desc, args.param, field)
     coeff, x = fam.build_family(field, fam_desc.name, params)
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="monomial order override, e.g. lex:a..i")
     p.add_argument("--probe", action="append", default=[],
                    help="polynomial whose normal form is reported")
-    p.add_argument("--pair-cap", type=_int_at_least(0), default=100_000,
+    p.add_argument("--pair-cap", type=_int_at_least(0), default=groebner.DEFAULT_PAIR_CAP,
                    help="most S-pairs taken off the queue for reduction (exit 2 "
                         "beyond it); pairs the Gebauer-Moeller update drops never count")
     common(p, field=False)

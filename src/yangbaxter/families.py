@@ -7,17 +7,18 @@ family built from parameters solves the equation for every parameter is
 proven symbolically by ``tests/test_family_proofs.py``; a constructor that
 takes solutions says in its docstring why its preconditions suffice. Only
 ``two_block_offdiag`` checks its residual, raising ``ConstructionError``.
-The catalog at the bottom is the family listing served by the command line.
+The catalog at the bottom lists the families and builds each for the CLI.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import is_solution
 from .errors import ConstructionError, ParseError, PreconditionError, SideConditionError
 from .fields import Field, Scalar
-from .matrices import Matrix, block_diag, jordan_block, nilpotent_block
+from .matrices import Matrix, block_diag, jordan_block
 from .unipoly import UniPoly
 
 
@@ -280,14 +281,15 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """Machine-readable description of one constructor family."""
+    """Machine-readable description of one constructor family, and its builder:
+    ``build(field, params)`` gives (coefficient, solution), None if API-only."""
 
     name: str
     aliases: tuple[str, ...]
     coefficient: str
     side_condition: str
     params: tuple[ParamSpec, ...]
-    cli_constructible: bool = True
+    build: Callable[[Field, dict], tuple[Matrix, Matrix]] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -295,13 +297,18 @@ class FamilyDescriptor:
             "aliases": list(self.aliases),
             "coefficient": self.coefficient,
             "side_condition": self.side_condition,
-            "cli_constructible": self.cli_constructible,
+            "cli_constructible": self.build is not None,
             "params": [
                 {"name": p.name, "kind": p.kind, "doc": p.doc,
                  **({"choices": list(p.choices)} if p.choices else {})}
                 for p in self.params
             ],
         }
+
+
+def _one_block(lam, x: Matrix) -> tuple[Matrix, Matrix]:
+    """The Jordan block at ``lam`` of x's size, and x: a single-block family's pair."""
+    return jordan_block(x.field, lam, x.nrows), x
 
 
 CATALOG: tuple[FamilyDescriptor, ...] = (
@@ -313,6 +320,8 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
          ParamSpec("branch", "choice", "which closed form",
                    ("toeplitz", "plus", "minus")),
          ParamSpec("a", "scalar", "free entry; needs a square root")),
+        lambda field, p: _one_block(p["lam"], family_2x2_invertible(
+            field.scalar(p["lam"]), p["branch"], p.get("a"))),
     ),
     FamilyDescriptor(
         "jordan2-nilpotent", ("ex2",),
@@ -321,6 +330,8 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
         (ParamSpec("a", "scalar", "top-left entry"),
          ParamSpec("b", "scalar", "bottom-right entry"),
          ParamSpec("alpha", "scalar", "free top-right entry")),
+        lambda field, p: _one_block(0, family_2x2_nilpotent(
+            field.scalar(p["a"]), p["b"], p["alpha"])),
     ),
     FamilyDescriptor(
         "jordan3-nilpotent", ("ex3",),
@@ -331,6 +342,8 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
          ParamSpec("c", "scalar", "entry (1,3)"),
          ParamSpec("f", "scalar", "entry (2,3)"),
          ParamSpec("i", "scalar", "entry (3,3)")),
+        lambda field, p: _one_block(0, family_3x3_nilpotent(
+            field.scalar(p["a"]), p["b"], p["c"], p["f"], p["i"])),
     ),
     FamilyDescriptor(
         "nilpotent-general", ("examplenilpotent",),
@@ -340,6 +353,8 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
          ParamSpec("a", "scalars", "first-row parameters, length n-2"),
          ParamSpec("b", "scalars", "last-column parameters, length n-2"),
          ParamSpec("alpha", "scalar", "free corner entry")),
+        lambda field, p: _one_block(0, family_nilpotent_general(
+            p["n"], p["a"], p["b"], field.scalar(p["alpha"]))),
     ),
     FamilyDescriptor(
         "commuting-nilpotent", ("commuting",),
@@ -350,13 +365,14 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
                    ("with_B", "without_B")),
          ParamSpec("alpha", "scalar", "coefficient of B^(n-1)"),
          ParamSpec("beta", "scalar", "coefficient of B^n")),
+        lambda field, p: _one_block(0, commuting_nilpotent(
+            p["n"], p["variant"], field.scalar(p["alpha"]), p["beta"])),
     ),
     FamilyDescriptor(
         "block-diagonal", (),
         "diag of per-block coefficients",
         "each part must solve its own block equation",
         (ParamSpec("parts", "matrix", "list of (coefficient, solution) pairs"),),
-        cli_constructible=False,
     ),
     FamilyDescriptor(
         "two-block-offdiag", ("two-block",),
@@ -368,6 +384,8 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
          ParamSpec("s", "matrix", "invertible conjugator S"),
          ParamSpec("side", "choice", "where the coupling block sits",
                    ("upper", "lower"))),
+        lambda field, p: two_block_offdiag(field.scalar(p["lam"]), p["k"], p["z"], p["s"],
+                                           p.get("side", "upper")),
     ),
     FamilyDescriptor(
         "two-block-case", (),
@@ -380,6 +398,8 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
          ParamSpec("b", "scalar", "free entry (cases i, iv, v)"),
          ParamSpec("c", "scalar", "free entry (cases ii, v)"),
          ParamSpec("e", "scalar", "free entry (cases i, ii, iii)")),
+        lambda field, p: two_block_case(p["case"], field.scalar(p["lam"]), p.get("a"),
+                                        p.get("b"), p.get("c"), p.get("e")),
     ),
     FamilyDescriptor(
         "pencil", ("pencil-extend",),
@@ -389,6 +409,7 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
          ParamSpec("X", "matrix", "base solution file"),
          ParamSpec("M", "matrix", "annihilator element file"),
          ParamSpec("alpha", "scalar", "pencil parameter")),
+        lambda field, p: (p["A"], pencil_extend(p["A"], p["X"], p["M"], p["alpha"])),
     ),
     FamilyDescriptor(
         "conjugate", ("conjugate-solution",),
@@ -397,6 +418,7 @@ CATALOG: tuple[FamilyDescriptor, ...] = (
         (ParamSpec("A", "matrix", "coefficient matrix file"),
          ParamSpec("X", "matrix", "base solution file"),
          ParamSpec("g", "matrix", "centralizer element file")),
+        lambda field, p: (p["A"], conjugate_solution(p["A"], p["X"], p["g"])),
     ),
 )
 
@@ -409,53 +431,17 @@ def find_family(name: str) -> FamilyDescriptor:
 
 
 def build_family(field: Field, name: str, params: dict) -> tuple[Matrix, Matrix]:
-    """Uniform (coefficient, solution) entry point used by the CLI.
+    """Uniform (coefficient, solution) entry point used by the CLI: the catalog
+    entry of ``name`` builds it through the family's constructor.
 
     ``params`` values are already typed: Scalars, ints, scalar lists or
-    Matrices according to the family's parameter schema.
+    Matrices according to the family's parameter schema. A builder coerces
+    only the parameter its constructor takes the field from.
     """
     fam = find_family(name)
+    if fam.build is None:
+        raise SideConditionError(f"family {fam.name!r} is not constructible from parameters")
     try:
-        if fam.name == "jordan2-invertible":
-            lam = field.scalar(params["lam"])
-            x = family_2x2_invertible(lam, params["branch"], params.get("a"))
-            return jordan_block(field, lam, 2), x
-        if fam.name == "jordan2-nilpotent":
-            x = family_2x2_nilpotent(field.scalar(params["a"]),
-                                     field.scalar(params["b"]),
-                                     field.scalar(params["alpha"]))
-            return nilpotent_block(field, 2), x
-        if fam.name == "jordan3-nilpotent":
-            x = family_3x3_nilpotent(field.scalar(params["a"]), field.scalar(params["b"]),
-                                     field.scalar(params["c"]), field.scalar(params["f"]),
-                                     field.scalar(params["i"]))
-            return nilpotent_block(field, 3), x
-        if fam.name == "nilpotent-general":
-            n = params["n"]
-            x = family_nilpotent_general(n, params["a"], params["b"],
-                                         field.scalar(params["alpha"]))
-            return nilpotent_block(field, n), x
-        if fam.name == "commuting-nilpotent":
-            n = params["n"]
-            x = commuting_nilpotent(n, params["variant"], field.scalar(params["alpha"]),
-                                    field.scalar(params["beta"]))
-            return nilpotent_block(field, n + 1), x
-        if fam.name == "two-block-offdiag":
-            return two_block_offdiag(field.scalar(params["lam"]), params["k"],
-                                     params["z"], params["s"],
-                                     params.get("side", "upper"))
-        if fam.name == "two-block-case":
-            return two_block_case(params["case"], field.scalar(params["lam"]),
-                                  params.get("a"), params.get("b"),
-                                  params.get("c"), params.get("e"))
-        if fam.name == "pencil":
-            a = params["A"]
-            x = pencil_extend(a, params["X"], params["M"], field.scalar(params["alpha"]))
-            return a, x
-        if fam.name == "conjugate":
-            a = params["A"]
-            x = conjugate_solution(a, params["X"], params["g"])
-            return a, x
+        return fam.build(field, params)
     except KeyError as exc:  # only the params lookups raise it
         raise ParseError(f"family {fam.name!r} needs parameter {exc.args[0]}") from None
-    raise SideConditionError(f"family {fam.name!r} is not constructible from parameters")

@@ -35,6 +35,7 @@ from .matrices import Matrix
 
 _TERM_COEFF_RE = re.compile(r"^(\d+)(?:/(\d+))?")
 _FACTOR_RE = re.compile(r"^([A-Za-z])(?:\^(\d+))?")
+DEFAULT_PAIR_CAP = 100_000
 
 
 _FIELD_BITS = 16
@@ -413,7 +414,7 @@ def interreduce(basis: list[MultiPoly]) -> list[MultiPoly]:
     return sorted(reduced, key=_lead, reverse=True)
 
 
-def buchberger(gens: list[MultiPoly], pair_cap: int = 100_000) -> list[MultiPoly]:
+def buchberger(gens: list[MultiPoly], pair_cap: int = DEFAULT_PAIR_CAP) -> list[MultiPoly]:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     The next S-pair (i, j), i < j indexing the basis in order of arrival,

@@ -138,22 +138,16 @@ def _narrow_dtype(p: int, terms: int, total: int = 0):
 
 
 def _reducer(p: int, dtype):
-    """x -> x mod p on arrays of ``dtype``; wider than 16 bits by %, else by a lookup in the
-    residues of all its values in the order of its unsigned view, 0 .. 2^(b-1) - 1 then
-    -2^(b-1) .. -1, widened only if p - 1 does not fit: for 8 bits each value's, taken at
-    once, for 16 bits two runs of the cycle 0 .. p - 1, which cost less than 2^16 remainders."""
+    """x -> x mod p on arrays of ``dtype``; wider than 8 bits by %, else by a lookup in the
+    residues of all 256 values in the order of the unsigned view, 0 .. 127 then -128 .. -1,
+    widened only if p - 1 does not fit in ``dtype``."""
     import numpy as np
 
-    if dtype.itemsize > 2:
+    if dtype.itemsize > 1:
         return lambda x: x % p
-    wide, unsigned = np.promote_types(dtype, np.min_scalar_type(-p)), f"u{dtype.itemsize}"
-    if dtype.itemsize == 1:
-        table = np.arange(256, dtype=np.uint8).view(dtype).astype(wide, copy=False) % p
-    else:
-        half = 1 << 15
-        cycle = np.tile(np.arange(p, dtype=wide), half // p + 2)
-        table = np.concatenate([cycle[:half], cycle[-half % p:][:half]])
-    return lambda x: table.take(x.view(unsigned))
+    wide = np.promote_types(dtype, np.min_scalar_type(-p))
+    table = np.arange(256, dtype=np.uint8).view(dtype).astype(wide, copy=False) % p
+    return lambda x: table.take(x.view(np.uint8))
 
 
 def _combine(coefs: list[int], rows) -> np.ndarray:

@@ -480,6 +480,31 @@ def test_groebner_cli_order_override(tmp_path, capsys):
     assert code == 0 and "y^2 - x" in out
 
 
+def test_groebner_cli_order_range(tmp_path, capsys):
+    """lex:x..y names the letters from x to y in alphabetical order; on a
+    ring listed as y, x it permutes the variables."""
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps({"variables": ["y", "x"], "generators": ["x - y^2"]}))
+    by_range = run(capsys, "groebner", "--gens", str(gens), "--order", "lex:x..y")
+    assert by_range == run(capsys, "groebner", "--gens", str(gens), "--order", "lex:x,y")
+    assert by_range[0] == 0 and "  x - y^2\n" in by_range[1]
+    assert run(capsys, "groebner", "--gens", str(gens))[1] != by_range[1]
+
+
+@pytest.mark.parametrize("order, message", [
+    ("grevlex:a..i", "only lex orders are supported, e.g. lex:a..i"),
+    ("lex:i..a", "bad order range 'i..a'"),
+    ("lex:ab..i", "bad order range 'ab..i'"),
+    ("lex:a..", "bad order range 'a..'"),
+    ("lex:a..h", "order override must permute the ring variables"),
+    ("lex:a..j", "order override must permute the ring variables"),
+    ("lex:a,b,c", "order override must permute the ring variables"),
+])
+def test_groebner_cli_bad_order_exits_two(capsys, order, message):
+    assert run(capsys, "groebner", "--ideal", "ybe", "--jordan", "0^3", "--order", order) == (
+        2, "", f"error: {message}\n")
+
+
 def test_groebner_pair_cap_exits_two(capsys):
     code, _, err = run(capsys, "groebner", "--ideal", "ybe", "--jordan", "0^3",
                        "--pair-cap", "2")
@@ -529,6 +554,8 @@ GROEBNER_PINS = [
     (("--ideal", "ybe", "--jordan", "0^3", "--order", "lex:e,a,b,c,d,f,g,h,i",
       "--probe", "af+bi"),
      "aa011ae43d9097637236ca8f8719dc56111520e406e45cfe605ae146f4dea989"),
+    (("--ideal", "ybe", "--jordan", "0^3", "--order", "lex:a..i", "--probe", "af+bi"),
+     "9fcf5b49827394e9a45efaa82051acfedc6a53d31e5ff0f3d66672a3a083be17"),
     (("--gens", "{fractional}", "--probe", "x", "--probe", "x*y", "--probe", "x^3 + 1/5*y"),
      "6d3058a23182cca1e5954bd9b9848cf474baae3fea73dae856ac282146aabc6b"),
     (("--gens", "{fractional}", "--json", "--probe", "x^3 + 1/5*y"),
@@ -681,8 +708,8 @@ def test_stdin_matrix(rat, write_matrix, capsys, monkeypatch):
     assert code == 0 and "is_solution: True" in out
 
 
-CLI_CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json")
-                        .read_text(encoding="utf-8"))
+DATA = Path(__file__).parent / "data"
+CLI_CORPUS = json.loads((DATA / "cli_corpus.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CLI_CORPUS, ids=[" ".join(c["argv"]) for c in CLI_CORPUS])
@@ -690,9 +717,11 @@ def test_cli_corpus_is_byte_identical(capsys, case):
     """Exit code and the sha256 of stdout and stderr match those recorded
     for a fixed corpus: every census of at most two Jordan blocks and
     dimension at most 3 over GF(2) and GF(3), full and commuting, the
-    benchmark's census invocations, census refusals, the family catalog
-    and constructions over rat, gf:5 and quad:2."""
-    code, out, err = run(capsys, *case["argv"])
+    benchmark's census invocations, census refusals, the family catalog,
+    every family and alias built over rat, gf:2, gf:5 and quad:2, with and
+    without --json, and refused constructions. ``{data}`` in an argument
+    names tests/data, where the matrix files of the constructions are."""
+    code, out, err = run(capsys, *(arg.replace("{data}", str(DATA)) for arg in case["argv"]))
     assert (code, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(err.encode()).hexdigest()) == (
         case["code"], case["stdout"], case["stderr"])

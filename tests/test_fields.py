@@ -134,6 +134,21 @@ def test_division_and_powers(rat, gf5):
         rat.zero().inverse()
 
 
+@pytest.mark.parametrize("spec", ["rat", "gf:5", "quad:2"])
+def test_scalar_arithmetic_with_numbers(spec):
+    """An int or Fraction operand is coerced into the scalar's field, on
+    either side of +, -, * and /: 2 - s and 1 / s are the reflected forms."""
+    field = Field.from_spec(spec)
+    s, half = field.scalar(3), Fraction(1, 2)
+    assert s + 2 == 2 + s == field.scalar(5)
+    assert s - half == field.scalar(Fraction(5, 2))
+    assert 2 - s == -(s - 2) == field.scalar(-1)
+    assert s * half == half * s == field.scalar(Fraction(3, 2))
+    assert s / 2 == field.scalar(Fraction(3, 2))
+    assert 1 / s == s.inverse() == field.scalar(Fraction(1, 3))
+    assert s.__add__("3") is NotImplemented
+
+
 def test_power_squares_from_the_lowest_set_bit():
     """base**k under a counting product: floor(log2 k) squares and one
     product per further set bit, so none for k = 0 or 1."""

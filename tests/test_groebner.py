@@ -77,6 +77,19 @@ def test_parse_juxtaposed_letters():
         ring.parse("z")  # not a ring variable
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty polynomial"),
+    (" \t", "empty polynomial"),
+    ("-", "dangling sign in '-'"),
+    ("a + b -", "dangling sign in 'a + b -'"),
+    ("a+-", "dangling sign in 'a+-'"),
+])
+def test_parse_errors_name_the_fault(text, message):
+    with pytest.raises(ParseError) as exc:
+        ybe_ring(3).parse(text)
+    assert str(exc.value) == message
+
+
 def test_parse_zero_denominator_is_a_parse_error():
     """A zero denominator names the input; a leading zero in a denominator
     or a zero numerator still parses."""

@@ -4,6 +4,7 @@ import pytest
 from references import span_contains
 
 from yangbaxter.errors import DimensionError, FieldMismatchError
+from yangbaxter.fields import Field
 from yangbaxter.matrices import (
     JordanSpec,
     Matrix,
@@ -40,6 +41,19 @@ def test_dimension_and_field_errors(rat, gf3):
         M(rat, [[1, 2]]) * M(rat, [[1, 2]])
     with pytest.raises(FieldMismatchError):
         M(rat, [[1]]) + M(gf3, [[1]])
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:5", "quad:2"])
+def test_scalar_products_and_negative_powers(spec):
+    """Matrix * scalar and scalar * Matrix scale every entry; a negative
+    power is a power of the inverse, and of a singular base it raises."""
+    field = Field.from_spec(spec)
+    m = M(field, [[2, 1], [0, 2]])
+    assert m * 3 == 3 * m == m * field.scalar(3) == M(field, [[6, 3], [0, 6]])
+    assert m ** -2 == m.inverse() * m.inverse()
+    assert m ** -1 * m == Matrix.identity(field, 2)
+    with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+        nilpotent_block(field, 2) ** -1
 
 
 def test_inverse_examples(rat):

@@ -360,9 +360,9 @@ def test_search_dtype_is_the_least_that_holds_the_widest_screen_sum():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 127, 251, 32749])
 def test_reducer_is_mod_p_on_every_narrow_value(p):
-    """The residue table of an 8- or 16-bit dtype gives x mod p for every
-    value the dtype holds, widened where p - 1 does not fit it; a wider
-    dtype keeps %."""
+    """The residue table of an 8-bit dtype gives x mod p for every value
+    the dtype holds, widened where p - 1 does not fit it; a wider dtype,
+    16 bits included, keeps %."""
     for dtype in (np.int8, np.int16, np.int32):
         info = np.iinfo(dtype)
         values = np.arange(info.min, info.max + 1, max(1, info.max >> 15), dtype=dtype)

@@ -105,6 +105,15 @@ def test_at_matrix_of_zero_and_constant_polynomials(rat, gf5):
         assert UniPoly(field, [0, 1]).at_matrix(m) == m
 
 
+@pytest.mark.parametrize("spec", ["rat", "gf:5", "quad:2"])
+def test_unipoly_times_a_scalar(spec):
+    """UniPoly * scalar scales every coefficient, for a Scalar or a number."""
+    field = Field.from_spec(spec)
+    f = UniPoly(field, [1, 2, 3])
+    assert f * field.scalar(2) == f * 2 == UniPoly(field, [2, 4, 6])
+    assert (f * 0).is_zero
+
+
 def test_cayley_hamilton(rat, gf5):
     rng = random.Random(3)
     for field in (rat, gf5):
